@@ -63,6 +63,9 @@ def _setup_logging() -> None:
     root = logging.getLogger("mergemix")
     root.handlers[:] = [handler]
     root.setLevel(level)
+    if level_name not in _LOG_LEVELS:
+        choices = ", ".join(_LOG_LEVELS)
+        log.warning("unknown MERGEMIX_LOG value %r, using warn (one of %s)", level_name, choices)
 
 
 def _sha256(path: Path) -> str:
@@ -153,7 +156,12 @@ def cmd_merge(args: argparse.Namespace) -> int:
     models = [read_checkpoint(Path(p)) for p in args.models]
     bank = ModelBank(models=models)
     if args.weights:
-        weights = [float(w) for w in args.weights.split(",")]
+        try:
+            weights = [float(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--weights must be comma-separated numbers, got {args.weights!r}"
+            ) from None
         merged = merge_weighted(bank, weights)
     else:
         merged = merge_uniform(bank, all_datasets_vector(len(bank)))
@@ -174,23 +182,21 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     if args.evaluator == "builtin":
         target = read_eval_dataset(Path(args.target))
-        eval_fn = builtin_eval_fn
-        target_ref = target
+        report = run_search(bank, builtin_eval_fn, target, config)
     else:
         template = args.evaluator
-        workdir = Path(tempfile.mkdtemp(prefix="mergemix-search-"))
+        with tempfile.TemporaryDirectory(prefix="mergemix-search-") as tmp:
+            workdir = Path(tmp)
 
-        def eval_fn(ckpt, target, alpha):
-            ckpt_path = workdir / f"merged_{alpha}.mtm"
-            write_checkpoint(ckpt, ckpt_path)
-            try:
-                return evaluate_external(ckpt_path, target, template)
-            finally:
-                ckpt_path.unlink(missing_ok=True)
+            def eval_fn(ckpt, target, alpha):
+                ckpt_path = workdir / f"merged_{alpha}.mtm"
+                write_checkpoint(ckpt, ckpt_path)
+                try:
+                    return evaluate_external(ckpt_path, target, template)
+                finally:
+                    ckpt_path.unlink(missing_ok=True)
 
-        target_ref = args.target
-
-    report = run_search(bank, eval_fn, target_ref, config)
+            report = run_search(bank, eval_fn, args.target, config)
     out_csv = Path(args.out)
     out_json = _json_path_for(out_csv)
     emit_report(report, "csv", out_csv)
@@ -256,7 +262,13 @@ def _read_pairs_csv(path: Path) -> list[CorrelationInput]:
             if task not in by_task:
                 by_task[task] = []
                 order.append(task)
-            by_task[task].append((float(row["x"]), float(row["y"]), int(row["n_selected"])))
+            try:
+                pair = (float(row["x"]), float(row["y"]), int(row["n_selected"]))
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{path} line {reader.line_num}: x, y and n_selected must be numbers"
+                ) from None
+            by_task[task].append(pair)
     if not by_task:
         raise ValidationError("pairs CSV holds no rows")
     return [CorrelationInput(task_name=t, pairs=by_task[t]) for t in order]

@@ -198,7 +198,11 @@ def _parse_entry(name: str, entry) -> tuple[tuple[int, ...], int, int]:
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse and validate a container file. Malformed files raise FormatError."""
+    """Parse and validate a container file.
+
+    Malformed files raise FormatError, as do NaN or Inf values, which
+    write_checkpoint never writes.
+    """
     try:
         blob = Path(path).read_bytes()
     except FileNotFoundError:
@@ -237,7 +241,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     base = 8 + header_len
     for name, (shape, begin, end) in entries.items():
         flat = np.frombuffer(blob, dtype="<f4", count=(end - begin) // _ITEM_SIZE, offset=base + begin)
-        tensors[name] = flat.astype(np.float32).reshape(shape)
+        arr = flat.astype(np.float32).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"non-finite value in tensor '{name}'")
+        tensors[name] = arr
     return Checkpoint(tensors=tensors, metadata=dict(metadata) if metadata else None)
 
 

@@ -28,7 +28,7 @@ from .baselines import (
     select_from_table,
     similarity_table,
 )
-from .errors import ValidationError
+from .errors import MergeMixError, ValidationError
 from .evaluator import (
     EvalDataset,
     Score,
@@ -51,6 +51,10 @@ _STREAM_INIT = 500
 _STREAM_TRAIN_BASE = 1 << 32
 
 _BASE_POOL_PER_CLUSTER = 100
+
+# Runs trained in lockstep per train_many call. Step time stops improving
+# past about 8 runs while memory keeps growing with the stack.
+_LOCKSTEP_CHUNK = 8
 
 # Targets are distribution-shifted: same clusters and labels as the candidate
 # datasets, but sampled with wider noise. Without the shift every model sits
@@ -285,38 +289,120 @@ def _ckpt_from_params(params: dict[str, np.ndarray]) -> Checkpoint:
     return Checkpoint(tensors={name: arr.astype(np.float32) for name, arr in params.items()})
 
 
+def _forward(
+    params: dict[str, np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward pass of M stacked runs: (z1, h, shifted logits, exp(shifted)).
+
+    params holds float64 stacks w1 [M,h,in], b1 [M,h], w2 [M,c,h], b2 [M,c];
+    x is [M,b,in]. np.matmul treats each run's slice as one 2-D product, so a
+    run gets the same bits whether it is stacked with others or alone.
+    """
+    z1 = np.matmul(x, params["w1"].transpose(0, 2, 1)) + params["b1"][:, None, :]
+    h = np.maximum(z1, 0.0)
+    logits = np.matmul(h, params["w2"].transpose(0, 2, 1)) + params["b2"][:, None, :]
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    return z1, h, shifted, np.exp(shifted)
+
+
+def _backward(
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    z1: np.ndarray,
+    h: np.ndarray,
+    exp: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Gradients of each run's mean softmax cross-entropy; y is [M,b]."""
+    runs, batch = y.shape
+    dlogits = exp / exp.sum(axis=2, keepdims=True)
+    dlogits[np.arange(runs)[:, None], np.arange(batch), y] -= 1.0
+    dlogits /= batch
+    dh = np.matmul(dlogits, params["w2"])
+    dz1 = dh * (z1 > 0.0)
+    return {
+        "w1": np.matmul(dz1.transpose(0, 2, 1), x),
+        "b1": dz1.sum(axis=1),
+        "w2": np.matmul(dlogits.transpose(0, 2, 1), h),
+        "b2": dlogits.sum(axis=1),
+    }
+
+
 def loss_and_grads(
     params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean softmax cross-entropy over a batch and its analytic gradients.
 
     params holds float64 arrays w1 [h,in], b1 [h], w2 [c,h], b2 [c];
-    x is [b, in], y is [b] integer labels.
+    x is [b, in], y is [b] integer labels. The gradients come from the
+    stacked code the trainer runs, as a stack of one.
     """
-    w1, b1, w2, b2 = params["w1"], params["b1"], params["w2"], params["b2"]
-    batch = x.shape[0]
-    z1 = x @ w1.T + b1
-    h = np.maximum(z1, 0.0)
-    logits = h @ w2.T + b2
+    stacked = {name: arr[None] for name, arr in params.items()}
+    x1, y1 = x[None], np.asarray(y)[None]
+    z1, h, shifted, exp = _forward(stacked, x1)
+    loss = float(np.mean(np.log(exp[0].sum(axis=1)) - shifted[0, np.arange(x.shape[0]), y]))
+    grads = _backward(stacked, x1, y1, z1, h, exp)
+    return loss, {name: g[0] for name, g in grads.items()}
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    idx = np.arange(batch)
-    loss = float(np.mean(np.log(exp.sum(axis=1)) - shifted[idx, y]))
 
-    dlogits = probs.copy()
-    dlogits[idx, y] -= 1.0
-    dlogits /= batch
-    dh = dlogits @ w2
-    dz1 = dh * (z1 > 0.0)
-    grads = {
-        "w1": dz1.T @ x,
-        "b1": dz1.sum(axis=0),
-        "w2": dlogits.T @ h,
-        "b2": dlogits.sum(axis=0),
-    }
-    return loss, grads
+def train_many(
+    init: Checkpoint,
+    parts: list[EvalDataset],
+    selections: list[tuple[int, ...]],
+    cfg: TrainConfig,
+    run_keys: list[int],
+) -> list[Checkpoint]:
+    """Run one SGD fine-tune per selection, all in lockstep.
+
+    Run r trains from init on the concatenation of parts[i] for i in
+    selections[r], in that order, with the Philox stream of run_keys[r].
+    Every run must see the same number of rows, so all runs share batch
+    boundaries and step counts. Each run's result is bit-identical to
+    training it alone.
+    """
+    if len(selections) != len(run_keys):
+        raise ValidationError(f"{len(selections)} selections but {len(run_keys)} run keys")
+    params = _params_from_ckpt(init)
+    input_dim, _, classes = toy_mlp_dims(init)
+    for part in parts:
+        if part.features.shape[1] != input_dim:
+            raise ValidationError(
+                f"feature dim {part.features.shape[1]} does not match model input dim {input_dim}"
+            )
+        if part.num_classes != classes:
+            raise ValidationError(f"dataset has {part.num_classes} classes but model head has {classes}")
+    if not selections:
+        return []
+    sizes = [len(part) for part in parts]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    for sel in selections:
+        if any(not 0 <= i < len(parts) for i in sel):
+            raise ValidationError(f"selection {tuple(sel)} indexes outside {len(parts)} datasets")
+    lengths = {sum(sizes[i] for i in sel) for sel in selections}
+    if len(lengths) != 1:
+        raise ValidationError(f"lockstep runs need equal row counts, got {sorted(lengths)}")
+    n = lengths.pop()
+    if n == 0:
+        raise ValidationError("empty training data")
+
+    # one pooled float64 copy; a run's rows index into it, in concat order
+    x = np.concatenate([part.features for part in parts]).astype(np.float64)
+    y = np.concatenate([part.labels for part in parts])
+    rows = [np.concatenate([np.arange(starts[i], ends[i]) for i in sel]) for sel in selections]
+    runs = len(selections)
+    stacked = {name: np.repeat(arr[None], runs, axis=0) for name, arr in params.items()}
+    rngs = [_rng(cfg.seed, _STREAM_TRAIN_BASE + key) for key in run_keys]
+    for _ in range(cfg.epochs):
+        order = np.stack([r[rng.permutation(n)] for r, rng in zip(rows, rngs)])
+        for start in range(0, n, cfg.batch_size):
+            sel = order[:, start : start + cfg.batch_size]
+            xb = x[sel]
+            z1, h, _, exp = _forward(stacked, xb)
+            grads = _backward(stacked, xb, y[sel], z1, h, exp)
+            for name in stacked:
+                stacked[name] -= cfg.learning_rate * grads[name]
+    return [_ckpt_from_params({name: arr[r] for name, arr in stacked.items()}) for r in range(runs)]
 
 
 def train(init: Checkpoint, data: EvalDataset, cfg: TrainConfig, run_key: int = 0) -> Checkpoint:
@@ -326,28 +412,7 @@ def train(init: Checkpoint, data: EvalDataset, cfg: TrainConfig, run_key: int = 
     reshuffled every epoch from the run generator, so results are
     deterministic given (init, data, cfg, run_key).
     """
-    params = _params_from_ckpt(init)
-    input_dim, _, classes = toy_mlp_dims(init)
-    if data.features.shape[1] != input_dim:
-        raise ValidationError(
-            f"feature dim {data.features.shape[1]} does not match model input dim {input_dim}"
-        )
-    if data.num_classes != classes:
-        raise ValidationError(f"dataset has {data.num_classes} classes but model head has {classes}")
-    n = len(data)
-    if n == 0:
-        raise ValidationError("empty training data")
-    x = data.features.astype(np.float64)
-    y = data.labels
-    rng = _rng(cfg.seed, _STREAM_TRAIN_BASE + run_key)
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            sel = perm[start : start + cfg.batch_size]
-            _, grads = loss_and_grads(params, x[sel], y[sel])
-            for name in params:
-                params[name] -= cfg.learning_rate * grads[name]
-    return _ckpt_from_params(params)
+    return train_many(init, [data], [(0,)], cfg, [run_key])[0]
 
 
 def init_checkpoint(rng: np.random.Generator, input_dim: int, hidden: int, classes: int) -> Checkpoint:
@@ -531,36 +596,19 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     base = pretrain_base(universe, train_cfg)
 
     order = list(gray_code_order(n))
-    singleton_bits = {str(MixtureVector.from_indices([i], n)): i for i in range(n)}
+    singleton_bits = [str(MixtureVector.from_indices([i], n)) for i in range(n)]
 
-    # fine-tune per dataset, then per multi-dataset mixture (same TrainConfig)
-    bank_models: list[Checkpoint] = []
-    for i, triple in enumerate(universe.datasets):
-        run_key = int(str(MixtureVector.from_indices([i], n)), 2)
-        bank_models.append(train(base, triple.train, train_cfg, run_key=run_key))
-    bank = ModelBank(models=bank_models, names=[t.name for t in universe.datasets])
-
-    shared_cfg = train_cfg
-
-    def finetune(data: EvalDataset, run_key: int, cfg: TrainConfig) -> Checkpoint:
-        assert cfg is shared_cfg, "every fine-tuning run must share one TrainConfig"
-        return train(base, data, cfg, run_key=run_key)
-
-    finetuned: dict[str, Checkpoint] = {}
-    for alpha in order:
-        bits = str(alpha)
-        if bits in singleton_bits:
-            finetuned[bits] = bank_models[singleton_bits[bits]]
-            continue
-        mixture_data = concat_datasets(
-            [universe.datasets[i].train for i in alpha.selected], name=f"mix_{bits}"
-        )
-        finetuned[bits] = finetune(mixture_data, int(bits, 2), train_cfg)
+    # fine-tune every mixture from the base; the singleton runs are the bank
+    finetuned = _finetune_mixtures(base, [t.train for t in universe.datasets], order, train_cfg)
+    bank = ModelBank(
+        models=[finetuned[bits] for bits in singleton_bits],
+        names=[t.name for t in universe.datasets],
+    )
 
     merged: dict[str, Checkpoint] = {str(a): ckpt for a, ckpt in subset_merges(bank, order)}
     # singleton surrogates are literally the bank checkpoints
-    for bits, i in singleton_bits.items():
-        merged[bits] = bank_models[i]
+    for bits in singleton_bits:
+        merged[bits] = finetuned[bits]
 
     if bench_cfg.embedding_source == "hidden":
         ds_embs = [
@@ -741,8 +789,34 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     for table in report.per_target:  # the oracle tops every selection on validation
         oracle_val = table.selections["oracle"].val_accuracy
         for method in ("merge_to_mix_finetuned", "all_datasets", "similarity", "random_mean"):
-            assert table.selections[method].val_accuracy <= oracle_val + 1e-12
+            if table.selections[method].val_accuracy > oracle_val + 1e-12:
+                raise MergeMixError(
+                    f"target {table.target_name}: {method} validation accuracy "
+                    f"{table.selections[method].val_accuracy!r} exceeds the oracle's {oracle_val!r}"
+                )
     return report
+
+
+def _finetune_mixtures(
+    base: Checkpoint, parts: list[EvalDataset], mixtures: list[MixtureVector], cfg: TrainConfig
+) -> dict[str, Checkpoint]:
+    """Fine-tune base on every mixture, keyed by bit string.
+
+    Mixtures of one size have equal row counts, so they train in lockstep,
+    _LOCKSTEP_CHUNK runs at a time. Run keys are the mixtures' integer values.
+    """
+    by_size: dict[int, list[MixtureVector]] = {}
+    for alpha in mixtures:
+        by_size.setdefault(alpha.n_selected, []).append(alpha)
+    finetuned: dict[str, Checkpoint] = {}
+    for group in by_size.values():
+        for lo in range(0, len(group), _LOCKSTEP_CHUNK):
+            chunk = group[lo : lo + _LOCKSTEP_CHUNK]
+            models = train_many(
+                base, parts, [a.selected for a in chunk], cfg, [int(str(a), 2) for a in chunk]
+            )
+            finetuned.update(zip(map(str, chunk), models))
+    return finetuned
 
 
 def _correlate_or_empty(inputs: list[CorrelationInput]) -> CorrelationReport:

@@ -4,12 +4,16 @@ codes, stdout protocol, manifests, and logging control."""
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mergemix
 from mergemix.cli import main
 from mergemix.evaluator import EvalDataset, write_eval_dataset
 from mergemix.tensor_store import (
@@ -26,6 +30,24 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mergemix.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "mergemix.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def assert_clean_validation_failure(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == 1
 
 
 def assert_single_json_line(out):
@@ -115,6 +137,19 @@ def test_merge_bad_weights_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_merge_non_numeric_weight_exits_1(tmp_path):
+    a = tmp_path / "a.mtm"
+    b = tmp_path / "b.mtm"
+    write_checkpoint(Checkpoint(tensors={"w": np.ones(2, dtype=np.float32)}), a)
+    write_checkpoint(Checkpoint(tensors={"w": np.ones(2, dtype=np.float32)}), b)
+    proc = run_cli_process(
+        ["merge", "--models", str(a), str(b), "--out", str(tmp_path / "o.mtm"), "--weights", "1,x"]
+    )
+    assert_clean_validation_failure(proc)
+    assert "--weights" in proc.stderr
+    assert not (tmp_path / "o.mtm").exists()
 
 
 def test_merge_weight_count_mismatch_exits_1(tmp_path, capsys):
@@ -247,6 +282,31 @@ def test_search_external_evaluator(tmp_path, capsys):
     payload = assert_single_json_line(stdout)
     # every mixture scores the same: fewest datasets, then smallest bit string
     assert payload["best_alpha"] == "01"
+
+
+def test_search_external_removes_its_workdir(tmp_path, capsys, monkeypatch):
+    bank = make_bank_dir(tmp_path)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    template = external_stub(tmp_path, "print('{\"accuracy\": 0.5, \"loss\": 1.0}')\n")
+    code, _, _ = run_cli(
+        [
+            "search",
+            "--bank",
+            str(bank),
+            "--target",
+            "ref",
+            "--evaluator",
+            template,
+            "--out",
+            str(tmp_path / "r.csv"),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert list(scratch.glob("mergemix-search-*")) == []
 
 
 def test_search_external_failure_exits_3(tmp_path, capsys):
@@ -486,6 +546,15 @@ def test_correlate_bad_columns_exits_1(tmp_path, capsys):
     assert "n_selected" in err
 
 
+def test_correlate_non_numeric_cell_exits_1(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [("T", 1, 2, 2), ("T", "abc", 1, 2), ("T", 3, 4, 3)])
+    proc = run_cli_process(["correlate", "--pairs", str(pairs), "--out", str(tmp_path / "c.csv")])
+    assert_clean_validation_failure(proc)
+    assert "line 3" in proc.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_correlate_missing_file_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(
         ["correlate", "--pairs", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "c.csv")],
@@ -515,6 +584,18 @@ def test_correlate_log_level_controls_warnings(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert err == ""
+
+
+def test_unknown_log_level_warns_once(tmp_path, capsys, monkeypatch):
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [("ok", 1, 2, 2), ("ok", 2, 1, 2), ("ok", 3, 4, 3), ("ok", 4, 3, 2)])
+    monkeypatch.setenv("MERGEMIX_LOG", "verbose")
+    code, _, err = run_cli(
+        ["correlate", "--pairs", str(pairs), "--out", str(tmp_path / "a.csv")], capsys
+    )
+    assert code == 0
+    assert err.count("unknown MERGEMIX_LOG value 'verbose'") == 1
+    assert len(err.splitlines()) == 1
 
 
 # ============================================================================

@@ -108,6 +108,20 @@ def test_write_rejects_inf(tmp_path):
         write_checkpoint(ckpt, tmp_path / "bad.mtm")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_read_rejects_non_finite(tmp_path, bad):
+    # hand-built, since write_checkpoint refuses to write such a file
+    ok = np.array([1.0, 2.0], dtype="<f4").tobytes()
+    header = {
+        "a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+        "b": {"dtype": "F32", "shape": [2], "data_offsets": [8, 16]},
+    }
+    p = tmp_path / "t.mtm"
+    p.write_bytes(raw_container(header, ok + np.array([0.5, bad], dtype="<f4").tobytes()))
+    with pytest.raises(FormatError, match="non-finite value in tensor 'b'"):
+        read_checkpoint(p)
+
+
 def test_write_with_metadata_roundtrip(tmp_path):
     ckpt = Checkpoint(tensors={"w": tensor([0.5])}, metadata={"k": "v"})
     path = tmp_path / "m.mtm"

@@ -2,11 +2,15 @@
 the end-to-end run_benchmark structure at micro scale."""
 
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mergemix import (
     BenchConfig,
+    Checkpoint,
+    MergeMixError,
     TrainConfig,
     ValidationError,
     checkpoint_equal,
@@ -22,6 +26,7 @@ from mergemix.toy_bench import (
     concat_datasets,
     init_checkpoint,
     loss_and_grads,
+    train_many,
 )
 
 MICRO_BENCH = BenchConfig(
@@ -220,6 +225,90 @@ def test_gradients_match_finite_differences():
             )
 
 
+def reference_train(init, data, cfg, run_key):
+    """The one-run SGD loop on 2-D arrays, kept apart from the package as the
+    reference that the stacked lockstep trainer must match bit for bit."""
+    params = {name: arr.astype(np.float64) for name, arr in init.tensors.items()}
+    x, y = data.features.astype(np.float64), data.labels
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, (1 << 32) + run_key]))
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            sel = perm[start : start + cfg.batch_size]
+            xb, yb = x[sel], y[sel]
+            z1 = xb @ params["w1"].T + params["b1"]
+            h = np.maximum(z1, 0.0)
+            logits = h @ params["w2"].T + params["b2"]
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            dlogits = exp / exp.sum(axis=1, keepdims=True)
+            dlogits[np.arange(len(yb)), yb] -= 1.0
+            dlogits /= len(yb)
+            dz1 = (dlogits @ params["w2"]) * (z1 > 0.0)
+            grads = {
+                "w1": dz1.T @ xb,
+                "b1": dz1.sum(axis=0),
+                "w2": dlogits.T @ h,
+                "b2": dlogits.sum(axis=0),
+            }
+            for name in params:
+                params[name] -= cfg.learning_rate * grads[name]
+    return Checkpoint(tensors={name: arr.astype(np.float32) for name, arr in params.items()})
+
+
+@pytest.mark.parametrize(
+    "samples, batch_size",
+    [(120, 32), (130, 16)],  # 96 train rows: whole batches; 104 rows: a last batch of 8
+)
+def test_train_many_matches_train_for_every_size(samples, batch_size):
+    cfg_bench = BenchConfig(
+        num_datasets=4,
+        num_clusters=4,
+        clusters_per_dataset=2,
+        samples_per_dataset=samples,
+        num_targets=1,
+        clusters_per_target=2,
+        seed=7,
+    )
+    u = generate_universe(cfg_bench)
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, hidden_dim=8, seed=7)
+    base = pretrain_base(u, cfg)
+    parts = [d.train for d in u.datasets]
+    for k in range(1, 5):
+        selections = list(itertools.combinations(range(4), k))
+        keys = [sum(1 << (3 - i) for i in sel) for sel in selections]
+        lockstep = train_many(base, parts, selections, cfg, keys)
+        assert len(lockstep) == len(selections)
+        for sel, key, got in zip(selections, keys, lockstep):
+            mix = concat_datasets([parts[i] for i in sel], "mix")
+            want = reference_train(base, mix, cfg, key)
+            assert checkpoint_equal(got, want), (k, sel)
+            assert checkpoint_equal(train(base, mix, cfg, run_key=key), want), (k, sel)
+
+
+def test_train_many_rejects_mismatched_runs():
+    init = init_checkpoint(np.random.default_rng(1), 2, 4, 2)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+    a, b = separable_dataset(60, seed=1), separable_dataset(40, seed=2)
+    with pytest.raises(ValidationError, match="equal row counts"):
+        train_many(init, [a, b], [(0,), (1,)], cfg, [1, 2])
+    wide = EvalDataset(
+        features=np.zeros((60, 3), dtype=np.float32),
+        labels=[0] * 60,
+        num_classes=2,
+        name="wide",
+        split="train",
+    )
+    with pytest.raises(ValidationError, match="feature dim"):
+        train_many(init, [a, wide], [(0,)], cfg, [1])
+    three_class = EvalDataset(
+        features=a.features, labels=a.labels, num_classes=3, name="c3", split="train"
+    )
+    with pytest.raises(ValidationError, match="classes"):
+        train_many(init, [three_class], [(0,)], cfg, [1])
+    with pytest.raises(ValidationError, match="run keys"):
+        train_many(init, [a], [(0,)], cfg, [1, 2])
+
+
 def test_concat_datasets_orders_and_checks():
     a = separable_dataset(seed=1)
     b = separable_dataset(seed=2)
@@ -279,6 +368,14 @@ def test_micro_benchmark_reproducible():
     assert json.dumps(r1.to_json_obj(), sort_keys=True) == json.dumps(
         r2.to_json_obj(), sort_keys=True
     )
+
+
+def test_benchmark_raises_when_a_method_beats_the_oracle(monkeypatch):
+    from mergemix import toy_bench
+
+    monkeypatch.setattr(toy_bench, "random_selection_mean", lambda accs: 2.0)
+    with pytest.raises(MergeMixError, match="target T1: random_mean .* exceeds the oracle"):
+        run_benchmark(MICRO_BENCH, MICRO_TRAIN)
 
 
 def test_benchmark_rejects_large_n():
