@@ -8,13 +8,16 @@ construction and would inflate the correlation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -180,19 +183,51 @@ def plot_coordinates(
     return out
 
 
+@contextlib.contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open a new file beside path for writing; rename it over path on success.
+
+    A write that fails leaves path as it was and no temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV with "\\n" line ends, atomically."""
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as sorted, indented JSON plus a newline, atomically."""
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def write_plot_csv(path: str | Path, per_task: Mapping[str, Sequence[tuple]]) -> None:
     """Write plot data rows: task, mixture_bits, n_selected, x, y, is_singleton.
 
     per_task maps a task name to rows of (mixture_bits, x, y, n_selected).
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", "mixture_bits", "n_selected", "x", "y", "is_singleton"])
-        for task in sorted(per_task):
-            for bits, x, y, n_selected in per_task[task]:
-                writer.writerow(
-                    [task, bits, n_selected, repr(float(x)), repr(float(y)), int(n_selected == 1)]
-                )
+    write_csv(
+        path,
+        ["task", "mixture_bits", "n_selected", "x", "y", "is_singleton"],
+        (
+            [task, bits, n_selected, repr(float(x)), repr(float(y)), int(n_selected == 1)]
+            for task in sorted(per_task)
+            for bits, x, y, n_selected in per_task[task]
+        ),
+    )
 
 
 def emit_report(report, format: str, path: str | Path) -> None:
@@ -206,12 +241,8 @@ def emit_report(report, format: str, path: str | Path) -> None:
     if format == "json":
         if not hasattr(report, "to_json_obj"):
             raise ValidationError(f"cannot serialize {type(report).__name__} as a report")
-        text = json.dumps(report.to_json_obj(), sort_keys=True, indent=2)
-        Path(path).write_text(text + "\n")
+        write_json(path, report.to_json_obj())
         return
     if not hasattr(report, "csv_rows"):
         raise ValidationError(f"cannot serialize {type(report).__name__} as a report")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.csv_header())
-        writer.writerows(report.csv_rows())
+    write_csv(path, report.csv_header(), report.csv_rows())

@@ -19,6 +19,7 @@ from scipy.spatial.distance import cdist
 from .errors import ValidationError
 from .evaluator import Score
 from .merge_engine import MixtureVector, gray_code_order
+from .mixture_search import best_mixture
 from .tensor_store import EmbeddingSet
 
 
@@ -125,19 +126,13 @@ def similarity_table(
 
 
 def select_from_table(table: Mapping[str, float], direction: str) -> tuple[MixtureVector, float]:
-    """Best mixture in a bits->score table; search tie-break on ties.
+    """Best mixture in a bits->score table under best_mixture's tie-break.
 
-    direction is "maximize" or "minimize". Ties resolve to the smaller
-    selection first, then the lexicographically smallest bit string.
+    direction is "maximize" or "minimize".
     """
-    if direction not in ("maximize", "minimize"):
-        raise ValidationError(f"direction must be 'maximize' or 'minimize', got {direction!r}")
     if not table:
         raise ValidationError("empty score table")
-    sign = -1.0 if direction == "maximize" else 1.0
-    bits, value = min(
-        table.items(), key=lambda item: (sign * item[1], item[0].count("1"), item[0])
-    )
+    bits, value = best_mixture(table.items(), direction)
     return MixtureVector.from_string(bits), float(value)
 
 

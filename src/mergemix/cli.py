@@ -27,8 +27,8 @@ from .analytics import (
     CorrelationInput,
     correlate_tasks,
     emit_report,
-    plot_coordinates,
-    write_plot_csv,
+    write_csv,
+    write_json,
 )
 from .baselines import SimilarityMetric, all_datasets_vector, similarity_table, select_from_table
 from .errors import ExternalEvaluatorError, MergeMixError, ValidationError
@@ -90,16 +90,7 @@ class RunManifest:
 
     def write_atomic(self, path: Path) -> None:
         """Write via a temp file in the same directory, then rename."""
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".manifest-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_json(path, dataclasses.asdict(self))
 
 
 def _now() -> str:
@@ -227,11 +218,11 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     best_alpha, best_score = select_from_table(table, metric.direction)
 
     out_csv = Path(args.out)
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mixture_bits", "metric", "score"])
-        for bits in sorted(table):
-            writer.writerow([bits, metric.value, repr(table[bits])])
+    write_csv(
+        out_csv,
+        ["mixture_bits", "metric", "score"],
+        ([bits, metric.value, repr(table[bits])] for bits in sorted(table)),
+    )
     out_json = _json_path_for(out_csv)
     payload = {
         "metric": metric.value,
@@ -240,7 +231,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         "best_score": best_score,
         "scores": {bits: table[bits] for bits in sorted(table)},
     }
-    out_json.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(out_json, payload)
     inputs = [Path(args.target)] + [Path(p) for p in args.datasets]
     manifest = _manifest("similarity", vars(args), inputs, started, [out_csv, out_json])
     manifest.write_atomic(out_csv.parent / (out_csv.stem + ".manifest.json"))
@@ -296,65 +287,6 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_bench_files(report, outdir: Path) -> list[Path]:
-    """Write the bench report set; all files are deterministic for a seed."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    report_json = outdir / "report.json"
-    selections_csv = outdir / "selections.csv"
-    mixtures_csv = outdir / "mixtures.csv"
-    correlations_csv = outdir / "correlations.csv"
-    plot_csv = outdir / "plot_data.csv"
-
-    emit_report(report, "json", report_json)
-    emit_report(report, "csv", selections_csv)
-
-    with open(mixtures_csv, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "target",
-                "mixture_bits",
-                "n_selected",
-                "merged_val_accuracy",
-                "merged_test_accuracy",
-                "finetuned_val_accuracy",
-                "finetuned_test_accuracy",
-            ]
-        )
-        for table in report.per_target:
-            for rec_val, rec_test in zip(table.records_val, table.records_test):
-                writer.writerow(
-                    [
-                        table.target_name,
-                        str(rec_val.alpha),
-                        rec_val.alpha.n_selected,
-                        repr(rec_val.merged_score.accuracy),
-                        repr(rec_test.merged_score.accuracy),
-                        repr(rec_val.finetuned_score.accuracy),
-                        repr(rec_test.finetuned_score.accuracy),
-                    ]
-                )
-
-    with open(correlations_csv, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["target", "series", "n_pairs", "r"])
-        series = [("merged_raw", report.correlation), ("merged_logit", report.correlation_logit)]
-        series += [(f"sim_{name}", rep) for name, rep in sorted(report.similarity_correlations.items())]
-        for series_name, rep in series:
-            for task in sorted(rep.per_task):
-                writer.writerow([task, series_name, rep.n_pairs.get(task, ""), repr(rep.per_task[task])])
-
-    per_task_rows = {}
-    for table in report.per_target:
-        coords = plot_coordinates(table.records_test, table.base_test_accuracy, "merged")
-        per_task_rows[table.target_name] = [
-            (str(rec.alpha), x, y, n_sel)
-            for rec, (x, y, n_sel) in zip(table.records_test, coords)
-        ]
-    write_plot_csv(plot_csv, per_task_rows)
-    return [report_json, selections_csv, mixtures_csv, correlations_csv, plot_csv]
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     started = _now()
     bench_cfg = BenchConfig(
@@ -378,7 +310,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     report = run_benchmark(bench_cfg, train_cfg)
     outdir = Path(args.out)
-    outputs = _write_bench_files(report, outdir)
+    outputs = report.write_files(outdir)
     manifest = _manifest("bench", vars(args), [], started, outputs)
     manifest.write_atomic(outdir / "manifest.json")
     _print_json(

@@ -1,16 +1,17 @@
 """Exhaustive mixture search driven by merged-checkpoint surrogates.
 
 Every non-empty mixture is merged and scored; the best mixture under the
-objective is reported. Ties resolve to the smaller selection first, then to
-the lexicographically smallest bit string, so results are deterministic.
+objective is reported. best_mixture holds the tie-break that every selection
+in the package uses: the smaller selection first, then the lexicographically
+smallest bit string, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import time
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import EvaluatorError, ExternalEvaluatorError, ValidationError
 from .evaluator import EvalDataset, Score, evaluate_builtin
@@ -53,7 +54,18 @@ class ScoreRecord:
     alpha: MixtureVector
     merged_score: Score
     finetuned_score: Score | None = None
-    elapsed_ms: int = 0
+
+    def to_json_obj(self) -> dict:
+        return {
+            "mixture_bits": str(self.alpha),
+            "n_selected": self.alpha.n_selected,
+            "merged_score": _score_json(self.merged_score),
+            "finetuned_score": _score_json(self.finetuned_score),
+        }
+
+
+def _score_json(score: Score | None) -> dict | None:
+    return None if score is None else dataclasses.asdict(score)
 
 
 @dataclass
@@ -70,7 +82,6 @@ class SearchReport:
             "merged_accuracy",
             "merged_loss",
             "finetuned_accuracy",
-            "elapsed_ms",
         ]
 
     def csv_rows(self) -> list[list]:
@@ -84,38 +95,39 @@ class SearchReport:
                     repr(rec.merged_score.accuracy),
                     repr(rec.merged_score.mean_loss),
                     fin,
-                    rec.elapsed_ms,
                 ]
             )
         return rows
 
     def to_json_obj(self) -> dict:
-        def score_obj(s: Score | None):
-            if s is None:
-                return None
-            return {"accuracy": s.accuracy, "mean_loss": s.mean_loss, "num_samples": s.num_samples}
-
         return {
             "objective": self.objective,
             "target_name": self.target_name,
             "best_alpha": str(self.best_alpha),
-            "records": [
-                {
-                    "mixture_bits": str(rec.alpha),
-                    "n_selected": rec.alpha.n_selected,
-                    "merged_score": score_obj(rec.merged_score),
-                    "finetuned_score": score_obj(rec.finetuned_score),
-                    "elapsed_ms": rec.elapsed_ms,
-                }
-                for rec in self.records
-            ],
+            "records": [rec.to_json_obj() for rec in self.records],
         }
 
 
-def _objective_key(objective: str, score: Score, alpha: MixtureVector):
-    """Sort key whose minimum is the search winner under the tie-break rule."""
-    value = -score.accuracy if objective == "max_accuracy" else score.mean_loss
-    return (value, alpha.n_selected, str(alpha))
+def best_mixture(items: Iterable[tuple[str, float]], direction: str) -> tuple[str, float]:
+    """The winning (bits, value) pair among (bits, value) pairs.
+
+    direction is "maximize" or "minimize". Ties on the value resolve to the
+    smaller selection first, then the lexicographically smallest bit string.
+    """
+    if direction not in ("maximize", "minimize"):
+        raise ValidationError(f"direction must be 'maximize' or 'minimize', got {direction!r}")
+    sign = -1.0 if direction == "maximize" else 1.0
+    return min(items, key=lambda item: (sign * item[1], item[0].count("1"), item[0]))
+
+
+def _best_record(records: Sequence[ScoreRecord], objective: str) -> MixtureVector:
+    """The mixture whose merged score wins under the search objective."""
+    if objective == "max_accuracy":
+        items, direction = ((str(r.alpha), r.merged_score.accuracy) for r in records), "maximize"
+    else:
+        items, direction = ((str(r.alpha), r.merged_score.mean_loss) for r in records), "minimize"
+    bits, _ = best_mixture(items, direction)
+    return MixtureVector.from_string(bits)
 
 
 def _score_chunk(
@@ -123,7 +135,6 @@ def _score_chunk(
 ) -> list[ScoreRecord]:
     records = []
     for alpha, merged in subset_merges(bank, chunk):
-        start = time.perf_counter()
         try:
             score = eval_fn(merged, target, alpha)
         except ExternalEvaluatorError as exc:
@@ -132,8 +143,7 @@ def _score_chunk(
             raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
         if not isinstance(score, Score):
             raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {type(score).__name__}")
-        elapsed = int(round((time.perf_counter() - start) * 1000))
-        records.append(ScoreRecord(alpha=alpha, merged_score=score, elapsed_ms=elapsed))
+        records.append(ScoreRecord(alpha=alpha, merged_score=score))
     return records
 
 
@@ -173,13 +183,15 @@ def run_search(
     else:
         records = _score_chunk(bank, candidates, eval_fn, target)
 
-    best = min(records, key=lambda r: _objective_key(config.objective, r.merged_score, r.alpha))
     if isinstance(target, EvalDataset):
         target_name = target.name
     else:
         target_name = str(target)
     return SearchReport(
-        records=records, best_alpha=best.alpha, objective=config.objective, target_name=target_name
+        records=records,
+        best_alpha=_best_record(records, config.objective),
+        objective=config.objective,
+        target_name=target_name,
     )
 
 
@@ -187,11 +199,7 @@ def select_best(report: SearchReport) -> MixtureVector:
     """Recompute the winner from a report's records (consistency check)."""
     if not report.records:
         raise ValidationError("report holds no records")
-    best = min(
-        report.records,
-        key=lambda r: _objective_key(report.objective, r.merged_score, r.alpha),
-    )
-    return best.alpha
+    return _best_record(report.records, report.objective)
 
 
 def oracle_select(scores: Mapping) -> MixtureVector:
@@ -201,7 +209,7 @@ def oracle_select(scores: Mapping) -> MixtureVector:
     """
     if not scores:
         raise ValidationError("scores map must not be empty")
-    items: list[tuple[MixtureVector, float]] = []
+    items: list[tuple[str, float]] = []
     for key, value in scores.items():
         alpha = key if isinstance(key, MixtureVector) else MixtureVector.from_string(str(key))
         if alpha.n_selected == 0:
@@ -209,9 +217,8 @@ def oracle_select(scores: Mapping) -> MixtureVector:
         acc = value.accuracy if isinstance(value, Score) else float(value)
         if not 0.0 <= acc <= 1.0:
             raise ValidationError(f"accuracy out of range: {acc}")
-        items.append((alpha, acc))
-    lengths = {len(a) for a, _ in items}
-    if len(lengths) != 1:
+        items.append((str(alpha), acc))
+    if len({len(bits) for bits, _ in items}) != 1:
         raise ValidationError("scores map mixes mixture lengths")
-    best = min(items, key=lambda it: (-it[1], it[0].n_selected, str(it[0])))
-    return best[0]
+    bits, _ = best_mixture(items, "maximize")
+    return MixtureVector.from_string(bits)

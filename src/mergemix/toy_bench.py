@@ -17,10 +17,19 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .analytics import CorrelationInput, CorrelationReport, correlate_tasks
+from .analytics import (
+    CorrelationInput,
+    CorrelationReport,
+    correlate_tasks,
+    emit_report,
+    plot_coordinates,
+    write_csv,
+    write_plot_csv,
+)
 from .baselines import (
     SimilarityMetric,
     all_datasets_vector,
@@ -31,14 +40,13 @@ from .baselines import (
 from .errors import MergeMixError, ValidationError
 from .evaluator import (
     EvalDataset,
-    Score,
     evaluate_builtin,
     logit_improvement,
     toy_mlp_dims,
     toy_mlp_hidden,
 )
 from .merge_engine import MixtureVector, ModelBank, gray_code_order, subset_merges
-from .mixture_search import ScoreRecord
+from .mixture_search import ScoreRecord, best_mixture
 from .tensor_store import Checkpoint, EmbeddingSet
 
 # Philox stream ids for universe generation (train streams live at >= 1 << 32)
@@ -64,6 +72,8 @@ TARGET_NOISE_SCALE = 5.0
 EMBEDDING_SOURCES = ("hidden", "raw")
 
 MAX_BENCH_N = 12
+
+BENCH_FILES = ("report.json", "selections.csv", "mixtures.csv", "correlations.csv", "plot_data.csv")
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -481,7 +491,22 @@ class TargetTable:
     base_test_accuracy: float
     records_val: list[ScoreRecord]
     records_test: list[ScoreRecord]
-    selections: dict[str, SelectionOutcome]
+    selections: dict[str, SelectionOutcome] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._row = {str(rec.alpha): i for i, rec in enumerate(self.records_val)}
+
+    def outcome(
+        self, method: str, bits: str, merged: bool = False, detail: str = ""
+    ) -> SelectionOutcome:
+        """Selecting one mixture: its fine-tuned (or merged) model's accuracies."""
+        row = self._row[bits]
+        val, test = self.records_val[row], self.records_test[row]
+        if merged:
+            val_acc, test_acc = val.merged_score.accuracy, test.merged_score.accuracy
+        else:
+            val_acc, test_acc = val.finetuned_score.accuracy, test.finetuned_score.accuracy
+        return SelectionOutcome(method, bits, val_acc, test_acc, detail)
 
 
 @dataclass
@@ -497,7 +522,6 @@ class BenchReport:
     best_similarity_correlation_metric: str
     best_similarity_correlation_r: float
     table_similarity_metric: str
-    similarity_tables: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
 
     SELECTION_METHODS = (
         "merge_to_mix_merged",
@@ -529,19 +553,6 @@ class BenchReport:
         return rows
 
     def to_json_obj(self) -> dict:
-        def score_obj(s: Score | None):
-            if s is None:
-                return None
-            return {"accuracy": s.accuracy, "mean_loss": s.mean_loss, "num_samples": s.num_samples}
-
-        def record_obj(rec: ScoreRecord):
-            return {
-                "mixture_bits": str(rec.alpha),
-                "n_selected": rec.alpha.n_selected,
-                "merged_score": score_obj(rec.merged_score),
-                "finetuned_score": score_obj(rec.finetuned_score),
-            }
-
         return {
             "bench_config": self.bench_config,
             "train_config": self.train_config,
@@ -552,8 +563,8 @@ class BenchReport:
                     "target_name": t.target_name,
                     "base_val_accuracy": t.base_val_accuracy,
                     "base_test_accuracy": t.base_test_accuracy,
-                    "records_val": [record_obj(r) for r in t.records_val],
-                    "records_test": [record_obj(r) for r in t.records_test],
+                    "records_val": [r.to_json_obj() for r in t.records_val],
+                    "records_test": [r.to_json_obj() for r in t.records_test],
                     "selections": {
                         m: dataclasses.asdict(t.selections[m]) for m in self.SELECTION_METHODS
                     },
@@ -574,10 +585,53 @@ class BenchReport:
             "table_similarity_metric": self.table_similarity_metric,
         }
 
-
-def _best_by_accuracy(accs: dict[str, float]) -> str:
-    """argmax with the search tie-break: smaller selection, then lex order."""
-    return min(accs.items(), key=lambda kv: (-kv[1], kv[0].count("1"), kv[0]))[0]
+    def write_files(self, outdir: Path) -> list[Path]:
+        """Write the bench report set; all files are deterministic for a seed."""
+        outdir.mkdir(parents=True, exist_ok=True)
+        paths = [outdir / name for name in BENCH_FILES]
+        report_json, selections_csv, mixtures_csv, correlations_csv, plot_csv = paths
+        emit_report(self, "json", report_json)
+        emit_report(self, "csv", selections_csv)
+        write_csv(
+            mixtures_csv,
+            [
+                "target",
+                "mixture_bits",
+                "n_selected",
+                "merged_val_accuracy",
+                "merged_test_accuracy",
+                "finetuned_val_accuracy",
+                "finetuned_test_accuracy",
+            ],
+            (
+                [
+                    t.target_name,
+                    str(val.alpha),
+                    val.alpha.n_selected,
+                    repr(val.merged_score.accuracy),
+                    repr(test.merged_score.accuracy),
+                    repr(val.finetuned_score.accuracy),
+                    repr(test.finetuned_score.accuracy),
+                ]
+                for t in self.per_target
+                for val, test in zip(t.records_val, t.records_test)
+            ),
+        )
+        series = [("merged_raw", self.correlation), ("merged_logit", self.correlation_logit)]
+        series += [(f"sim_{name}", rep) for name, rep in sorted(self.similarity_correlations.items())]
+        write_csv(
+            correlations_csv,
+            ["target", "series", "n_pairs", "r"],
+            ([task, name, *cells] for name, rep in series for task, *cells in rep.csv_rows()),
+        )
+        plot_rows = {}
+        for t in self.per_target:
+            coords = plot_coordinates(t.records_test, t.base_test_accuracy, "merged")
+            plot_rows[t.target_name] = [
+                (str(rec.alpha), x, y, n_sel) for rec, (x, y, n_sel) in zip(t.records_test, coords)
+            ]
+        write_plot_csv(plot_csv, plot_rows)
+        return paths
 
 
 def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport:
@@ -591,175 +645,39 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
         raise ValidationError(
             f"2^N - 1 fine-tuning runs infeasible for N={bench_cfg.num_datasets} (max {MAX_BENCH_N})"
         )
-    n = bench_cfg.num_datasets
     universe = generate_universe(bench_cfg)
     base = pretrain_base(universe, train_cfg)
-
-    order = list(gray_code_order(n))
-    singleton_bits = [str(MixtureVector.from_indices([i], n)) for i in range(n)]
-
-    # fine-tune every mixture from the base; the singleton runs are the bank
+    order = list(gray_code_order(bench_cfg.num_datasets))
     finetuned = _finetune_mixtures(base, [t.train for t in universe.datasets], order, train_cfg)
-    bank = ModelBank(
-        models=[finetuned[bits] for bits in singleton_bits],
-        names=[t.name for t in universe.datasets],
+    merged = _merge_mixtures(finetuned, [t.name for t in universe.datasets], order)
+    per_target = [_score_target(t, base, merged, finetuned, order) for t in universe.targets]
+
+    ds_embs, tg_embs = _embeddings(universe, base, bench_cfg.embedding_source)
+    sim_inputs, table_metric = _similarity_baseline(per_target, tg_embs, ds_embs)
+
+    def merged_inputs(link) -> list[CorrelationInput]:
+        """Per target: (link(merged), link(fine-tuned) test accuracy, n_selected)."""
+        return [
+            CorrelationInput(
+                task_name=t.target_name,
+                pairs=[
+                    (
+                        link(r.merged_score.accuracy, t),
+                        link(r.finetuned_score.accuracy, t),
+                        r.alpha.n_selected,
+                    )
+                    for r in t.records_test
+                ],
+            )
+            for t in per_target
+        ]
+
+    correlation = _correlate_or_empty(merged_inputs(lambda acc, t: acc))
+    correlation_logit = _correlate_or_empty(
+        merged_inputs(lambda acc, t: logit_improvement(acc, t.base_test_accuracy))
     )
-
-    merged: dict[str, Checkpoint] = {str(a): ckpt for a, ckpt in subset_merges(bank, order)}
-    # singleton surrogates are literally the bank checkpoints
-    for bits in singleton_bits:
-        merged[bits] = finetuned[bits]
-
-    if bench_cfg.embedding_source == "hidden":
-        ds_embs = [
-            EmbeddingSet(toy_mlp_hidden(base, t.val.features), source_name=t.name)
-            for t in universe.datasets
-        ]
-        tg_embs = [
-            EmbeddingSet(toy_mlp_hidden(base, t.val.features), source_name=t.name)
-            for t in universe.targets
-        ]
-    else:
-        ds_embs = universe.dataset_embeddings
-        tg_embs = universe.target_embeddings
-
-    per_target: list[TargetTable] = []
-    corr_inputs: list[CorrelationInput] = []
-    corr_logit_inputs: list[CorrelationInput] = []
-    sim_corr_inputs: dict[str, list[CorrelationInput]] = {m.value: [] for m in SimilarityMetric}
-    sim_tables_all: dict[str, dict[str, dict[str, float]]] = {}
-
-    for t_idx, target in enumerate(universe.targets):
-        base_val = evaluate_builtin(base, target.val)
-        base_test = evaluate_builtin(base, target.test)
-
-        records_val: list[ScoreRecord] = []
-        records_test: list[ScoreRecord] = []
-        ft_val_acc: dict[str, float] = {}
-        ft_test_acc: dict[str, float] = {}
-        merged_val_acc: dict[str, float] = {}
-        for alpha in order:
-            bits = str(alpha)
-            m_val = evaluate_builtin(merged[bits], target.val)
-            m_test = evaluate_builtin(merged[bits], target.test)
-            f_val = evaluate_builtin(finetuned[bits], target.val)
-            f_test = evaluate_builtin(finetuned[bits], target.test)
-            records_val.append(ScoreRecord(alpha=alpha, merged_score=m_val, finetuned_score=f_val))
-            records_test.append(ScoreRecord(alpha=alpha, merged_score=m_test, finetuned_score=f_test))
-            ft_val_acc[bits] = f_val.accuracy
-            ft_test_acc[bits] = f_test.accuracy
-            merged_val_acc[bits] = m_val.accuracy
-
-        # correlation pairs: merged vs fine-tuned test accuracy
-        pairs = [
-            (rec.merged_score.accuracy, rec.finetuned_score.accuracy, rec.alpha.n_selected)
-            for rec in records_test
-        ]
-        corr_inputs.append(CorrelationInput(task_name=target.name, pairs=pairs))
-        logit_pairs = [
-            (
-                logit_improvement(rec.merged_score.accuracy, base_test.accuracy),
-                logit_improvement(rec.finetuned_score.accuracy, base_test.accuracy),
-                rec.alpha.n_selected,
-            )
-            for rec in records_test
-        ]
-        corr_logit_inputs.append(CorrelationInput(task_name=target.name, pairs=logit_pairs))
-
-        sim_tables: dict[str, dict[str, float]] = {}
-        for metric in SimilarityMetric:
-            table = similarity_table(tg_embs[t_idx], ds_embs, metric)
-            sim_tables[metric.value] = table
-            sim_pairs = [
-                (table[str(rec.alpha)], rec.finetuned_score.accuracy, rec.alpha.n_selected)
-                for rec in records_test
-            ]
-            sim_corr_inputs[metric.value].append(
-                CorrelationInput(task_name=target.name, pairs=sim_pairs)
-            )
-        sim_tables_all[target.name] = sim_tables
-
-        # selections on validation, reported on test
-        mtm_bits = _best_by_accuracy(merged_val_acc)
-        merged_test_at = {str(r.alpha): r.merged_score.accuracy for r in records_test}
-        all_bits = str(all_datasets_vector(n))
-        oracle_bits = _best_by_accuracy(ft_val_acc)
-
-        selections = {
-            "merge_to_mix_merged": SelectionOutcome(
-                method="merge_to_mix_merged",
-                mixture_bits=mtm_bits,
-                val_accuracy=merged_val_acc[mtm_bits],
-                test_accuracy=merged_test_at[mtm_bits],
-            ),
-            "merge_to_mix_finetuned": SelectionOutcome(
-                method="merge_to_mix_finetuned",
-                mixture_bits=mtm_bits,
-                val_accuracy=ft_val_acc[mtm_bits],
-                test_accuracy=ft_test_acc[mtm_bits],
-            ),
-            "all_datasets": SelectionOutcome(
-                method="all_datasets",
-                mixture_bits=all_bits,
-                val_accuracy=ft_val_acc[all_bits],
-                test_accuracy=ft_test_acc[all_bits],
-            ),
-            "random_mean": SelectionOutcome(
-                method="random_mean",
-                mixture_bits="",
-                val_accuracy=random_selection_mean(ft_val_acc),
-                test_accuracy=random_selection_mean(ft_test_acc),
-            ),
-            "oracle": SelectionOutcome(
-                method="oracle",
-                mixture_bits=oracle_bits,
-                val_accuracy=ft_val_acc[oracle_bits],
-                test_accuracy=ft_test_acc[oracle_bits],
-            ),
-        }
-        per_target.append(
-            TargetTable(
-                target_name=target.name,
-                base_val_accuracy=base_val.accuracy,
-                base_test_accuracy=base_test.accuracy,
-                records_val=records_val,
-                records_test=records_test,
-                selections=selections,
-            )
-        )
-
-    # pick the similarity metric with the best mean fine-tuned test accuracy
-    metric_mean_acc: dict[str, float] = {}
-    sim_selected: dict[str, dict[str, str]] = {m.value: {} for m in SimilarityMetric}
-    for metric in SimilarityMetric:
-        accs = []
-        for t_idx, target in enumerate(universe.targets):
-            alpha, _ = select_from_table(
-                sim_tables_all[target.name][metric.value], metric.direction
-            )
-            bits = str(alpha)
-            sim_selected[metric.value][target.name] = bits
-            rec = next(r for r in per_target[t_idx].records_test if str(r.alpha) == bits)
-            accs.append(rec.finetuned_score.accuracy)
-        metric_mean_acc[metric.value] = math.fsum(accs) / len(accs)
-    table_metric = _best_by_metric_value(metric_mean_acc)
-
-    for t_idx, target in enumerate(universe.targets):
-        bits = sim_selected[table_metric][target.name]
-        rec_val = next(r for r in per_target[t_idx].records_val if str(r.alpha) == bits)
-        rec_test = next(r for r in per_target[t_idx].records_test if str(r.alpha) == bits)
-        per_target[t_idx].selections["similarity"] = SelectionOutcome(
-            method="similarity",
-            mixture_bits=bits,
-            val_accuracy=rec_val.finetuned_score.accuracy,
-            test_accuracy=rec_test.finetuned_score.accuracy,
-            detail=table_metric,
-        )
-
-    correlation = _correlate_or_empty(corr_inputs)
-    correlation_logit = _correlate_or_empty(corr_logit_inputs)
     similarity_correlations = {
-        name: _correlate_or_empty(items) for name, items in sim_corr_inputs.items()
+        name: _correlate_or_empty(items) for name, items in sim_inputs.items()
     }
     finite = [
         (name, rep.average_r)
@@ -771,7 +689,8 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     else:
         best_sim_metric, best_sim_r = "", float("nan")
 
-    report = BenchReport(
+    _check_oracle(per_target)
+    return BenchReport(
         bench_config=dataclasses.asdict(bench_cfg),
         train_config=dataclasses.asdict(train_cfg),
         dataset_names=[t.name for t in universe.datasets],
@@ -783,10 +702,119 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
         best_similarity_correlation_metric=best_sim_metric,
         best_similarity_correlation_r=best_sim_r,
         table_similarity_metric=table_metric,
-        similarity_tables=sim_tables_all,
     )
 
-    for table in report.per_target:  # the oracle tops every selection on validation
+
+def _merge_mixtures(
+    finetuned: dict[str, Checkpoint], names: list[str], order: list[MixtureVector]
+) -> dict[str, Checkpoint]:
+    """The merged surrogate of every mixture, keyed by bit string.
+
+    The bank is the single-dataset fine-tunes; a single-dataset mixture's
+    surrogate is literally its bank checkpoint.
+    """
+    n = len(names)
+    singleton_bits = [str(MixtureVector.from_indices([i], n)) for i in range(n)]
+    bank = ModelBank(models=[finetuned[bits] for bits in singleton_bits], names=names)
+    merged = {str(a): ckpt for a, ckpt in subset_merges(bank, order)}
+    merged.update((bits, finetuned[bits]) for bits in singleton_bits)
+    return merged
+
+
+def _score_target(
+    target: TargetPair,
+    base: Checkpoint,
+    merged: dict[str, Checkpoint],
+    finetuned: dict[str, Checkpoint],
+    order: list[MixtureVector],
+) -> TargetTable:
+    """Score every mixture's merged and fine-tuned model on one target.
+
+    Every selection but the similarity baseline is made here, on validation.
+    """
+
+    def records(data: EvalDataset) -> list[ScoreRecord]:
+        return [
+            ScoreRecord(
+                alpha=alpha,
+                merged_score=evaluate_builtin(merged[str(alpha)], data),
+                finetuned_score=evaluate_builtin(finetuned[str(alpha)], data),
+            )
+            for alpha in order
+        ]
+
+    table = TargetTable(
+        target_name=target.name,
+        base_val_accuracy=evaluate_builtin(base, target.val).accuracy,
+        base_test_accuracy=evaluate_builtin(base, target.test).accuracy,
+        records_val=records(target.val),
+        records_test=records(target.test),
+    )
+    merged_val = [(str(r.alpha), r.merged_score.accuracy) for r in table.records_val]
+    ft_val = {str(r.alpha): r.finetuned_score.accuracy for r in table.records_val}
+    ft_test = {str(r.alpha): r.finetuned_score.accuracy for r in table.records_test}
+    mtm_bits, _ = best_mixture(merged_val, "maximize")
+    oracle_bits, _ = best_mixture(ft_val.items(), "maximize")
+    all_bits = str(all_datasets_vector(len(order[0])))
+    table.selections = {
+        "merge_to_mix_merged": table.outcome("merge_to_mix_merged", mtm_bits, merged=True),
+        "merge_to_mix_finetuned": table.outcome("merge_to_mix_finetuned", mtm_bits),
+        "all_datasets": table.outcome("all_datasets", all_bits),
+        "random_mean": SelectionOutcome(
+            "random_mean", "", random_selection_mean(ft_val), random_selection_mean(ft_test)
+        ),
+        "oracle": table.outcome("oracle", oracle_bits),
+    }
+    return table
+
+
+def _embeddings(
+    universe: Universe, base: Checkpoint, source: str
+) -> tuple[list[EmbeddingSet], list[EmbeddingSet]]:
+    """Per-dataset and per-target embeddings: base hidden features or the raw ones."""
+    if source != "hidden":
+        return universe.dataset_embeddings, universe.target_embeddings
+
+    def hidden(tasks) -> list[EmbeddingSet]:
+        return [
+            EmbeddingSet(toy_mlp_hidden(base, t.val.features), source_name=t.name) for t in tasks
+        ]
+
+    return hidden(universe.datasets), hidden(universe.targets)
+
+
+def _similarity_baseline(
+    per_target: list[TargetTable], tg_embs: list[EmbeddingSet], ds_embs: list[EmbeddingSet]
+) -> tuple[dict[str, list[CorrelationInput]], str]:
+    """Correlation inputs per similarity metric, and the metric behind the "similarity" pick.
+
+    Each metric picks one mixture per target; the metric whose picks have the
+    best mean fine-tuned test accuracy sets every target's "similarity" selection.
+    """
+    corr_inputs: dict[str, list[CorrelationInput]] = {m.value: [] for m in SimilarityMetric}
+    picks: dict[str, list[str]] = {m.value: [] for m in SimilarityMetric}
+    for table, tg_emb in zip(per_target, tg_embs):
+        for metric in SimilarityMetric:
+            scores = similarity_table(tg_emb, ds_embs, metric)
+            pairs = [
+                (scores[str(r.alpha)], r.finetuned_score.accuracy, r.alpha.n_selected)
+                for r in table.records_test
+            ]
+            corr_inputs[metric.value].append(CorrelationInput(table.target_name, pairs))
+            picks[metric.value].append(str(select_from_table(scores, metric.direction)[0]))
+    mean_acc = {}
+    for name, bits in picks.items():
+        accs = [t.outcome("similarity", b).test_accuracy for t, b in zip(per_target, bits)]
+        mean_acc[name] = math.fsum(accs) / len(accs)
+    table_metric = _best_by_metric_value(mean_acc)
+    for table, bits in zip(per_target, picks[table_metric]):
+        table.selections["similarity"] = table.outcome("similarity", bits, detail=table_metric)
+    return corr_inputs, table_metric
+
+
+def _check_oracle(per_target: list[TargetTable]) -> None:
+    """The oracle tops every fine-tuned selection on validation, by construction."""
+    for table in per_target:
         oracle_val = table.selections["oracle"].val_accuracy
         for method in ("merge_to_mix_finetuned", "all_datasets", "similarity", "random_mean"):
             if table.selections[method].val_accuracy > oracle_val + 1e-12:
@@ -794,7 +822,6 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
                     f"target {table.target_name}: {method} validation accuracy "
                     f"{table.selections[method].val_accuracy!r} exceeds the oracle's {oracle_val!r}"
                 )
-    return report
 
 
 def _finetune_mixtures(

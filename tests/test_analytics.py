@@ -265,3 +265,20 @@ def test_write_plot_csv_shape(tmp_path):
     assert lines[1].startswith("T0,10,1,") and lines[1].endswith(",1")
     assert lines[3].startswith("T1,11,2,") and lines[3].endswith(",0")
     assert len(lines) == 4
+
+
+def test_failed_emit_leaves_old_report_untouched(tmp_path):
+    class Broken:
+        def csv_header(self):
+            return ["task", "n_pairs", "r"]
+
+        def csv_rows(self):
+            yield ["B", 3, "0.5"]
+            raise RuntimeError("rows unavailable")
+
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"task,n_pairs,r\nA,3,1.0\n")
+    with pytest.raises(RuntimeError, match="rows unavailable"):
+        emit_report(Broken(), "csv", path)
+    assert path.read_bytes() == b"task,n_pairs,r\nA,3,1.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]

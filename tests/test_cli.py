@@ -3,11 +3,13 @@ codes, stdout protocol, manifests, and logging control."""
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +241,23 @@ def test_search_min_loss_objective(tmp_path, capsys):
     )
     assert code == 0
     assert assert_single_json_line(stdout)["objective"] == "min_loss"
+
+
+def test_search_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
+    """Reports hold no timing: a clock that ticks unevenly, as evaluation
+    times jitter from run to run, changes no byte."""
+    bank = make_bank_dir(tmp_path, n=3)
+    target = tmp_path / "target.mtm"
+    write_target_dataset(target)
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) ** 2 * 1e-3)
+    outs = [tmp_path / "run1" / "report.csv", tmp_path / "run2" / "report.csv"]
+    for out in outs:
+        out.parent.mkdir()
+        argv = ["search", "--bank", str(bank), "--target", str(target), "--out", str(out), "--jobs", "1"]
+        assert run_cli(argv, capsys)[0] == 0
+    for name in ("report.csv", "report.json"):
+        assert (outs[0].parent / name).read_bytes() == (outs[1].parent / name).read_bytes(), name
 
 
 def external_stub(tmp_path, body):

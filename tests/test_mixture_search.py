@@ -21,7 +21,9 @@ from mergemix import (
     run_search,
     select_best,
 )
+from mergemix.baselines import select_from_table
 from mergemix.merge_engine import gray_code_order
+from mergemix.mixture_search import best_mixture
 
 
 def tiny_bank(n, seed=0):
@@ -259,6 +261,54 @@ def test_oracle_select_errors():
 
 
 # ============================================================================
+# best_mixture: the one tie-break behind every selection
+# ============================================================================
+
+
+def sorted_reference(table, maximize):
+    """Best value first, then fewer selected datasets, then smaller bits."""
+    best = max(table.values()) if maximize else min(table.values())
+    tied = [bits for bits, value in table.items() if value == best]
+    return sorted(tied, key=lambda bits: (bits.count("1"), bits))[0]
+
+
+@st.composite
+def tied_tables(draw):
+    """bits -> value over all mixtures of N <= 4, values from a tiny set so ties abound."""
+    n = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    return n, {str(a): draw(values) for a in gray_code_order(n)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_tables())
+def test_every_selector_shares_the_tie_break(n_table):
+    n, table = n_table
+    want_max = sorted_reference(table, maximize=True)
+    want_min = sorted_reference(table, maximize=False)
+    assert best_mixture(table.items(), "maximize") == (want_max, table[want_max])
+    assert best_mixture(table.items(), "minimize") == (want_min, table[want_min])
+
+    assert str(select_from_table(table, "maximize")[0]) == want_max
+    assert str(oracle_select(table)) == want_max
+    report = run_search(tiny_bank(n), accuracy_fn(lambda a: table[str(a)]), target=None)
+    assert str(report.best_alpha) == want_max
+    assert str(select_best(report)) == want_max
+
+    def loss_fn(ckpt, target, alpha):
+        return Score(accuracy=0.5, mean_loss=table[str(alpha)], num_samples=0)
+
+    loss_report = run_search(tiny_bank(n), loss_fn, None, SearchConfig(objective="min_loss"))
+    assert str(loss_report.best_alpha) == want_min
+    assert str(select_best(loss_report)) == want_min
+
+
+def test_best_mixture_rejects_unknown_direction():
+    with pytest.raises(ValidationError, match="direction"):
+        best_mixture([("1", 0.5)], "upward")
+
+
+# ============================================================================
 # SearchReport serialization
 # ============================================================================
 
@@ -273,7 +323,6 @@ def test_csv_shape():
         "merged_accuracy",
         "merged_loss",
         "finetuned_accuracy",
-        "elapsed_ms",
     ]
     assert rows[0][0] == "001"
 
