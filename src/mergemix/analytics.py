@@ -8,22 +8,20 @@ construction and would inflate the correlation.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import logging
 import math
-import os
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .evaluator import logit_improvement
 from .mixture_search import ScoreRecord
+from .tensor_store import atomic_open
 
 log = logging.getLogger("mergemix.analytics")
 
@@ -183,26 +181,9 @@ def plot_coordinates(
     return out
 
 
-@contextlib.contextmanager
-def _atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """Open a new file beside path for writing; rename it over path on success.
-
-    A write that fails leaves path as it was and no temp file behind.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "x", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """Write a header and rows as CSV with "\\n" line ends, atomically."""
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -210,7 +191,7 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
 
 def write_json(path: str | Path, obj) -> None:
     """Write obj as sorted, indented JSON plus a newline, atomically."""
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 

@@ -10,6 +10,7 @@ normalize internally by definition.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Mapping, Sequence
 
@@ -17,9 +18,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .evaluator import Score
-from .merge_engine import MixtureVector, gray_code_order
-from .mixture_search import best_mixture
+from .merge_engine import MixtureVector
+from .mixture_search import _score_items, best_mixture
 from .tensor_store import EmbeddingSet
 
 
@@ -82,47 +82,100 @@ def similarity_score(target: EmbeddingSet, mixture: EmbeddingSet, metric: Simila
     return float(pair.min())
 
 
+# the lattice pass holds one block of 2^LATTICE_BLOCK_BITS masks at a time
+LATTICE_BLOCK_BITS = 10
+
+
+def _lattice(rows: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """op folded over the rows of every subset, indexed by mask (bit b is rows[b]).
+
+    Masks in [2^k, 2^(k+1)) are op(masks [0, 2^k), rows[k]), so each subset
+    folds its rows in ascending order. Entry 0, the empty subset, is unset.
+    """
+    acc = np.empty((1 << len(rows), rows.shape[1]))
+    for k, row in enumerate(rows):
+        lo = 1 << k
+        acc[lo] = row
+        op(acc[1:lo], row, out=acc[lo + 1 : 2 * lo])
+    return acc
+
+
+def _mask_values(rows: np.ndarray, op: np.ufunc, finish) -> np.ndarray:
+    """finish(folded rows, first mask) of every non-empty mask, indexed by mask.
+
+    The masks split into a low part of at most LATTICE_BLOCK_BITS bits and a
+    high part. Each high part starts from a copy of the low lattice and folds
+    its own rows on top in ascending order, so every subset still folds its
+    rows in ascending order while only one block is held at a time.
+    """
+    n = len(rows)
+    low_bits = min(n, LATTICE_BLOCK_BITS)
+    low = _lattice(rows[:low_bits], op)[1:]
+    high = _lattice(rows[low_bits:], op)
+    out = np.empty(1 << n)
+    out[1 : 1 << low_bits] = finish(low, 1)
+    for h in range(1, len(high)):
+        base = h << low_bits
+        out[base] = finish(high[h : h + 1], base)[0]
+        block = low.copy()
+        for b in range(n - low_bits):
+            if h >> b & 1:
+                op(block, rows[low_bits + b], out=block)
+        out[base + 1 : base + (1 << low_bits)] = finish(block, base + 1)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _gray_keys(n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Bit strings of the non-empty mixtures in Gray-code order, and their masks.
+
+    The i-th code is i ^ (i >> 1) with dataset 0 as its most significant
+    bit; a mask holds dataset b in bit b.
+    """
+    codes = [i ^ (i >> 1) for i in range(1, 1 << n)]
+    g = np.array(codes)
+    masks = sum(((g >> (n - 1 - b)) & 1) << b for b in range(n))
+    masks.setflags(write=False)
+    return tuple(format(c, f"0{n}b") for c in codes), masks
+
+
 def similarity_table(
     target: EmbeddingSet, per_dataset: Sequence[EmbeddingSet], metric: SimilarityMetric
 ) -> dict[str, float]:
-    """Score every non-empty mixture; keys are canonical bit strings.
+    """Score every non-empty mixture; keys are canonical bit strings in Gray-code order.
 
-    Per-dataset statistics are precomputed once, so each mixture's pooled
-    score costs O(N) instead of re-scanning pooled rows.
+    Per-dataset statistics are precomputed once and composed over the
+    subset lattice, so each mixture's pooled score costs no pooled-row scan.
     """
     if not per_dataset:
         raise ValidationError("need at least one dataset embedding set")
     n = len(per_dataset)
     pairs = [_pairwise(target, ds, metric) for ds in per_dataset]
-    sizes = np.array([p.shape[1] for p in pairs], dtype=np.float64)
+    op = np.maximum if metric.direction == "maximize" else np.minimum
+    reduce = np.max if metric.direction == "maximize" else np.min
+    if metric in (SimilarityMetric.AVG_MAX_COS, SimilarityMetric.AVG_MIN_L2):
+        rows = np.stack([reduce(p, axis=1) for p in pairs])  # [N, t]
 
-    # per-dataset reductions that compose across a mixture
-    per_row = None
-    per_row_sum = None
-    scalars = None
-    if metric is SimilarityMetric.AVG_MAX_COS:
-        per_row = np.stack([p.max(axis=1) for p in pairs])  # [N, t]
-    elif metric is SimilarityMetric.AVG_MIN_L2:
-        per_row = np.stack([p.min(axis=1) for p in pairs])
+        def finish(block, first):
+            return block.mean(axis=1)
+
     elif metric in (SimilarityMetric.AVG_AVG_COS, SimilarityMetric.AVG_AVG_L2):
-        per_row_sum = np.stack([p.sum(axis=1) for p in pairs])  # [N, t]
-    elif metric is SimilarityMetric.MAX_MAX_COS:
-        scalars = np.array([p.max() for p in pairs])
-    else:
-        scalars = np.array([p.min() for p in pairs])
+        op = np.add
+        rows = np.stack([p.sum(axis=1) for p in pairs])  # [N, t]
+        sizes = np.array([[p.shape[1]] for p in pairs], dtype=np.float64)
+        pooled = _lattice(sizes, np.add)[:, 0]  # pooled row count per mask
 
-    table: dict[str, float] = {}
-    for alpha in gray_code_order(n):
-        sel = list(alpha.selected)
-        if per_row is not None:
-            rows = per_row[sel]
-            value = rows.max(axis=0).mean() if metric.direction == "maximize" else rows.min(axis=0).mean()
-        elif per_row_sum is not None:
-            value = (per_row_sum[sel].sum(axis=0) / sizes[sel].sum()).mean()
-        else:
-            value = scalars[sel].max() if metric.direction == "maximize" else scalars[sel].min()
-        table[str(alpha)] = float(value)
-    return table
+        def finish(block, first):
+            return (block / pooled[first : first + len(block), None]).mean(axis=1)
+
+    else:
+        rows = np.array([[reduce(p)] for p in pairs])  # [N, 1]
+
+        def finish(block, first):
+            return block[:, 0]
+
+    keys, masks = _gray_keys(n)
+    return dict(zip(keys, _mask_values(rows, op, finish)[masks].tolist()))
 
 
 def select_from_table(table: Mapping[str, float], direction: str) -> tuple[MixtureVector, float]:
@@ -151,41 +204,18 @@ def all_datasets_vector(n: int) -> MixtureVector:
     return MixtureVector(tuple([1] * n))
 
 
-def _accuracy_of(value) -> float:
-    acc = value.accuracy if isinstance(value, Score) else float(value)
-    if not 0.0 <= acc <= 1.0:
-        raise ValidationError(f"accuracy out of range: {acc}")
-    return acc
-
-
 def random_selection_mean(scores: Mapping, exact: bool = True) -> float:
     """Expected accuracy of a uniformly random non-empty mixture.
 
     In exact mode the map must cover all 2^N - 1 mixtures; otherwise the
     provided entries are treated as a Monte Carlo sample and averaged as-is.
     """
-    if not scores:
-        raise ValidationError("scores map must not be empty")
-    accs = []
-    lengths = set()
-    seen = set()
-    for key, value in scores.items():
-        alpha = key if isinstance(key, MixtureVector) else MixtureVector.from_string(str(key))
-        if alpha.n_selected == 0:
-            raise ValidationError("empty mixture in scores map")
-        bits = str(alpha)
-        if bits in seen:
-            raise ValidationError(f"duplicate mixture {bits}")
-        seen.add(bits)
-        lengths.add(len(alpha))
-        accs.append(_accuracy_of(value))
-    if len(lengths) != 1:
-        raise ValidationError("scores map mixes mixture lengths")
+    items = _score_items(scores)
     if exact:
-        n = lengths.pop()
+        n = len(items[0][0])
         expected = (1 << n) - 1
-        if len(accs) != expected:
+        if len(items) != expected:
             raise ValidationError(
-                f"exact mode needs all {expected} mixtures for N={n}, got {len(accs)}"
+                f"exact mode needs all {expected} mixtures for N={n}, got {len(items)}"
             )
-    return math.fsum(accs) / len(accs)
+    return math.fsum(acc for _, acc in items) / len(items)

@@ -361,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--objective", choices=("accuracy", "loss"), default="accuracy")
     p_search.add_argument("--out", required=True, help="report CSV path (JSON written alongside)")
-    p_search.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_search.add_argument(
+        "--jobs", type=int, default=1, help="worker threads; each chunk starts from a full merge (default 1)"
+    )
     p_search.set_defaults(func=cmd_search)
 
     p_sim = sub.add_parser("similarity", help="score mixtures by embedding similarity")

@@ -26,6 +26,10 @@ SPLITS = ("train", "val", "test")
 
 TOY_TENSORS = ("w1", "b1", "w2", "b2")
 
+# how much of a failed external evaluator's stderr its error message quotes
+STDERR_TAIL_LINES = 5
+STDERR_TAIL_CHARS = 500
+
 
 @dataclass
 class EvalDataset:
@@ -156,6 +160,12 @@ def _final_json_line(stdout: str) -> dict:
     return obj
 
 
+def _stderr_tail(stderr: str) -> str:
+    """The last non-blank lines of stderr joined on one line, capped in length."""
+    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+    return " | ".join(lines[-STDERR_TAIL_LINES:])[-STDERR_TAIL_CHARS:]
+
+
 def evaluate_external(ckpt_path: str | Path, data_ref: str, command_template: str) -> Score:
     """Run an external evaluator command and parse its final stdout line.
 
@@ -174,7 +184,10 @@ def evaluate_external(ckpt_path: str | Path, data_ref: str, command_template: st
     except OSError as exc:
         raise ExternalEvaluatorError(f"evaluator could not start: {exc}") from exc
     if proc.returncode != 0:
-        raise ExternalEvaluatorError(f"evaluator failed (exit {proc.returncode})")
+        tail = _stderr_tail(proc.stderr)
+        raise ExternalEvaluatorError(
+            f"evaluator failed (exit {proc.returncode})" + (f"; stderr: {tail}" if tail else "")
+        )
     obj = _final_json_line(proc.stdout)
     if "accuracy" not in obj or "loss" not in obj:
         raise ExternalEvaluatorError("evaluator output missing 'accuracy' or 'loss'")

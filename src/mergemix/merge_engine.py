@@ -22,6 +22,9 @@ REFRESH_INTERVAL = 1 << 12
 
 MAX_ENUMERATION_N = 30
 
+# bits as bytes 0/1 -> ASCII "0"/"1", for reading a mixture as an int code
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 @dataclass(frozen=True)
 class MixtureVector:
@@ -145,6 +148,11 @@ def merge_weighted(bank: ModelBank, weights: Sequence[float]) -> Checkpoint:
     return _combine(bank, norm)
 
 
+def _bit_tuples(width: int) -> list[tuple[int, ...]]:
+    """The bits of every width-bit value, most significant first, indexed by value."""
+    return [tuple((v >> s) & 1 for s in reversed(range(width))) for v in range(1 << width)]
+
+
 def gray_code_order(n: int) -> Iterator[MixtureVector]:
     """All 2^n - 1 non-empty mixtures in binary-reflected Gray-code order.
 
@@ -153,9 +161,12 @@ def gray_code_order(n: int) -> Iterator[MixtureVector]:
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValidationError(f"enumeration supports 1 <= N <= {MAX_ENUMERATION_N}, got {n}")
+    # a code's bits are the bits of its high part, then of its low part
+    low = n // 2
+    high_bits, low_bits = _bit_tuples(n - low), _bit_tuples(low)
     for i in range(1, 1 << n):
         g = i ^ (i >> 1)
-        yield MixtureVector(tuple(int(c) for c in format(g, f"0{n}b")))
+        yield MixtureVector(high_bits[g >> low] + low_bits[g & ((1 << low) - 1)])
 
 
 def subset_merges(
@@ -170,7 +181,7 @@ def subset_merges(
     """
     names = list(bank.models[0].tensors)
     sums: dict[str, np.ndarray] = {}
-    prev: MixtureVector | None = None
+    prev_code: int | None = None
     since_refresh = 0
 
     def as64(i: int, name: str) -> np.ndarray:
@@ -178,21 +189,19 @@ def subset_merges(
 
     for alpha in order:
         _check_alpha(len(bank), alpha)
-        single_flip = False
-        if prev is not None:
-            diff = [i for i in range(len(bank)) if alpha.bits[i] != prev.bits[i]]
-            single_flip = len(diff) == 1
-        if prev is None or not single_flip or since_refresh >= REFRESH_INTERVAL:
+        code = int(bytes(alpha.bits).translate(_ASCII_BITS), 2)
+        flipped = 0 if prev_code is None else code ^ prev_code
+        if flipped.bit_count() != 1 or since_refresh >= REFRESH_INTERVAL:
             sums = {name: sum((as64(i, name) for i in alpha.selected), start=np.zeros(bank.schema[name])) for name in names}
             merged = merge_uniform(bank, alpha)
             since_refresh = 0
         else:
-            (j,) = diff
+            j = len(bank) - flipped.bit_length()
             sign = 1.0 if alpha.bits[j] else -1.0
             for name in names:
                 sums[name] = sums[name] + sign * as64(j, name)
             k = alpha.n_selected
             merged = Checkpoint(tensors={name: (sums[name] / k).astype(np.float32) for name in names})
-        prev = alpha
+        prev_code = code
         since_refresh += 1
         yield alpha, merged

@@ -202,23 +202,36 @@ def select_best(report: SearchReport) -> MixtureVector:
     return _best_record(report.records, report.objective)
 
 
+def _score_items(scores: Mapping) -> list[tuple[str, float]]:
+    """(bits, accuracy) pairs of a scores map, validated.
+
+    Keys may be MixtureVector or bit strings; values may be Score or floats.
+    Rejects an empty map, empty mixtures, duplicate mixtures, accuracies
+    outside [0, 1] and mixtures of different lengths.
+    """
+    if not scores:
+        raise ValidationError("scores map must not be empty")
+    items: dict[str, float] = {}
+    for key, value in scores.items():
+        alpha = key if isinstance(key, MixtureVector) else MixtureVector.from_string(str(key))
+        if alpha.n_selected == 0:
+            raise ValidationError("empty mixture in scores map")
+        bits = str(alpha)
+        if bits in items:
+            raise ValidationError(f"duplicate mixture {bits}")
+        acc = value.accuracy if isinstance(value, Score) else float(value)
+        if not 0.0 <= acc <= 1.0:
+            raise ValidationError(f"accuracy out of range: {acc}")
+        items[bits] = acc
+    if len({len(bits) for bits in items}) != 1:
+        raise ValidationError("scores map mixes mixture lengths")
+    return list(items.items())
+
+
 def oracle_select(scores: Mapping) -> MixtureVector:
     """Best mixture by known (validation) accuracy, same tie-break as search.
 
     Keys may be MixtureVector or bit strings; values may be Score or floats.
     """
-    if not scores:
-        raise ValidationError("scores map must not be empty")
-    items: list[tuple[str, float]] = []
-    for key, value in scores.items():
-        alpha = key if isinstance(key, MixtureVector) else MixtureVector.from_string(str(key))
-        if alpha.n_selected == 0:
-            raise ValidationError("empty mixture in scores map")
-        acc = value.accuracy if isinstance(value, Score) else float(value)
-        if not 0.0 <= acc <= 1.0:
-            raise ValidationError(f"accuracy out of range: {acc}")
-        items.append((str(alpha), acc))
-    if len({len(bits) for bits, _ in items}) != 1:
-        raise ValidationError("scores map mixes mixture lengths")
-    bits, _ = best_mixture(items, "maximize")
+    bits, _ = best_mixture(_score_items(scores), "maximize")
     return MixtureVector.from_string(bits)

@@ -15,11 +15,15 @@ identical checkpoints serialize to identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -136,14 +140,31 @@ def _canonical_header_bytes(ckpt: Checkpoint) -> tuple[bytes, list[str]]:
     return raw, names
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a new file beside path for writing; rename it over path on success.
+
+    A write that fails leaves path as it was and no temp file behind. Text
+    files are opened without newline translation.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") if binary else open(tmp, "x", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Serialize a checkpoint canonically. Rejects non-finite values."""
+    """Serialize a checkpoint canonically and atomically. Rejects non-finite values."""
     for name, arr in ckpt.tensors.items():
         if not np.isfinite(arr).all():
             raise ValidationError(f"non-finite value in tensor '{name}'")
     header, names = _canonical_header_bytes(ckpt)
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for name in names:

@@ -2,12 +2,15 @@
 reference, mixture composition, and the random/all-data selectors."""
 
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mergemix import baselines
 from mergemix import (
     EmbeddingSet,
     MixtureVector,
@@ -245,6 +248,95 @@ def test_select_property_matches_scan(seed):
                 best = (key, alpha, val)
         assert got_alpha == best[1]
         assert got_val == pytest.approx(best[2], abs=1e-9)
+
+
+# ============================================================================
+# similarity_table: the blocked lattice pass against the per-mixture loop
+# ============================================================================
+
+
+def per_mixture_table(target, per_dataset, metric):
+    """The per-mixture loop similarity_table ran before its lattice pass.
+
+    Each mixture reduces its own selected rows of the per-dataset
+    statistics; keys follow i ^ (i >> 1), most significant bit first.
+    """
+    n = len(per_dataset)
+    pairs = [baselines._pairwise(target, ds, metric) for ds in per_dataset]
+    sizes = np.array([p.shape[1] for p in pairs], dtype=np.float64)
+    per_row = per_row_sum = scalars = None
+    if metric is SimilarityMetric.AVG_MAX_COS:
+        per_row = np.stack([p.max(axis=1) for p in pairs])
+    elif metric is SimilarityMetric.AVG_MIN_L2:
+        per_row = np.stack([p.min(axis=1) for p in pairs])
+    elif metric in (SimilarityMetric.AVG_AVG_COS, SimilarityMetric.AVG_AVG_L2):
+        per_row_sum = np.stack([p.sum(axis=1) for p in pairs])
+    elif metric is SimilarityMetric.MAX_MAX_COS:
+        scalars = np.array([p.max() for p in pairs])
+    else:
+        scalars = np.array([p.min() for p in pairs])
+    table = {}
+    for i in range(1, 1 << n):
+        bits = format(i ^ (i >> 1), f"0{n}b")
+        sel = [k for k, c in enumerate(bits) if c == "1"]
+        if per_row is not None:
+            rows = per_row[sel]
+            value = rows.max(axis=0).mean() if metric.direction == "maximize" else rows.min(axis=0).mean()
+        elif per_row_sum is not None:
+            value = (per_row_sum[sel].sum(axis=0) / sizes[sel].sum()).mean()
+        else:
+            value = scalars[sel].max() if metric.direction == "maximize" else scalars[sel].min()
+        table[bits] = float(value)
+    return table
+
+
+def float_bits(table):
+    return [struct.pack("<d", v) for v in table.values()]
+
+
+@st.composite
+def embedding_universes(draw):
+    """A target and 1..7 datasets of unequal row counts, drawn from a shared
+    pool of rows, so rows repeat and cosines reach -1, 0 and 1."""
+    dim = draw(st.integers(1, 3))
+    coords = st.one_of(
+        st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+        st.floats(-4.0, 4.0, allow_nan=False, width=32),
+    )
+    row = st.lists(coords, min_size=dim, max_size=dim).filter(lambda r: any(r))
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+    target = emb(draw(pick), "T")
+    n = draw(st.integers(1, 7))
+    return target, [emb(draw(pick), f"D{i}") for i in range(n)]
+
+
+@pytest.mark.parametrize("block_bits", [baselines.LATTICE_BLOCK_BITS, 2])
+@settings(max_examples=60, deadline=None)
+@given(universe=embedding_universes())
+def test_table_is_bitwise_the_per_mixture_loop(block_bits, universe):
+    """Same keys, same order and the same float bits, for all six metrics;
+    block_bits=2 splits masks into low and high parts from N=3 on."""
+    target, per_dataset = universe
+    with mock.patch.object(baselines, "LATTICE_BLOCK_BITS", block_bits):
+        for metric in ALL_METRICS:
+            got = similarity_table(target, per_dataset, metric)
+            want = per_mixture_table(target, per_dataset, metric)
+            assert list(got) == list(want)
+            assert float_bits(got) == float_bits(want), metric
+
+
+def test_table_is_bitwise_the_per_mixture_loop_past_one_block():
+    """N=11 with the shipped block size: one low block and two high bits."""
+    rng = np.random.default_rng(11)
+    target = emb(rng.standard_normal((7, 3)), "T")
+    per_dataset = [emb(rng.standard_normal((1 + i % 4, 3)), f"D{i}") for i in range(11)]
+    assert baselines.LATTICE_BLOCK_BITS < 11
+    for metric in ALL_METRICS:
+        got = similarity_table(target, per_dataset, metric)
+        want = per_mixture_table(target, per_dataset, metric)
+        assert list(got) == list(want)
+        assert float_bits(got) == float_bits(want), metric
 
 
 # ============================================================================

@@ -260,6 +260,26 @@ def test_search_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
         assert (outs[0].parent / name).read_bytes() == (outs[1].parent / name).read_bytes(), name
 
 
+def test_search_jobs_defaults_to_one(tmp_path, capsys, monkeypatch):
+    """Without --jobs a search runs one worker, whatever the core count, and
+    writes the bytes of --jobs 1."""
+    bank = make_bank_dir(tmp_path, n=4)
+    target = tmp_path / "target.mtm"
+    write_target_dataset(target)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    outs = {}
+    for label, extra in (("default", []), ("one", ["--jobs", "1"])):
+        out = tmp_path / label / "report.csv"
+        out.parent.mkdir()
+        argv = ["search", "--bank", str(bank), "--target", str(target), "--out", str(out), *extra]
+        assert run_cli(argv, capsys)[0] == 0
+        outs[label] = out.parent
+    manifest = json.loads((outs["default"] / "report.manifest.json").read_text())
+    assert manifest["config"]["jobs"] == 1
+    for name in ("report.csv", "report.json"):
+        assert (outs["default"] / name).read_bytes() == (outs["one"] / name).read_bytes(), name
+
+
 def external_stub(tmp_path, body):
     script = tmp_path / "stub_eval.py"
     script.write_text(body)

@@ -3,6 +3,7 @@ evaluator protocol, and the dataset container."""
 
 import json
 import math
+import shlex
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from mergemix import (
     write_checkpoint,
     write_eval_dataset,
 )
+from mergemix.evaluator import STDERR_TAIL_CHARS
 from mergemix.tensor_store import tensor
 
 LN3 = 1.0986122886681098
@@ -227,6 +229,36 @@ def test_external_nonzero_exit(tmp_path):
     cmd = stub_command(tmp_path, "import sys\nsys.exit(3)")
     with pytest.raises(ExternalEvaluatorError, match=r"evaluator failed \(exit 3\)"):
         evaluate_external(path, "d", cmd)
+
+
+def test_external_failure_quotes_stderr_tail(tmp_path):
+    path = tmp_path / "m.mtm"
+    write_checkpoint(identity_mlp(2), path)
+    body = (
+        "import sys\n"
+        "for i in range(20):\n"
+        "    print(f'log line {i}', file=sys.stderr)\n"
+        "print('ValueError: bad checkpoint', file=sys.stderr)\n"
+        "sys.exit(3)"
+    )
+    cmd = f"{sys.executable} -c {shlex.quote(body)} {{checkpoint}} {{data}}"
+    with pytest.raises(ExternalEvaluatorError) as info:
+        evaluate_external(path, "d", cmd)
+    msg = str(info.value)
+    assert msg.startswith("evaluator failed (exit 3); stderr: ")
+    assert msg.endswith("log line 19 | ValueError: bad checkpoint")
+    assert "log line 15" not in msg and "\n" not in msg
+
+
+def test_external_stderr_tail_is_capped(tmp_path):
+    path = tmp_path / "m.mtm"
+    write_checkpoint(identity_mlp(2), path)
+    body = "import sys\nsys.stderr.write('x' * 5000 + 'END')\nsys.exit(4)"
+    cmd = f"{sys.executable} -c {shlex.quote(body)} {{checkpoint}} {{data}}"
+    with pytest.raises(ExternalEvaluatorError) as info:
+        evaluate_external(path, "d", cmd)
+    tail = str(info.value).split("; stderr: ", 1)[1]
+    assert len(tail) == STDERR_TAIL_CHARS and tail.endswith("END")
 
 
 def test_external_unparsable(tmp_path):

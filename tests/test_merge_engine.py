@@ -197,9 +197,12 @@ def test_gray_n3_pinned():
     ]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_gray_matches_reference(n):
-    assert [str(v) for v in gray_code_order(n)] == reference_gray(n)
+    seq = list(gray_code_order(n))
+    assert [str(v) for v in seq] == reference_gray(n)
+    assert seq == [MixtureVector.from_string(bits) for bits in reference_gray(n)]
+    assert all(type(b) is int for v in seq for b in v.bits)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9])
@@ -262,6 +265,21 @@ def test_subset_merges_handles_jumps():
             np.testing.assert_allclose(
                 merged.tensors[name], direct.tensors[name], rtol=1e-6, atol=1e-7
             )
+
+
+def test_subset_merges_recomputes_unless_one_bit_flips():
+    """The first item, a repeat and a two-bit jump are full merges, bit for bit;
+    a one-bit flip updates the running sum (dataset 1 leaves, dataset 3 joins)."""
+    bank = make_bank(4, seed=5)
+    order = [MixtureVector.from_string(b) for b in ("0110", "0110", "1010", "1011", "1001")]
+    items = list(subset_merges(bank, order))
+    assert [a for a, _ in items] == order
+    for alpha, merged in items[:3]:
+        assert checkpoint_equal(merged, merge_uniform(bank, alpha))
+    for alpha, merged in items[3:]:
+        direct = merge_uniform(bank, alpha)
+        for name in direct.tensors:
+            np.testing.assert_allclose(merged.tensors[name], direct.tensors[name], rtol=1e-6, atol=1e-7)
 
 
 @settings(max_examples=20, deadline=None)

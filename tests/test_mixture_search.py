@@ -258,6 +258,16 @@ def test_oracle_select_errors():
         oracle_select({})
     with pytest.raises(ValidationError, match="length"):
         oracle_select({"01": 0.5, "100": 0.6})
+    with pytest.raises(ValidationError, match="accuracy out of range"):
+        oracle_select({"01": 1.5})
+    with pytest.raises(ValidationError, match="empty mixture"):
+        oracle_select({"00": 0.5})
+
+
+def test_oracle_select_rejects_duplicate_mixtures():
+    """A bit string and a MixtureVector naming the same mixture are one key twice."""
+    with pytest.raises(ValidationError, match="duplicate mixture 01"):
+        oracle_select({"01": 0.5, MixtureVector.from_string("01"): 0.9})
 
 
 # ============================================================================

@@ -24,6 +24,7 @@ from mergemix import (
     write_checkpoint,
     write_embeddings,
 )
+from mergemix import tensor_store
 from mergemix.tensor_store import tensor
 
 
@@ -106,6 +107,31 @@ def test_write_rejects_inf(tmp_path):
     ckpt = Checkpoint(tensors={"w": tensor([float("inf")])})
     with pytest.raises(ValidationError, match="non-finite"):
         write_checkpoint(ckpt, tmp_path / "bad.mtm")
+
+
+def test_failed_write_keeps_old_container(tmp_path, monkeypatch):
+    """A write that fails after its header and first tensor leaves the old
+    file readable and no temp file beside it."""
+    path = tmp_path / "m.mtm"
+    old = Checkpoint(tensors={"a": tensor([1.0, 2.0])})
+    write_checkpoint(old, path)
+    new = Checkpoint(tensors={"a": tensor([3.0]), "b": tensor([4.0])})
+    real = np.ascontiguousarray
+    written = []
+
+    def fail_on_second_tensor(arr, dtype=None):
+        written.append(arr)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return real(arr, dtype=dtype)
+
+    monkeypatch.setattr(tensor_store.np, "ascontiguousarray", fail_on_second_tensor)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(new, path)
+    monkeypatch.undo()
+    assert len(written) == 2
+    assert checkpoint_equal(read_checkpoint(path), old)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.mtm"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
