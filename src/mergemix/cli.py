@@ -170,6 +170,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         objective="max_accuracy" if args.objective == "accuracy" else "min_loss",
         jobs=args.jobs,
     )
+    if args.eval_timeout is not None and not (0.0 < args.eval_timeout < float("inf")):
+        raise ValidationError(
+            f"--eval-timeout must be a positive number of seconds, got {args.eval_timeout}"
+        )
 
     if args.evaluator == "builtin":
         target = read_eval_dataset(Path(args.target))
@@ -183,7 +187,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 ckpt_path = workdir / f"merged_{alpha}.mtm"
                 write_checkpoint(ckpt, ckpt_path)
                 try:
-                    return evaluate_external(ckpt_path, target, template)
+                    return evaluate_external(ckpt_path, target, template, args.eval_timeout)
                 finally:
                     ckpt_path.unlink(missing_ok=True)
 
@@ -362,7 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--objective", choices=("accuracy", "loss"), default="accuracy")
     p_search.add_argument("--out", required=True, help="report CSV path (JSON written alongside)")
     p_search.add_argument(
-        "--jobs", type=int, default=1, help="worker threads; each chunk starts from a full merge (default 1)"
+        "--jobs", type=int, default=1, help="worker threads for an external evaluator (default 1)"
+    )
+    p_search.add_argument(
+        "--eval-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="kill an external evaluator call after this many seconds (default: no limit)",
     )
     p_search.set_defaults(func=cmd_search)
 
@@ -409,21 +420,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ExternalEvaluatorError as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_EVALUATOR
+        return _fail(exc, EXIT_EVALUATOR)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
     except (ValidationError, MergeMixError) as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
+        return _fail(exc, EXIT_VALIDATION)
     except OSError as exc:
-        log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """A failed command's one stderr line, at every log level."""
+    sys.stderr.write(f"error: {exc}\n")
+    return code
 
 
 if __name__ == "__main__":

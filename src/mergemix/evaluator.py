@@ -102,31 +102,8 @@ def toy_mlp_dims(ckpt: Checkpoint) -> tuple[int, int, int]:
     return int(input_dim), int(hidden), int(classes)
 
 
-def toy_mlp_logits(ckpt: Checkpoint, features: np.ndarray) -> np.ndarray:
-    """Forward pass in float64: relu(X w1^T + b1) w2^T + b2."""
-    x = np.asarray(features, dtype=np.float64)
-    w1 = ckpt.tensors["w1"].astype(np.float64)
-    b1 = ckpt.tensors["b1"].astype(np.float64)
-    w2 = ckpt.tensors["w2"].astype(np.float64)
-    b2 = ckpt.tensors["b2"].astype(np.float64)
-    hidden = np.maximum(x @ w1.T + b1, 0.0)
-    return hidden @ w2.T + b2
-
-
-def toy_mlp_hidden(ckpt: Checkpoint, features: np.ndarray) -> np.ndarray:
-    """Hidden-layer activations, float32; usable as embedding rows."""
-    x = np.asarray(features, dtype=np.float64)
-    w1 = ckpt.tensors["w1"].astype(np.float64)
-    b1 = ckpt.tensors["b1"].astype(np.float64)
-    return np.maximum(x @ w1.T + b1, 0.0).astype(np.float32)
-
-
-def evaluate_builtin(ckpt: Checkpoint, data: EvalDataset) -> Score:
-    """Score a toy MLP checkpoint: argmax accuracy, mean softmax cross-entropy.
-
-    Argmax ties resolve to the lowest class index. The loss subtracts the
-    row max before exponentiation, so it is finite for all finite weights.
-    """
+def check_toy_target(ckpt: Checkpoint, data: EvalDataset) -> None:
+    """Reject a non-toy checkpoint, or one whose input dim or head does not fit data."""
     input_dim, _, classes = toy_mlp_dims(ckpt)
     if data.features.shape[1] != input_dim:
         raise ValidationError(
@@ -136,15 +113,65 @@ def evaluate_builtin(ckpt: Checkpoint, data: EvalDataset) -> Score:
         raise ValidationError(
             f"dataset has {data.num_classes} classes but model head has {classes}"
         )
-    logits = toy_mlp_logits(ckpt, data.features)
-    preds = np.argmax(logits, axis=1)
-    correct = int(np.sum(preds == data.labels))
-    n = len(data)
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    per_sample = log_z - shifted[np.arange(n), data.labels]
-    return Score(accuracy=correct / n, mean_loss=float(per_sample.mean()), num_samples=n)
+
+def _hidden(x: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """relu(X w1^T + b1) in float64 for weights stacked on a leading block axis: [B, n, h].
+
+    Each block item's transpose stays a view, so BLAS sees the layout of a
+    single model's x @ w1.T and rounds the same way; a contiguous copy can
+    take another kernel (one-row inputs, some small shapes) and change bits.
+    The bias and the ReLU work in place, which saves two [B, n, h] arrays.
+    """
+    hidden = np.matmul(x, w1.astype(np.float64).transpose(0, 2, 1))
+    hidden += b1.astype(np.float64)[:, None, :]
+    return np.maximum(hidden, 0.0, out=hidden)
+
+
+def toy_mlp_scores(
+    w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, data: EvalDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (correct count, mean loss) of toy MLPs stacked on a leading block axis.
+
+    The weights are float32 [B, ...] with shapes that fit data; the forward
+    pass runs in float64. Argmax ties resolve to the lowest class index. The
+    loss subtracts the row max before exponentiation, so it is finite for
+    all finite weights.
+    """
+    hidden = _hidden(data.features.astype(np.float64), w1, b1)
+    logits = np.matmul(hidden, w2.astype(np.float64).transpose(0, 2, 1))
+    logits += b2.astype(np.float64)[:, None, :]
+    correct = np.count_nonzero(np.argmax(logits, axis=2) == data.labels, axis=1)
+    # the row max, as a chain over the class columns: max is exact in any
+    # order, and the chain is several times faster than a reduce over a short axis
+    top = logits[:, :, 0].copy()
+    for j in range(1, logits.shape[2]):
+        np.maximum(top, logits[:, :, j], out=top)
+    shifted = np.subtract(logits, top[:, :, None], out=logits)
+    picked = shifted[:, np.arange(len(data)), data.labels]
+    log_z = np.log(np.exp(shifted, out=shifted).sum(axis=2))
+    return correct, (log_z - picked).mean(axis=1)
+
+
+def toy_mlp_hidden(ckpt: Checkpoint, features: np.ndarray) -> np.ndarray:
+    """Hidden-layer activations, float32; usable as embedding rows."""
+    x = np.asarray(features, dtype=np.float64)
+    return _hidden(x, ckpt.tensors["w1"][None], ckpt.tensors["b1"][None])[0].astype(np.float32)
+
+
+def builtin_score(correct: int, mean_loss: float, data: EvalDataset) -> Score:
+    """The Score of correct predictions and a mean loss over data."""
+    return Score(accuracy=correct / len(data), mean_loss=mean_loss, num_samples=len(data))
+
+
+def evaluate_builtin(ckpt: Checkpoint, data: EvalDataset) -> Score:
+    """Score a toy MLP checkpoint: argmax accuracy, mean softmax cross-entropy.
+
+    The one-row case of toy_mlp_scores.
+    """
+    check_toy_target(ckpt, data)
+    correct, loss = toy_mlp_scores(*(ckpt.tensors[name][None] for name in TOY_TENSORS), data)
+    return builtin_score(int(correct[0]), float(loss[0]), data)
 
 
 def _final_json_line(stdout: str) -> dict:
@@ -166,12 +193,16 @@ def _stderr_tail(stderr: str) -> str:
     return " | ".join(lines[-STDERR_TAIL_LINES:])[-STDERR_TAIL_CHARS:]
 
 
-def evaluate_external(ckpt_path: str | Path, data_ref: str, command_template: str) -> Score:
+def evaluate_external(
+    ckpt_path: str | Path, data_ref: str, command_template: str, timeout: float | None = None
+) -> Score:
     """Run an external evaluator command and parse its final stdout line.
 
     The template must contain {checkpoint} and {data} placeholders, which are
     substituted per argument token (never through a shell). The final stdout
     line must be a JSON object {"accuracy": <float in [0,1]>, "loss": <float >= 0>}.
+    An evaluator still running after timeout seconds is killed and reaped;
+    None means no limit.
     """
     if "{checkpoint}" not in command_template or "{data}" not in command_template:
         raise ValidationError("command template must contain {checkpoint} and {data}")
@@ -180,7 +211,9 @@ def evaluate_external(ckpt_path: str | Path, data_ref: str, command_template: st
         for token in shlex.split(command_template)
     ]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise ExternalEvaluatorError(f"evaluator timed out after {timeout:g} s") from None
     except OSError as exc:
         raise ExternalEvaluatorError(f"evaluator could not start: {exc}") from exc
     if proc.returncode != 0:

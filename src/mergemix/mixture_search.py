@@ -1,9 +1,12 @@
 """Exhaustive mixture search driven by merged-checkpoint surrogates.
 
 Every non-empty mixture is merged and scored; the best mixture under the
-objective is reported. best_mixture holds the tie-break that every selection
-in the package uses: the smaller selection first, then the lexicographically
-smallest bit string, so results are deterministic.
+objective is reported. The builtin scorer runs in blocks: _SCORE_BLOCK
+mixtures per merge_block call and per stacked forward pass. Any other
+evaluator gets one merged Checkpoint per mixture from the subset_merges walk.
+best_mixture holds the tie-break that every selection in the package uses:
+the smaller selection first, then the lexicographically smallest bit string,
+so results are deterministic.
 """
 
 from __future__ import annotations
@@ -13,12 +16,35 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import EvaluatorError, ExternalEvaluatorError, ValidationError
-from .evaluator import EvalDataset, Score, evaluate_builtin
-from .merge_engine import MixtureVector, ModelBank, gray_code_order, subset_merges
+from .evaluator import (
+    TOY_TENSORS,
+    EvalDataset,
+    Score,
+    builtin_score,
+    check_toy_target,
+    evaluate_builtin,
+    toy_mlp_scores,
+)
+from .merge_engine import (
+    MixtureVector,
+    ModelBank,
+    gray_code_order,
+    merge_block,
+    mixture_code,
+    subset_merges,
+)
 from .tensor_store import Checkpoint
 
 OBJECTIVES = ("max_accuracy", "min_loss")
+
+# mixtures per block on the builtin path. It bounds the [block, rows, hidden]
+# float64 activations of one stacked forward pass: 1.6 MB at 200 rows and 32
+# hidden units. Blocks of 128 raised the bench's peak RSS by 8 MB, and they
+# were no faster.
+_SCORE_BLOCK = 32
 
 # eval_fn(merged checkpoint, target, mixture) -> Score; the mixture argument
 # exists for bookkeeping and mock evaluators, the builtin adapter ignores it.
@@ -26,11 +52,18 @@ TargetRef = Union[EvalDataset, str]
 EvalFn = Callable[[Checkpoint, TargetRef, MixtureVector], Score]
 
 
-def builtin_eval_fn(ckpt: Checkpoint, target: TargetRef, alpha: MixtureVector) -> Score:
-    """Adapter running the builtin toy-MLP scorer."""
+def _dataset(target: TargetRef) -> EvalDataset:
     if not isinstance(target, EvalDataset):
         raise ValidationError("builtin evaluation needs an EvalDataset target")
-    return evaluate_builtin(ckpt, target)
+    return target
+
+
+def builtin_eval_fn(ckpt: Checkpoint, target: TargetRef, alpha: MixtureVector) -> Score:
+    """Adapter running the builtin toy-MLP scorer.
+
+    run_search recognizes this function and scores in blocks instead.
+    """
+    return evaluate_builtin(ckpt, _dataset(target))
 
 
 @dataclass
@@ -38,6 +71,7 @@ class SearchConfig:
     objective: str = "max_accuracy"
     candidates: Sequence[MixtureVector] | None = None
     max_exhaustive_n: int = 20
+    # worker threads for a per-mixture eval_fn; the builtin blocks run in one
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -130,6 +164,65 @@ def _best_record(records: Sequence[ScoreRecord], objective: str) -> MixtureVecto
     return MixtureVector.from_string(bits)
 
 
+def _scores(
+    alphas: Sequence[MixtureVector], blocks: list[tuple[np.ndarray, np.ndarray]], data: EvalDataset
+) -> list[Score]:
+    """Scores from stacked (correct, mean loss) blocks; an invalid score names its mixture."""
+    correct = np.concatenate([c for c, _ in blocks]).tolist()
+    losses = np.concatenate([loss for _, loss in blocks]).tolist()
+    scores = []
+    for alpha, c, loss in zip(alphas, correct, losses):
+        try:
+            scores.append(builtin_score(c, loss, data))
+        except ValidationError as exc:
+            raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
+    return scores
+
+
+def _checked(first: MixtureVector, ckpt: Checkpoint, target: TargetRef) -> EvalDataset:
+    """The target as a dataset the toy checkpoint fits; errors name the first mixture."""
+    try:
+        data = _dataset(target)
+        check_toy_target(ckpt, data)
+    except ValidationError as exc:
+        raise EvaluatorError(f"evaluation failed for mixture {first}: {exc}") from exc
+    return data
+
+
+def builtin_scores(
+    bank: ModelBank, candidates: Sequence[MixtureVector], target: TargetRef
+) -> list[Score]:
+    """Builtin scores of the candidates' merged surrogates, _SCORE_BLOCK mixtures at a time.
+
+    Bit for bit the scores of evaluate_builtin on merge_uniform; the bank's
+    schema and the target are checked once.
+    """
+    n = len(bank)
+    data = _checked(candidates[0], bank.models[0], target)
+    blocks = []
+    for lo in range(0, len(candidates), _SCORE_BLOCK):
+        merged = merge_block(bank, [mixture_code(n, a) for a in candidates[lo : lo + _SCORE_BLOCK]])
+        blocks.append(toy_mlp_scores(*(merged[name] for name in TOY_TENSORS), data))
+    return _scores(candidates, blocks, data)
+
+
+def checkpoint_scores(
+    ckpts: Sequence[Checkpoint], alphas: Sequence[MixtureVector], target: TargetRef
+) -> list[Score]:
+    """Builtin scores of same-schema toy checkpoints, one per mixture, _SCORE_BLOCK per stacked pass.
+
+    Bit for bit the scores of evaluate_builtin on each checkpoint; the first
+    checkpoint and the target are checked once.
+    """
+    data = _checked(alphas[0], ckpts[0], target)
+    blocks = []
+    for lo in range(0, len(ckpts), _SCORE_BLOCK):
+        block = ckpts[lo : lo + _SCORE_BLOCK]
+        stacked = (np.stack([c.tensors[name] for c in block]) for name in TOY_TENSORS)
+        blocks.append(toy_mlp_scores(*stacked, data))
+    return _scores(alphas, blocks, data)
+
+
 def _score_chunk(
     bank: ModelBank, chunk: list[MixtureVector], eval_fn: EvalFn, target: TargetRef
 ) -> list[ScoreRecord]:
@@ -173,7 +266,10 @@ def run_search(
             )
         candidates = list(gray_code_order(n))
 
-    if config.jobs > 1 and len(candidates) > 1:
+    if eval_fn is builtin_eval_fn:
+        scores = builtin_scores(bank, candidates, target)
+        records = [ScoreRecord(alpha=a, merged_score=s) for a, s in zip(candidates, scores)]
+    elif config.jobs > 1 and len(candidates) > 1:
         jobs = min(config.jobs, len(candidates))
         step = (len(candidates) + jobs - 1) // jobs
         chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]

@@ -45,8 +45,8 @@ from .evaluator import (
     toy_mlp_dims,
     toy_mlp_hidden,
 )
-from .merge_engine import MixtureVector, ModelBank, gray_code_order, subset_merges
-from .mixture_search import ScoreRecord, best_mixture
+from .merge_engine import MixtureVector, ModelBank, gray_code_order
+from .mixture_search import ScoreRecord, best_mixture, builtin_scores, checkpoint_scores
 from .tensor_store import Checkpoint, EmbeddingSet
 
 # Philox stream ids for universe generation (train streams live at >= 1 << 32)
@@ -649,8 +649,8 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     base = pretrain_base(universe, train_cfg)
     order = list(gray_code_order(bench_cfg.num_datasets))
     finetuned = _finetune_mixtures(base, [t.train for t in universe.datasets], order, train_cfg)
-    merged = _merge_mixtures(finetuned, [t.name for t in universe.datasets], order)
-    per_target = [_score_target(t, base, merged, finetuned, order) for t in universe.targets]
+    bank = _singleton_bank(finetuned, [t.name for t in universe.datasets])
+    per_target = [_score_target(t, base, bank, finetuned, order) for t in universe.targets]
 
     ds_embs, tg_embs = _embeddings(universe, base, bench_cfg.embedding_source)
     sim_inputs, table_metric = _similarity_baseline(per_target, tg_embs, ds_embs)
@@ -705,43 +705,34 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     )
 
 
-def _merge_mixtures(
-    finetuned: dict[str, Checkpoint], names: list[str], order: list[MixtureVector]
-) -> dict[str, Checkpoint]:
-    """The merged surrogate of every mixture, keyed by bit string.
+def _singleton_bank(finetuned: dict[str, Checkpoint], names: list[str]) -> ModelBank:
+    """The bank of single-dataset fine-tunes, in dataset order.
 
-    The bank is the single-dataset fine-tunes; a single-dataset mixture's
-    surrogate is literally its bank checkpoint.
+    A single-dataset mixture's merged surrogate is its bank checkpoint.
     """
     n = len(names)
-    singleton_bits = [str(MixtureVector.from_indices([i], n)) for i in range(n)]
-    bank = ModelBank(models=[finetuned[bits] for bits in singleton_bits], names=names)
-    merged = {str(a): ckpt for a, ckpt in subset_merges(bank, order)}
-    merged.update((bits, finetuned[bits]) for bits in singleton_bits)
-    return merged
+    return ModelBank(
+        models=[finetuned[str(MixtureVector.from_indices([i], n))] for i in range(n)], names=names
+    )
 
 
 def _score_target(
     target: TargetPair,
     base: Checkpoint,
-    merged: dict[str, Checkpoint],
+    bank: ModelBank,
     finetuned: dict[str, Checkpoint],
     order: list[MixtureVector],
 ) -> TargetTable:
-    """Score every mixture's merged and fine-tuned model on one target.
+    """Score every mixture's merged and fine-tuned model on one target, in stacked blocks.
 
     Every selection but the similarity baseline is made here, on validation.
     """
+    finetuned_models = [finetuned[str(alpha)] for alpha in order]
 
     def records(data: EvalDataset) -> list[ScoreRecord]:
-        return [
-            ScoreRecord(
-                alpha=alpha,
-                merged_score=evaluate_builtin(merged[str(alpha)], data),
-                finetuned_score=evaluate_builtin(finetuned[str(alpha)], data),
-            )
-            for alpha in order
-        ]
+        merged = builtin_scores(bank, order, data)
+        tuned = checkpoint_scores(finetuned_models, order, data)
+        return [ScoreRecord(a, m, f) for a, m, f in zip(order, merged, tuned)]
 
     table = TargetTable(
         target_name=target.name,

@@ -369,6 +369,30 @@ def test_search_external_failure_exits_3(tmp_path, capsys):
     assert "mixture" in err
 
 
+def test_search_eval_timeout_exits_3(tmp_path):
+    """A hung evaluator under --eval-timeout ends the search with exit 3 and
+    one error line naming the mixture and the limit, without a traceback."""
+    bank = make_bank_dir(tmp_path)
+    template = external_stub(tmp_path, "import time\ntime.sleep(60)\n")
+    argv = ["search", "--bank", str(bank), "--target", "ref", "--evaluator", template,
+            "--out", str(tmp_path / "r.csv"), "--eval-timeout", "0.5"]
+    started = time.monotonic()
+    proc = run_cli_process(argv)
+    assert time.monotonic() - started < 60
+    assert proc.returncode == 3
+    assert proc.stderr == "error: mixture 01: evaluator timed out after 0.5 s\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_search_rejects_bad_eval_timeout(tmp_path, value):
+    bank = make_bank_dir(tmp_path)
+    argv = ["search", "--bank", str(bank), "--target", "ref", "--evaluator", "x {checkpoint} {data}",
+            "--out", str(tmp_path / "r.csv"), f"--eval-timeout={value}"]
+    proc = run_cli_process(argv)
+    assert_clean_validation_failure(proc)
+    assert "--eval-timeout" in proc.stderr
+
+
 def test_search_empty_bank_exits_1(tmp_path, capsys):
     bank = tmp_path / "bank"
     bank.mkdir()

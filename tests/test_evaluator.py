@@ -3,12 +3,14 @@ evaluator protocol, and the dataset container."""
 
 import json
 import math
+import os
 import shlex
 import sys
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergemix import (
@@ -26,7 +28,7 @@ from mergemix import (
     write_checkpoint,
     write_eval_dataset,
 )
-from mergemix.evaluator import STDERR_TAIL_CHARS
+from mergemix.evaluator import STDERR_TAIL_CHARS, toy_mlp_scores
 from mergemix.tensor_store import tensor
 
 LN3 = 1.0986122886681098
@@ -147,6 +149,38 @@ def test_score_validation():
         Score(accuracy=0.5, mean_loss=float("nan"), num_samples=1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 60),
+    st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(1, 9)),
+    st.integers(0, 2**31 - 1),
+)
+@example(7, 1, (9, 29, 8), 53)  # a contiguous copy of the transposed w1 changes this loss
+def test_stacked_scores_are_the_one_row_scores(block, rows, dims, seed):
+    """Each row of a stacked pass scores like evaluate_builtin on its own
+    checkpoint, and like the plain 2-D forward pass, bit for bit."""
+    rng = np.random.default_rng(seed)
+    d, h, c = dims
+    shapes = {"w1": (h, d), "b1": (h,), "w2": (c, h), "b2": (c,)}
+    ckpts = [
+        Checkpoint(tensors={k: (2 * rng.standard_normal(v)).astype(np.float32) for k, v in shapes.items()})
+        for _ in range(block)
+    ]
+    data = dataset(rng.standard_normal((rows, d)), rng.integers(0, c, size=rows), c)
+    correct, loss = toy_mlp_scores(*(np.stack([c.tensors[k] for c in ckpts]) for k in shapes), data)
+    for ckpt, c, mean_loss in zip(ckpts, correct.tolist(), loss.tolist()):
+        single = evaluate_builtin(ckpt, data)
+        assert single == Score(c / rows, mean_loss, rows)
+        x = data.features.astype(np.float64)
+        w1, b1, w2, b2 = (ckpt.tensors[k].astype(np.float64) for k in shapes)
+        logits = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        per_sample = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(rows), data.labels]
+        assert int(np.sum(np.argmax(logits, axis=1) == data.labels)) == c
+        assert float(per_sample.mean()).hex() == mean_loss.hex()
+
+
 # ============================================================================
 # logit transforms
 # ============================================================================
@@ -259,6 +293,22 @@ def test_external_stderr_tail_is_capped(tmp_path):
         evaluate_external(path, "d", cmd)
     tail = str(info.value).split("; stderr: ", 1)[1]
     assert len(tail) == STDERR_TAIL_CHARS and tail.endswith("END")
+
+
+def test_external_timeout_kills_the_evaluator(tmp_path):
+    """A hung evaluator is killed at the timeout and reaped before the error."""
+    path = tmp_path / "m.mtm"
+    write_checkpoint(identity_mlp(2), path)
+    pid_file = tmp_path / "pid"
+    body = f"import os, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\ntime.sleep(60)"
+    cmd = f"{sys.executable} -c {shlex.quote(body)} {{checkpoint}} {{data}}"
+    started = time.monotonic()
+    with pytest.raises(ExternalEvaluatorError, match=r"^evaluator timed out after 0.5 s$"):
+        evaluate_external(path, "d", cmd, timeout=0.5)
+    assert time.monotonic() - started < 30
+    pid = int(pid_file.read_text())
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 def test_external_unparsable(tmp_path):

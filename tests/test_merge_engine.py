@@ -1,6 +1,8 @@
 """Merge algebra tests: uniform/weighted averaging, Gray-code enumeration,
 and the incremental subset-merge stream."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from mergemix import (
     merge_weighted,
     subset_merges,
 )
-from mergemix.merge_engine import MAX_ENUMERATION_N
+from mergemix.merge_engine import MAX_ENUMERATION_N, merge_block, mixture_code
 from mergemix.tensor_store import tensor
 
 
@@ -139,11 +141,18 @@ def test_weighted_degenerate_selects_first():
 
 
 def test_weighted_uniform_support_equals_merge_uniform():
-    """Equal weights over a support reduce to the uniform merge, bitwise."""
-    bank = make_bank(4, seed=9)
-    merged_w = merge_weighted(bank, [0.7, 0.0, 0.7, 0.7])
-    merged_u = merge_uniform(bank, MixtureVector.from_string("1011"))
-    assert checkpoint_equal(merged_w, merged_u)
+    """Equal weights over a support reduce to the uniform merge, bitwise,
+    including for supports whose size is not a power of two."""
+    bank = make_bank(6, shapes={"w": (8, 8)}, seed=9)
+    cases = [
+        ([0.7, 0.0, 0.7, 0.7, 0.0, 0.0], "101100"),
+        ([2.0] * 6, "111111"),
+        ([0, 5, 0, 5, 5, 5], "010111"),
+    ]
+    for weights, bits in cases:
+        merged_w = merge_weighted(bank, weights)
+        merged_u = merge_uniform(bank, MixtureVector.from_string(bits))
+        assert checkpoint_equal(merged_w, merged_u)
 
 
 def test_weighted_normalizes():
@@ -233,12 +242,7 @@ def test_gray_out_of_range():
 def test_subset_merges_matches_direct_n3():
     bank = make_bank(3, seed=21)
     for alpha, merged in subset_merges(bank, gray_code_order(3)):
-        direct = merge_uniform(bank, alpha)
-        for name in direct.tensors:
-            a = merged.tensors[name].astype(np.float64)
-            d = direct.tensors[name].astype(np.float64)
-            rel = np.abs(a - d) / np.maximum(1e-12, np.abs(d))
-            assert rel.max() <= 1e-6
+        assert checkpoint_equal(merged, merge_uniform(bank, alpha))
 
 
 def test_subset_merges_singleton_emissions_bitwise():
@@ -260,38 +264,142 @@ def test_subset_merges_handles_jumps():
         MixtureVector.from_string("0100"),
     ]
     for alpha, merged in subset_merges(bank, order):
-        direct = merge_uniform(bank, alpha)
-        for name in direct.tensors:
-            np.testing.assert_allclose(
-                merged.tensors[name], direct.tensors[name], rtol=1e-6, atol=1e-7
-            )
+        assert checkpoint_equal(merged, merge_uniform(bank, alpha))
 
 
 def test_subset_merges_recomputes_unless_one_bit_flips():
-    """The first item, a repeat and a two-bit jump are full merges, bit for bit;
-    a one-bit flip updates the running sum (dataset 1 leaves, dataset 3 joins)."""
+    """The first item, a repeat and a two-bit jump are full merges; a one-bit
+    flip updates the running sum (dataset 1 leaves, dataset 3 joins). Every
+    emission is the direct merge, bit for bit."""
     bank = make_bank(4, seed=5)
     order = [MixtureVector.from_string(b) for b in ("0110", "0110", "1010", "1011", "1001")]
     items = list(subset_merges(bank, order))
     assert [a for a, _ in items] == order
-    for alpha, merged in items[:3]:
+    for alpha, merged in items:
         assert checkpoint_equal(merged, merge_uniform(bank, alpha))
-    for alpha, merged in items[3:]:
-        direct = merge_uniform(bank, alpha)
-        for name in direct.tensors:
-            np.testing.assert_allclose(merged.tensors[name], direct.tensors[name], rtol=1e-6, atol=1e-7)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
 def test_subset_merges_property(n, seed):
-    """Every Gray-order emission agrees with direct recomputation."""
+    """Every Gray-order emission is the direct merge, bit for bit."""
     bank = make_bank(n, shapes={"w": (2, 2)}, seed=seed)
     for alpha, merged in subset_merges(bank, gray_code_order(n)):
-        direct = merge_uniform(bank, alpha)
-        np.testing.assert_allclose(
-            merged.tensors["w"], direct.tensors["w"], rtol=1e-6, atol=1e-7
-        )
+        assert checkpoint_equal(merged, merge_uniform(bank, alpha))
+
+
+# ============================================================================
+# one merge definition: float32(exact sum / k)
+# ============================================================================
+
+
+def fsum_merge(bank, alpha):
+    """Reference: per parameter, float32(math.fsum of the selected values / k)."""
+    out = {}
+    for name, shape in bank.schema.items():
+        rows = np.stack([bank.models[i].tensors[name].reshape(-1) for i in alpha.selected])
+        means = [math.fsum(col) / alpha.n_selected for col in rows.T.astype(np.float64).tolist()]
+        out[name] = np.array(means).astype(np.float32).reshape(shape)
+    return Checkpoint(tensors=out)
+
+
+def block_checkpoints(bank, alphas):
+    merged = merge_block(bank, [mixture_code(len(bank), a) for a in alphas])
+    return [Checkpoint(tensors={name: t[r] for name, t in merged.items()}) for r in range(len(alphas))]
+
+
+@st.composite
+def wide_banks(draw):
+    """Banks of N <= 8 whose values span up to 2^-60..2^60, so some columns
+    exceed the exact-sum bound and take the fsum fallback."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**31 - 1))
+    span = draw(st.sampled_from([0, 8, 24, 30, 60]))
+    rng = np.random.default_rng(seed)
+
+    def values(shape):
+        scale = np.exp2(rng.integers(-span, span + 1, size=shape))
+        x = rng.standard_normal(shape) * scale
+        x[rng.random(shape) < 0.1] = 0.0
+        return x.astype(np.float32)
+
+    return ModelBank(models=[Checkpoint(tensors={"w": values((3, 2)), "b": values((5,))}) for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_banks(), st.randoms(use_true_random=False))
+def test_every_merge_path_is_the_fsum_merge(bank, rnd):
+    """merge_uniform, the walk (Gray order and a shuffled order) and merge_block
+    equal float32(fsum / k) bit for bit, inside and outside the exact-sum bound."""
+    n = len(bank)
+    gray = list(gray_code_order(n))
+    shuffled = rnd.sample(gray, len(gray))
+    blocks = block_checkpoints(bank, shuffled)
+    for order in (gray, shuffled):
+        for alpha, merged in subset_merges(bank, order):
+            ref = fsum_merge(bank, alpha)
+            assert checkpoint_equal(merged, ref), str(alpha)
+            assert checkpoint_equal(merge_uniform(bank, alpha), ref), str(alpha)
+    for alpha, merged in zip(shuffled, blocks):
+        assert checkpoint_equal(merged, fsum_merge(bank, alpha)), str(alpha)
+    # a certified parameter's float64 sums are exact in any order
+    for name in bank.schema:
+        idx, _ = bank.inexact[name]
+        cols = np.stack([m.tensors[name].reshape(-1) for m in bank.models]).astype(np.float64)
+        certified = np.setdiff1d(np.arange(cols.shape[1]), idx)
+        for alpha in gray:
+            rows = cols[list(alpha.selected)][:, certified]
+            exact = [math.fsum(col) for col in rows.T.tolist()]
+            assert rows.sum(axis=0).tolist() == exact
+            assert rows[::-1].cumsum(axis=0)[-1].tolist() == exact
+
+
+@pytest.mark.parametrize(
+    "values, certified",
+    [
+        ([1.0, 2.0**-27, 0.0, 0.0], True),  # spread 27 = 29 - ceil(log2 4)
+        ([1.0, 2.0**-28, 0.0, 0.0], False),
+        ([-(2.0**100), 2.0**73, 3.0 * 2.0**80, 0.0], True),
+        ([2.0**-126, 2.0**-149, 0.0, -(2.0**-140)], True),  # subnormals count as exponent -126
+        ([2.0**-99, 2.0**-149, 0.0, 0.0], True),  # spread 27 from -126, not 50 from -149
+        ([2.0**-98, 2.0**-149, 0.0, 0.0], False),
+        ([0.0, -0.0, 0.0, 0.0], True),
+        ([1.0, np.nan, 1.0, 1.0], False),
+    ],
+)
+def test_exact_sum_bound(values, certified):
+    models = [Checkpoint(tensors={"w": np.array([v, 1.0], dtype=np.float32)}) for v in values]
+    idx, values64 = ModelBank(models=models).inexact["w"]
+    assert idx.tolist() == ([] if certified else [0])
+    assert values64.shape == (4, len(idx))
+
+
+def test_column_outside_the_bound_takes_the_exact_fallback():
+    """One parameter mixes 1e30, 1.0 and 1e-10: its float64 sum would round,
+    so only it is flagged, and every path still gives the fsum merge."""
+    rng = np.random.default_rng(4)
+    models = [Checkpoint(tensors={"w": rng.standard_normal(4).astype(np.float32)}) for _ in range(3)]
+    for model, v in zip(models, (1e30, 1.0, 1e-10)):
+        model.tensors["w"][2] = v
+    bank = ModelBank(models=models)
+    idx, values = bank.inexact["w"]
+    assert idx.tolist() == [2] and values.shape == (3, 1)
+    order = list(gray_code_order(3))
+    blocks = block_checkpoints(bank, order)
+    for (alpha, walked), block in zip(subset_merges(bank, order), blocks):
+        ref = fsum_merge(bank, alpha)
+        assert checkpoint_equal(walked, ref) and checkpoint_equal(block, ref)
+        assert checkpoint_equal(merge_uniform(bank, alpha), ref)
+
+
+def test_non_finite_parameters_are_never_certified():
+    models = [Checkpoint(tensors={"w": np.array([1.0, v], dtype=np.float32)}) for v in (np.inf, -np.inf)]
+    bank = ModelBank(models=models)
+    assert bank.inexact["w"][0].tolist() == [1]
+    with np.errstate(invalid="ignore"):
+        merged = merge_uniform(bank, MixtureVector.from_string("11")).tensors["w"]
+    assert merged[0] == 1.0 and np.isnan(merged[1])
+    assert merge_uniform(bank, MixtureVector.from_string("10")).tensors["w"][1] == np.inf
 
 
 def test_bank_names_default_and_custom():

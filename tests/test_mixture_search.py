@@ -1,6 +1,8 @@
 """Search tests: exhaustive enumeration, objectives, tie-breaks, the oracle
 selector, and parity between serial and threaded scoring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from mergemix import (
     run_search,
     select_best,
 )
+from mergemix import emit_report, mixture_search
 from mergemix.baselines import select_from_table
-from mergemix.merge_engine import gray_code_order
+from mergemix.merge_engine import gray_code_order, merge_block, subset_merges
 from mergemix.mixture_search import best_mixture
 
 
@@ -343,3 +346,115 @@ def test_json_obj_fields():
     assert obj["best_alpha"] == "01"
     assert obj["objective"] == "max_accuracy"
     assert len(obj["records"]) == 3
+
+
+# ============================================================================
+# builtin block scoring
+# ============================================================================
+
+
+def toy_bank(n, seed, input_dim=5, hidden=7, classes=4):
+    rng = np.random.default_rng(seed)
+    shapes = {"w1": (hidden, input_dim), "b1": (hidden,), "w2": (classes, hidden), "b2": (classes,)}
+    return ModelBank(
+        models=[
+            Checkpoint(tensors={k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()})
+            for _ in range(n)
+        ]
+    )
+
+
+def toy_target(seed, rows=40, input_dim=5, classes=4):
+    rng = np.random.default_rng(seed)
+    return EvalDataset(
+        features=rng.standard_normal((rows, input_dim)).astype(np.float32),
+        labels=list(rng.integers(0, classes, size=rows)),
+        num_classes=classes,
+        name="target",
+        split="val",
+    )
+
+
+def old_evaluate_builtin(ckpt, data):
+    """The per-mixture scorer as it was before the stacked forward pass."""
+    x = np.asarray(data.features, dtype=np.float64)
+    w1, b1, w2, b2 = (ckpt.tensors[k].astype(np.float64) for k in ("w1", "b1", "w2", "b2"))
+    logits = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
+    correct = int(np.sum(np.argmax(logits, axis=1) == data.labels))
+    n = len(data)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    per_sample = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), data.labels]
+    return correct / n, float(per_sample.mean())
+
+
+def per_mixture_loop(bank, candidates, data):
+    """Today's per-mixture loop: the subset_merges walk, one forward pass per mixture."""
+    return [(str(a), *old_evaluate_builtin(merged, data)) for a, merged in subset_merges(bank, candidates)]
+
+
+def record_bits(report):
+    return [(str(r.alpha), r.merged_score.accuracy, r.merged_score.mean_loss) for r in report.records]
+
+
+def test_builtin_blocks_equal_the_per_mixture_loop(monkeypatch):
+    """Block scoring equals the per-mixture loop bit for bit, with blocks of 3
+    (so the last block is partial) over Gray order and over an explicit
+    candidate list in a non-Gray order."""
+    monkeypatch.setattr(mixture_search, "_SCORE_BLOCK", 3)
+    block_sizes = []
+
+    def counting_merge_block(bank, codes):
+        block_sizes.append(len(codes))
+        return merge_block(bank, codes)
+
+    monkeypatch.setattr(mixture_search, "merge_block", counting_merge_block)
+    bank, data = toy_bank(6, seed=3), toy_target(4)
+    gray = list(gray_code_order(6))
+    shuffled = [gray[i] for i in np.random.default_rng(5).permutation(len(gray))[:50]]
+    for candidates in (None, shuffled):
+        report = run_search(bank, builtin_eval_fn, data, SearchConfig(candidates=candidates))
+        expected = per_mixture_loop(bank, candidates or gray, data)
+        got = record_bits(report)
+        assert [bits for bits, _, _ in got] == [bits for bits, _, _ in expected]
+        for g, e in zip(got, expected):
+            assert g[1] == e[1] and g[2].hex() == e[2].hex(), g[0]
+        assert all(r.merged_score.num_samples == len(data) for r in report.records)
+    assert block_sizes == [3] * 21 + [3] * 16 + [2]
+
+
+def test_builtin_block_errors_name_the_first_mixture():
+    bank = toy_bank(3, seed=1)
+    with pytest.raises(EvaluatorError, match="mixture 001: feature dim 6 does not match"):
+        run_search(bank, builtin_eval_fn, toy_target(2, input_dim=6))
+    with pytest.raises(EvaluatorError, match="mixture 001: dataset has 5 classes"):
+        run_search(bank, builtin_eval_fn, toy_target(2, classes=5))
+    with pytest.raises(EvaluatorError, match="mixture 001: builtin evaluation needs an EvalDataset"):
+        run_search(bank, builtin_eval_fn, "not-a-dataset")
+    with pytest.raises(EvaluatorError, match="mixture 1: checkpoint must hold exactly"):
+        run_search(tiny_bank(1), builtin_eval_fn, toy_target(2))
+    with pytest.raises(ValidationError, match="length"):
+        config = SearchConfig(candidates=[MixtureVector.from_string("11")])
+        run_search(bank, builtin_eval_fn, toy_target(2), config)
+
+
+def digest_eval_fn(ckpt, target, alpha):
+    """A per-mixture mock whose score depends on every bit of the merged tensors."""
+    digest = hashlib.sha256(b"".join(ckpt.tensors[k].tobytes() for k in sorted(ckpt.tensors))).digest()
+    return Score(accuracy=digest[0] / 255, mean_loss=int.from_bytes(digest[1:5], "big") / 2**32, num_samples=0)
+
+
+@pytest.mark.parametrize("eval_fn", [builtin_eval_fn, digest_eval_fn], ids=["builtin_blocks", "per_mixture"])
+def test_search_reports_do_not_depend_on_jobs(tmp_path, eval_fn):
+    """jobs only spreads the work: every jobs value writes the same report bytes.
+
+    With this bank, a thread chunk that began with a differently rounded
+    full merge changed a record at jobs=3."""
+    bank, data = toy_bank(12, seed=10), toy_target(9)
+    written = {}
+    for jobs in (1, 2, 3, 5, 6):
+        report = run_search(bank, eval_fn, data, SearchConfig(jobs=jobs))
+        csv_path, json_path = tmp_path / f"r{jobs}.csv", tmp_path / f"r{jobs}.json"
+        emit_report(report, "csv", csv_path)
+        emit_report(report, "json", json_path)
+        written[jobs] = (csv_path.read_bytes(), json_path.read_bytes())
+    assert all(files == written[1] for files in written.values())
