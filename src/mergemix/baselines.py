@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .merge_engine import MixtureVector
+from .merge_engine import MixtureVector, gray_codes
 from .mixture_search import _score_items, best_mixture
 from .tensor_store import EmbeddingSet
 
@@ -129,14 +129,13 @@ def _mask_values(rows: np.ndarray, op: np.ufunc, finish) -> np.ndarray:
 def _gray_keys(n: int) -> tuple[tuple[str, ...], np.ndarray]:
     """Bit strings of the non-empty mixtures in Gray-code order, and their masks.
 
-    The i-th code is i ^ (i >> 1) with dataset 0 as its most significant
-    bit; a mask holds dataset b in bit b.
+    A code holds dataset 0 as its most significant bit; a mask holds
+    dataset b in bit b.
     """
-    codes = [i ^ (i >> 1) for i in range(1, 1 << n)]
-    g = np.array(codes)
-    masks = sum(((g >> (n - 1 - b)) & 1) << b for b in range(n))
+    codes = gray_codes(n)
+    masks = sum(((codes >> (n - 1 - b)) & 1) << b for b in range(n))
     masks.setflags(write=False)
-    return tuple(format(c, f"0{n}b") for c in codes), masks
+    return tuple(format(c, f"0{n}b") for c in codes.tolist()), masks
 
 
 def similarity_table(
@@ -150,6 +149,7 @@ def similarity_table(
     if not per_dataset:
         raise ValidationError("need at least one dataset embedding set")
     n = len(per_dataset)
+    keys, masks = _gray_keys(n)
     pairs = [_pairwise(target, ds, metric) for ds in per_dataset]
     op = np.maximum if metric.direction == "maximize" else np.minimum
     reduce = np.max if metric.direction == "maximize" else np.min
@@ -174,7 +174,6 @@ def similarity_table(
         def finish(block, first):
             return block[:, 0]
 
-    keys, masks = _gray_keys(n)
     return dict(zip(keys, _mask_values(rows, op, finish)[masks].tolist()))
 
 

@@ -47,6 +47,11 @@ EXIT_EVALUATOR = 3
 
 _BANK_FILE_RE = re.compile(r"^(\d+)_(.+)\.mtm$")
 
+# `bench` takes one flag per field of these, with the field's default and type;
+# the training seed is --train-seed, which defaults to --seed
+_BENCH_FIELDS = dataclasses.fields(BenchConfig)
+_BENCH_TRAIN_FIELDS = tuple(f for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+
 _LOG_LEVELS = {
     "error": logging.ERROR,
     "warn": logging.WARNING,
@@ -88,19 +93,18 @@ class RunManifest:
     finished_at: str
     outputs: list[str] = field(default_factory=list)
 
-    def write_atomic(self, path: Path) -> None:
-        """Write via a temp file in the same directory, then rename."""
-        write_json(path, dataclasses.asdict(self))
-
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
-def _manifest(command: str, args_dict: dict, inputs: list[Path], started: str, outputs: list[Path]) -> RunManifest:
+def _manifest(
+    path: Path, command: str, args_dict: dict, inputs: list[Path], started: str, outputs: list[Path]
+) -> None:
+    """Write the command's RunManifest to path, atomically."""
     # args_dict is vars(namespace); "func" is the dispatch callable, not config
     config = {k: (str(v) if isinstance(v, Path) else v) for k, v in args_dict.items() if k != "func"}
-    return RunManifest(
+    manifest = RunManifest(
         command=command,
         config=config,
         input_digests={str(p): _sha256(p) for p in inputs if p.is_file()},
@@ -109,6 +113,7 @@ def _manifest(command: str, args_dict: dict, inputs: list[Path], started: str, o
         finished_at=_now(),
         outputs=[str(p) for p in outputs],
     )
+    write_json(path, dataclasses.asdict(manifest))
 
 
 def _print_json(obj: dict) -> None:
@@ -133,10 +138,6 @@ def _load_bank_dir(path: Path) -> ModelBank:
     models = [read_checkpoint(p) for _, _, p in entries]
     names = [name for _, name, _ in entries]
     return ModelBank(models=models, names=names)
-
-
-def _json_path_for(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +194,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
             report = run_search(bank, eval_fn, args.target, config)
     out_csv = Path(args.out)
-    out_json = _json_path_for(out_csv)
+    out_json = out_csv.with_suffix(".json")
     emit_report(report, "csv", out_csv)
     emit_report(report, "json", out_json)
     manifest_inputs = [p for p in bank_dir.iterdir() if p.is_file()]
     if args.evaluator == "builtin":
         manifest_inputs.append(Path(args.target))
-    manifest = _manifest("search", vars(args), manifest_inputs, started, [out_csv, out_json])
-    manifest.write_atomic(out_csv.parent / (out_csv.stem + ".manifest.json"))
+    manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
+    _manifest(manifest_path, "search", vars(args), manifest_inputs, started, [out_csv, out_json])
     best = report.best_alpha
     _print_json(
         {
@@ -227,7 +228,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         ["mixture_bits", "metric", "score"],
         ([bits, metric.value, repr(table[bits])] for bits in sorted(table)),
     )
-    out_json = _json_path_for(out_csv)
+    out_json = out_csv.with_suffix(".json")
     payload = {
         "metric": metric.value,
         "direction": metric.direction,
@@ -237,8 +238,8 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     }
     write_json(out_json, payload)
     inputs = [Path(args.target)] + [Path(p) for p in args.datasets]
-    manifest = _manifest("similarity", vars(args), inputs, started, [out_csv, out_json])
-    manifest.write_atomic(out_csv.parent / (out_csv.stem + ".manifest.json"))
+    manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
+    _manifest(manifest_path, "similarity", vars(args), inputs, started, [out_csv, out_json])
     _print_json({"best_alpha": str(best_alpha), "metric": metric.value, "score": best_score})
     return EXIT_OK
 
@@ -275,11 +276,11 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     inputs = _read_pairs_csv(pairs_path)
     report = correlate_tasks(inputs, exclude_singletons=not args.include_singletons)
     out_csv = Path(args.out)
-    out_json = _json_path_for(out_csv)
+    out_json = out_csv.with_suffix(".json")
     emit_report(report, "csv", out_csv)
     emit_report(report, "json", out_json)
-    manifest = _manifest("correlate", vars(args), [pairs_path], started, [out_csv, out_json])
-    manifest.write_atomic(out_csv.parent / (out_csv.stem + ".manifest.json"))
+    manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
+    _manifest(manifest_path, "correlate", vars(args), [pairs_path], started, [out_csv, out_json])
     _print_json(
         {
             "average_r": report.average_r,
@@ -293,30 +294,15 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     started = _now()
-    bench_cfg = BenchConfig(
-        input_dim=args.input_dim,
-        num_clusters=args.num_clusters,
-        num_datasets=args.num_datasets,
-        clusters_per_dataset=args.clusters_per_dataset,
-        samples_per_dataset=args.samples_per_dataset,
-        cluster_noise=args.cluster_noise,
-        num_targets=args.num_targets,
-        clusters_per_target=args.clusters_per_target,
-        seed=args.seed,
-        embedding_source=args.embedding_source,
-    )
+    bench_cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in _BENCH_FIELDS})
     train_cfg = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        hidden_dim=args.hidden_dim,
-        seed=args.train_seed if args.train_seed is not None else args.seed,
+        **{f.name: getattr(args, f.name) for f in _BENCH_TRAIN_FIELDS},
+        seed=args.seed if args.train_seed is None else args.train_seed,
     )
     report = run_benchmark(bench_cfg, train_cfg)
     outdir = Path(args.out)
     outputs = report.write_files(outdir)
-    manifest = _manifest("bench", vars(args), [], started, outputs)
-    manifest.write_atomic(outdir / "manifest.json")
+    _manifest(outdir / "manifest.json", "bench", vars(args), [], started, outputs)
     _print_json(
         {
             "out": str(outdir),
@@ -391,22 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr.set_defaults(func=cmd_correlate)
 
     p_bench = sub.add_parser("bench", help="run the synthetic end-to-end benchmark")
-    p_bench.add_argument("--seed", type=int, default=42)
+    for f in _BENCH_FIELDS + _BENCH_TRAIN_FIELDS:
+        p_bench.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p_bench.add_argument("--train-seed", type=int, default=None, help="defaults to --seed")
     p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument("--input-dim", type=int, default=10)
-    p_bench.add_argument("--num-clusters", type=int, default=8)
-    p_bench.add_argument("--num-datasets", type=int, default=5)
-    p_bench.add_argument("--clusters-per-dataset", type=int, default=3)
-    p_bench.add_argument("--samples-per-dataset", type=int, default=2000)
-    p_bench.add_argument("--cluster-noise", type=float, default=0.3)
-    p_bench.add_argument("--num-targets", type=int, default=4)
-    p_bench.add_argument("--clusters-per-target", type=int, default=4)
-    p_bench.add_argument("--embedding-source", choices=("hidden", "raw"), default="hidden")
-    p_bench.add_argument("--epochs", type=int, default=10)
-    p_bench.add_argument("--learning-rate", type=float, default=0.05)
-    p_bench.add_argument("--batch-size", type=int, default=64)
-    p_bench.add_argument("--hidden-dim", type=int, default=32)
     p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -123,9 +123,38 @@ def _hidden(x: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
     take another kernel (one-row inputs, some small shapes) and change bits.
     The bias and the ReLU work in place, which saves two [B, n, h] arrays.
     """
-    hidden = np.matmul(x, w1.astype(np.float64).transpose(0, 2, 1))
-    hidden += b1.astype(np.float64)[:, None, :]
+    hidden = np.matmul(x, w1.astype(np.float64, copy=False).transpose(0, 2, 1))
+    hidden += b1.astype(np.float64, copy=False)[:, None, :]
     return np.maximum(hidden, 0.0, out=hidden)
+
+
+def toy_mlp_logits(
+    x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, logits) of toy MLPs stacked on a leading model axis, in float64.
+
+    x is float64, [n, in] shared by all M models or [M, b, in] with one batch
+    per model; the weights are [M, ...], and float64 weights are not copied.
+    np.matmul treats each model's slice as one 2-D product, so a model gets
+    the same bits whether it is stacked with others or alone. The trainer
+    and the scorer both run this pass.
+    """
+    hidden = _hidden(x, w1, b1)
+    logits = np.matmul(hidden, w2.astype(np.float64, copy=False).transpose(0, 2, 1))
+    logits += b2.astype(np.float64, copy=False)[:, None, :]
+    return hidden, logits
+
+
+def shift_by_row_max(logits: np.ndarray) -> np.ndarray:
+    """logits minus each row's max over the last axis, in place.
+
+    The max is a chain over the class columns: max is exact in any order,
+    and the chain is several times faster than a reduce over a short axis.
+    """
+    top = logits[..., 0].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., j], out=top)
+    return np.subtract(logits, top[..., None], out=logits)
 
 
 def toy_mlp_scores(
@@ -138,16 +167,9 @@ def toy_mlp_scores(
     loss subtracts the row max before exponentiation, so it is finite for
     all finite weights.
     """
-    hidden = _hidden(data.features.astype(np.float64), w1, b1)
-    logits = np.matmul(hidden, w2.astype(np.float64).transpose(0, 2, 1))
-    logits += b2.astype(np.float64)[:, None, :]
+    _, logits = toy_mlp_logits(data.features.astype(np.float64), w1, b1, w2, b2)
     correct = np.count_nonzero(np.argmax(logits, axis=2) == data.labels, axis=1)
-    # the row max, as a chain over the class columns: max is exact in any
-    # order, and the chain is several times faster than a reduce over a short axis
-    top = logits[:, :, 0].copy()
-    for j in range(1, logits.shape[2]):
-        np.maximum(top, logits[:, :, j], out=top)
-    shifted = np.subtract(logits, top[:, :, None], out=logits)
+    shifted = shift_by_row_max(logits)
     picked = shifted[:, np.arange(len(data)), data.labels]
     log_z = np.log(np.exp(shifted, out=shifted).sum(axis=2))
     return correct, (log_z - picked).mean(axis=1)

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ValidationError
 from .tensor_store import Checkpoint, TensorSchema, validate_bank
 
-MAX_ENUMERATION_N = 30
+# the one limit on N wherever all 2^N - 1 mixtures are enumerated
+MAX_ENUMERATION_N = 20
 
 # bits as bytes 0/1 -> ASCII "0"/"1": the text form of a mixture
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -218,23 +219,22 @@ def merge_block(bank: ModelBank, codes: Sequence[int]) -> dict[str, np.ndarray]:
 
     codes are valid mixture codes (see mixture_code). The sums are one BLAS
     call, masks @ bank.flat64: the mask entries are 0 or 1, so every product
-    is exact, and so is every certified sum, in whatever order it runs.
+    is exact, and so is every certified sum, in whatever order it runs. An
+    uncertified parameter takes float32(fsum / k), as in merge_uniform.
     """
     n = len(bank)
     masks = (np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    sums = masks.astype(np.float64) @ bank.flat64
-    offset = 0
-    for name, shape in bank.schema.items():
-        idx, values = bank.inexact[name]
-        if idx.size:
-            for row, mask in zip(sums, masks):
-                row[offset + idx] = _exact_sums(values, np.flatnonzero(mask))
-        offset += math.prod(shape)
-    merged = _mean32(sums, masks.sum(axis=1, keepdims=True))
+    counts = masks.sum(axis=1)
+    merged = _mean32(masks.astype(np.float64) @ bank.flat64, counts[:, None])
     out, offset = {}, 0
     for name, shape in bank.schema.items():
         size = math.prod(shape)
-        out[name] = merged[:, offset : offset + size].reshape(len(masks), *shape)
+        part = merged[:, offset : offset + size]
+        idx, values = bank.inexact[name]
+        if idx.size:
+            for row, mask, k in zip(part, masks, counts):
+                row[idx] = _mean32(_exact_sums(values, np.flatnonzero(mask)), k)
+        out[name] = part.reshape(len(masks), *shape)
         offset += size
     return out
 
@@ -271,19 +271,26 @@ def _bit_tuples(width: int) -> list[tuple[int, ...]]:
     return [tuple((v >> s) & 1 for s in reversed(range(width))) for v in range(1 << width)]
 
 
-def gray_code_order(n: int) -> Iterator[MixtureVector]:
-    """All 2^n - 1 non-empty mixtures in binary-reflected Gray-code order.
+def gray_codes(n: int) -> np.ndarray:
+    """The 2^n - 1 non-empty mixture codes (see mixture_code) in Gray-code order.
 
-    Consecutive mixtures differ in exactly one bit; the first has exactly one
-    bit set. The all-zero prefix of the raw code is skipped.
+    The i-th code is the binary-reflected Gray code i ^ (i >> 1), i >= 1:
+    consecutive codes differ in exactly one bit, and the first has exactly
+    one bit set. Every enumeration of mixtures reads this array.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValidationError(f"enumeration supports 1 <= N <= {MAX_ENUMERATION_N}, got {n}")
+    i = np.arange(1, 1 << n, dtype=np.int64)
+    return i ^ (i >> 1)
+
+
+def gray_code_order(n: int) -> Iterator[MixtureVector]:
+    """All 2^n - 1 non-empty mixtures in the order of gray_codes(n)."""
+    codes = gray_codes(n)
     # a code's bits are the bits of its high part, then of its low part
     low = n // 2
     high_bits, low_bits = _bit_tuples(n - low), _bit_tuples(low)
-    for i in range(1, 1 << n):
-        g = i ^ (i >> 1)
+    for g in codes.tolist():
         yield MixtureVector(high_bits[g >> low] + low_bits[g & ((1 << low) - 1)])
 
 

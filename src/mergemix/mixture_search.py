@@ -29,6 +29,7 @@ from .evaluator import (
     toy_mlp_scores,
 )
 from .merge_engine import (
+    MAX_ENUMERATION_N,
     MixtureVector,
     ModelBank,
     gray_code_order,
@@ -70,15 +71,12 @@ def builtin_eval_fn(ckpt: Checkpoint, target: TargetRef, alpha: MixtureVector) -
 class SearchConfig:
     objective: str = "max_accuracy"
     candidates: Sequence[MixtureVector] | None = None
-    max_exhaustive_n: int = 20
     # worker threads for a per-mixture eval_fn; the builtin blocks run in one
     jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.max_exhaustive_n < 1:
-            raise ValidationError("max_exhaustive_n must be positive")
         if self.jobs < 1:
             raise ValidationError("jobs must be positive")
 
@@ -249,7 +247,7 @@ def run_search(
     """Merge and score mixtures, returning all records and the best mixture.
 
     Without explicit candidates, all 2^N - 1 non-empty mixtures are
-    enumerated in Gray-code order (requires N <= config.max_exhaustive_n).
+    enumerated in Gray-code order (requires N <= MAX_ENUMERATION_N).
     An evaluator failure aborts the search naming the offending mixture.
     """
     config = config or SearchConfig()
@@ -259,10 +257,10 @@ def run_search(
         if not candidates:
             raise ValidationError("candidate list must not be empty")
     else:
-        if n > config.max_exhaustive_n:
+        if n > MAX_ENUMERATION_N:
             raise ValidationError(
-                f"exhaustive enumeration over N={n} exceeds max_exhaustive_n="
-                f"{config.max_exhaustive_n}; pass explicit candidates"
+                f"exhaustive enumeration over N={n} exceeds MAX_ENUMERATION_N="
+                f"{MAX_ENUMERATION_N}; pass explicit candidates"
             )
         candidates = list(gray_code_order(n))
 

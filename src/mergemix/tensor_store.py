@@ -224,10 +224,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     Malformed files raise FormatError, as do NaN or Inf values, which
     write_checkpoint never writes.
     """
-    try:
-        blob = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise
+    blob = Path(path).read_bytes()
     if len(blob) < 8:
         raise FormatError("truncated header")
     (header_len,) = struct.unpack("<Q", blob[:8])

@@ -39,13 +39,17 @@ from .baselines import (
 )
 from .errors import MergeMixError, ValidationError
 from .evaluator import (
+    TOY_TENSORS,
     EvalDataset,
+    check_toy_target,
     evaluate_builtin,
     logit_improvement,
+    shift_by_row_max,
     toy_mlp_dims,
     toy_mlp_hidden,
+    toy_mlp_logits,
 )
-from .merge_engine import MixtureVector, ModelBank, gray_code_order
+from .merge_engine import MAX_ENUMERATION_N, MixtureVector, ModelBank, gray_code_order, mixture_code
 from .mixture_search import ScoreRecord, best_mixture, builtin_scores, checkpoint_scores
 from .tensor_store import Checkpoint, EmbeddingSet
 
@@ -71,6 +75,8 @@ TARGET_NOISE_SCALE = 5.0
 
 EMBEDDING_SOURCES = ("hidden", "raw")
 
+# a bench fine-tunes all 2^N - 1 mixtures, so its N is bounded by training
+# cost, well below the enumeration limit
 MAX_BENCH_N = 12
 
 BENCH_FILES = ("report.json", "selections.csv", "mixtures.csv", "correlations.csv", "plot_data.csv")
@@ -111,8 +117,8 @@ class BenchConfig:
             raise ValidationError("clusters_per_dataset must not exceed num_clusters")
         if self.clusters_per_target > self.num_clusters:
             raise ValidationError("clusters_per_target must not exceed num_clusters")
-        if self.num_datasets > 20:
-            raise ValidationError("num_datasets must be <= 20")
+        if self.num_datasets > MAX_ENUMERATION_N:
+            raise ValidationError(f"num_datasets must be <= {MAX_ENUMERATION_N}")
         if self.cluster_noise < 0.0:
             raise ValidationError("cluster_noise must be >= 0")
         if self.seed < 0:
@@ -299,41 +305,28 @@ def _ckpt_from_params(params: dict[str, np.ndarray]) -> Checkpoint:
     return Checkpoint(tensors={name: arr.astype(np.float32) for name, arr in params.items()})
 
 
-def _forward(
-    params: dict[str, np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward pass of M stacked runs: (z1, h, shifted logits, exp(shifted)).
-
-    params holds float64 stacks w1 [M,h,in], b1 [M,h], w2 [M,c,h], b2 [M,c];
-    x is [M,b,in]. np.matmul treats each run's slice as one 2-D product, so a
-    run gets the same bits whether it is stacked with others or alone.
-    """
-    z1 = np.matmul(x, params["w1"].transpose(0, 2, 1)) + params["b1"][:, None, :]
-    h = np.maximum(z1, 0.0)
-    logits = np.matmul(h, params["w2"].transpose(0, 2, 1)) + params["b2"][:, None, :]
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    return z1, h, shifted, np.exp(shifted)
-
-
 def _backward(
     params: dict[str, np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
-    z1: np.ndarray,
-    h: np.ndarray,
+    hidden: np.ndarray,
     exp: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients of each run's mean softmax cross-entropy; y is [M,b]."""
+    """Gradients of each run's mean softmax cross-entropy; y is [M,b].
+
+    hidden and exp (of the row-max shifted logits) come from the stacked
+    forward pass of evaluator.toy_mlp_logits.
+    """
     runs, batch = y.shape
     dlogits = exp / exp.sum(axis=2, keepdims=True)
     dlogits[np.arange(runs)[:, None], np.arange(batch), y] -= 1.0
     dlogits /= batch
     dh = np.matmul(dlogits, params["w2"])
-    dz1 = dh * (z1 > 0.0)
+    dz1 = dh * (hidden > 0.0)
     return {
         "w1": np.matmul(dz1.transpose(0, 2, 1), x),
         "b1": dz1.sum(axis=1),
-        "w2": np.matmul(dlogits.transpose(0, 2, 1), h),
+        "w2": np.matmul(dlogits.transpose(0, 2, 1), hidden),
         "b2": dlogits.sum(axis=1),
     }
 
@@ -347,11 +340,14 @@ def loss_and_grads(
     x is [b, in], y is [b] integer labels. The gradients come from the
     stacked code the trainer runs, as a stack of one.
     """
-    stacked = {name: arr[None] for name, arr in params.items()}
+    stacked = {name: params[name][None] for name in TOY_TENSORS}
     x1, y1 = x[None], np.asarray(y)[None]
-    z1, h, shifted, exp = _forward(stacked, x1)
-    loss = float(np.mean(np.log(exp[0].sum(axis=1)) - shifted[0, np.arange(x.shape[0]), y]))
-    grads = _backward(stacked, x1, y1, z1, h, exp)
+    hidden, logits = toy_mlp_logits(x1, *stacked.values())
+    shifted = shift_by_row_max(logits)
+    picked = shifted[0, np.arange(x.shape[0]), y]
+    exp = np.exp(shifted, out=shifted)
+    loss = float(np.mean(np.log(exp[0].sum(axis=1)) - picked))
+    grads = _backward(stacked, x1, y1, hidden, exp)
     return loss, {name: g[0] for name, g in grads.items()}
 
 
@@ -373,14 +369,8 @@ def train_many(
     if len(selections) != len(run_keys):
         raise ValidationError(f"{len(selections)} selections but {len(run_keys)} run keys")
     params = _params_from_ckpt(init)
-    input_dim, _, classes = toy_mlp_dims(init)
     for part in parts:
-        if part.features.shape[1] != input_dim:
-            raise ValidationError(
-                f"feature dim {part.features.shape[1]} does not match model input dim {input_dim}"
-            )
-        if part.num_classes != classes:
-            raise ValidationError(f"dataset has {part.num_classes} classes but model head has {classes}")
+        check_toy_target(init, part)
     if not selections:
         return []
     sizes = [len(part) for part in parts]
@@ -402,14 +392,16 @@ def train_many(
     rows = [np.concatenate([np.arange(starts[i], ends[i]) for i in sel]) for sel in selections]
     runs = len(selections)
     stacked = {name: np.repeat(arr[None], runs, axis=0) for name, arr in params.items()}
+    weights = [stacked[name] for name in TOY_TENSORS]
     rngs = [_rng(cfg.seed, _STREAM_TRAIN_BASE + key) for key in run_keys]
     for _ in range(cfg.epochs):
         order = np.stack([r[rng.permutation(n)] for r, rng in zip(rows, rngs)])
         for start in range(0, n, cfg.batch_size):
             sel = order[:, start : start + cfg.batch_size]
             xb = x[sel]
-            z1, h, _, exp = _forward(stacked, xb)
-            grads = _backward(stacked, xb, y[sel], z1, h, exp)
+            hidden, logits = toy_mlp_logits(xb, *weights)
+            exp = np.exp(shift_by_row_max(logits), out=logits)
+            grads = _backward(stacked, xb, y[sel], hidden, exp)
             for name in stacked:
                 stacked[name] -= cfg.learning_rate * grads[name]
     return [_ckpt_from_params({name: arr[r] for name, arr in stacked.items()}) for r in range(runs)]
@@ -679,15 +671,13 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     similarity_correlations = {
         name: _correlate_or_empty(items) for name, items in sim_inputs.items()
     }
-    finite = [
-        (name, rep.average_r)
+    finite = {
+        name: rep.average_r
         for name, rep in similarity_correlations.items()
         if math.isfinite(rep.average_r)
-    ]
-    if finite:
-        best_sim_metric, best_sim_r = max(finite, key=lambda kv: (kv[1], kv[0]))
-    else:
-        best_sim_metric, best_sim_r = "", float("nan")
+    }
+    best_sim_metric = _best_by_metric_value(finite) if finite else ""
+    best_sim_r = finite.get(best_sim_metric, float("nan"))
 
     _check_oracle(per_target)
     return BenchReport(
@@ -821,7 +811,7 @@ def _finetune_mixtures(
     """Fine-tune base on every mixture, keyed by bit string.
 
     Mixtures of one size have equal row counts, so they train in lockstep,
-    _LOCKSTEP_CHUNK runs at a time. Run keys are the mixtures' integer values.
+    _LOCKSTEP_CHUNK runs at a time. Run keys are the mixtures' codes.
     """
     by_size: dict[int, list[MixtureVector]] = {}
     for alpha in mixtures:
@@ -830,9 +820,8 @@ def _finetune_mixtures(
     for group in by_size.values():
         for lo in range(0, len(group), _LOCKSTEP_CHUNK):
             chunk = group[lo : lo + _LOCKSTEP_CHUNK]
-            models = train_many(
-                base, parts, [a.selected for a in chunk], cfg, [int(str(a), 2) for a in chunk]
-            )
+            keys = [mixture_code(len(parts), a) for a in chunk]
+            models = train_many(base, parts, [a.selected for a in chunk], cfg, keys)
             finetuned.update(zip(map(str, chunk), models))
     return finetuned
 

@@ -23,7 +23,7 @@ from mergemix import (
     similarity_select,
     similarity_table,
 )
-from mergemix.merge_engine import gray_code_order
+from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, gray_codes
 
 ALL_METRICS = list(SimilarityMetric)
 
@@ -337,6 +337,20 @@ def test_table_is_bitwise_the_per_mixture_loop_past_one_block():
         want = per_mixture_table(target, per_dataset, metric)
         assert list(got) == list(want)
         assert float_bits(got) == float_bits(want), metric
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_table_keys_follow_gray_codes(n):
+    rng = np.random.default_rng(n)
+    per_dataset = [emb(rng.standard_normal((2, 3)), f"D{i}") for i in range(n)]
+    table = similarity_table(emb(rng.standard_normal((2, 3))), per_dataset, SimilarityMetric.MIN_MIN_L2)
+    assert list(table) == [format(c, f"0{n}b") for c in gray_codes(n).tolist()]
+
+
+def test_table_rejects_n_above_the_enumeration_limit():
+    per_dataset = [emb([[1.0, float(i)]], f"D{i}") for i in range(MAX_ENUMERATION_N + 1)]
+    with pytest.raises(ValidationError, match=f"N <= {MAX_ENUMERATION_N}"):
+        similarity_table(emb([[1.0, 0.0]]), per_dataset, SimilarityMetric.AVG_MAX_COS)
 
 
 # ============================================================================

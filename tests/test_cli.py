@@ -2,6 +2,7 @@
 codes, stdout protocol, manifests, and logging control."""
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import mergemix
-from mergemix.cli import main
+from mergemix.cli import build_parser, main
 from mergemix.evaluator import EvalDataset, write_eval_dataset
 from mergemix.tensor_store import (
     Checkpoint,
@@ -25,7 +26,7 @@ from mergemix.tensor_store import (
     write_checkpoint,
     write_embeddings,
 )
-from mergemix.toy_bench import init_checkpoint
+from mergemix.toy_bench import BenchConfig, TrainConfig, init_checkpoint
 
 
 def run_cli(argv, capsys):
@@ -731,6 +732,23 @@ def test_bench_invalid_config_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "clusters_per_dataset" in err
+
+
+def test_bench_bad_embedding_source_exits_1(tmp_path):
+    proc = run_cli_process(["bench", "--out", str(tmp_path / "run"), "--embedding-source", "latent"])
+    assert_clean_validation_failure(proc)
+    assert proc.stderr.splitlines() == ["error: embedding_source must be one of ('hidden', 'raw')"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_bench_flags_mirror_config_fields():
+    """One flag per BenchConfig field and per TrainConfig field but the seed."""
+    args = vars(build_parser().parse_args(["bench", "--out", "run"]))
+    fields = [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
+    for f in [*dataclasses.fields(BenchConfig), *fields]:
+        assert f.name in args, f.name
+        assert args[f.name] == f.default and type(args[f.name]) is type(f.default), f.name
+    assert args["train_seed"] is None
 
 
 # ============================================================================

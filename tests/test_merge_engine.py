@@ -19,7 +19,7 @@ from mergemix import (
     merge_weighted,
     subset_merges,
 )
-from mergemix.merge_engine import MAX_ENUMERATION_N, merge_block, mixture_code
+from mergemix.merge_engine import MAX_ENUMERATION_N, gray_codes, merge_block, mixture_code
 from mergemix.tensor_store import tensor
 
 
@@ -225,6 +225,22 @@ def test_gray_properties(n):
         assert diff == 1
     for v in seq:
         assert v.n_selected >= 1
+
+
+def test_gray_codes_pinned():
+    assert gray_codes(3).tolist() == [1, 3, 2, 6, 7, 5, 4]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gray_code_order_follows_gray_codes(n):
+    assert [mixture_code(n, a) for a in gray_code_order(n)] == gray_codes(n).tolist()
+
+
+def test_gray_codes_out_of_range():
+    with pytest.raises(ValidationError):
+        gray_codes(0)
+    with pytest.raises(ValidationError, match=f"N <= {MAX_ENUMERATION_N}"):
+        gray_codes(MAX_ENUMERATION_N + 1)
 
 
 def test_gray_out_of_range():

@@ -25,7 +25,7 @@ from mergemix import (
 )
 from mergemix import emit_report, mixture_search
 from mergemix.baselines import select_from_table
-from mergemix.merge_engine import gray_code_order, merge_block, subset_merges
+from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, merge_block, subset_merges
 from mergemix.mixture_search import best_mixture
 
 
@@ -127,14 +127,15 @@ def test_explicit_candidates_only():
 
 
 def test_large_n_requires_candidates():
-    bank = tiny_bank(5)
+    n = MAX_ENUMERATION_N + 1
+    bank = tiny_bank(n)
+    score = accuracy_fn(lambda a: a.n_selected / n)
     with pytest.raises(ValidationError, match="candidate"):
-        run_search(
-            bank,
-            accuracy_fn(lambda a: 0.5),
-            target=None,
-            config=SearchConfig(max_exhaustive_n=4),
-        )
+        run_search(bank, score, target=None)
+    cands = [MixtureVector.from_indices([0], n), MixtureVector.from_indices([1, n - 1], n)]
+    report = run_search(bank, score, target=None, config=SearchConfig(candidates=cands))
+    assert [r.alpha for r in report.records] == cands
+    assert report.best_alpha == cands[1]
 
 
 def test_evaluator_failure_names_mixture():

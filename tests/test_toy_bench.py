@@ -10,6 +10,7 @@ import pytest
 from mergemix import (
     BenchConfig,
     Checkpoint,
+    CorrelationReport,
     MergeMixError,
     TrainConfig,
     ValidationError,
@@ -376,6 +377,30 @@ def test_benchmark_raises_when_a_method_beats_the_oracle(monkeypatch):
     monkeypatch.setattr(toy_bench, "random_selection_mean", lambda accs: 2.0)
     with pytest.raises(MergeMixError, match="target T1: random_mean .* exceeds the oracle"):
         run_benchmark(MICRO_BENCH, MICRO_TRAIN)
+
+
+def test_best_similarity_metric_ties_resolve_to_canonical_order(monkeypatch):
+    from mergemix import toy_bench
+
+    tied = CorrelationReport(per_task={"T1": 0.5, "T2": 0.5}, average_r=0.5, excluded_count=0)
+    monkeypatch.setattr(toy_bench, "_correlate_or_empty", lambda inputs: tied)
+    report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
+    assert report.best_similarity_correlation_metric == "avg_max_cos"
+    assert report.best_similarity_correlation_r == 0.5
+
+
+def test_trainer_and_scorer_compute_one_network():
+    """The trainer's loss is the scorer's mean loss, bit for bit."""
+    universe = generate_universe(MICRO_BENCH)
+    base = pretrain_base(universe, MICRO_TRAIN)
+    models = [base] + [train(base, d.train, MICRO_TRAIN, i + 1) for i, d in enumerate(universe.datasets)]
+    splits = [s for d in universe.datasets for s in (d.train, d.val, d.test)]
+    splits += [s for t in universe.targets for s in (t.val, t.test)]
+    for model in models:
+        params = {name: arr.astype(np.float64) for name, arr in model.tensors.items()}
+        for data in splits:
+            loss, _ = loss_and_grads(params, data.features.astype(np.float64), data.labels)
+            assert evaluate_builtin(model, data).mean_loss == loss, (data.name, data.split)
 
 
 def test_benchmark_rejects_large_n():
