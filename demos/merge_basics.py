@@ -6,6 +6,7 @@ Writes two tiny checkpoints to disk, reads them back, and averages them
 every way the engine supports.
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -52,3 +53,5 @@ print(weighted.tensors["w"])
 print("gray-order walk over all mixtures:")
 for alpha, ckpt in subset_merges(bank, gray_code_order(len(bank))):
     print(f"  {alpha}  b={ckpt.tensors['b']}")
+
+shutil.rmtree(workdir)

@@ -10,16 +10,15 @@ normalize internally by definition.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .merge_engine import MixtureVector, gray_codes
-from .mixture_search import _score_items, best_mixture
+from .merge_engine import MixtureVector, code_bits, gray_codes, gray_rank
+from .mixture_search import _score_items, best_mixture, best_of_codes
 from .tensor_store import EmbeddingSet
 
 
@@ -125,22 +124,42 @@ def _mask_values(rows: np.ndarray, op: np.ufunc, finish) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _gray_keys(n: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Bit strings of the non-empty mixtures in Gray-code order, and their masks.
+class SimilarityTable(Mapping[str, float]):
+    """A read-only Mapping from the bit strings of all 2^n - 1 non-empty mixtures to scores.
 
-    A code holds dataset 0 as its most significant bit; a mask holds
-    dataset b in bit b.
+    scores[i] belongs to the mixture gray_codes(n)[i], and keys iterate in
+    that order, formatted when read. A lookup parses its key to a code and
+    finds the entry by its Gray rank. Values are Python floats, and
+    copy.deepcopy gives the items as a plain dict, the form to edit.
     """
-    codes = gray_codes(n)
-    masks = sum(((codes >> (n - 1 - b)) & 1) << b for b in range(n))
-    masks.setflags(write=False)
-    return tuple(format(c, f"0{n}b") for c in codes.tolist()), masks
+
+    __slots__ = ("n", "scores")
+
+    def __init__(self, n: int, scores: np.ndarray) -> None:
+        self.n = n
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[str]:
+        return (code_bits(self.n, code) for code in gray_codes(self.n).tolist())
+
+    def __getitem__(self, key: str) -> float:
+        if not isinstance(key, str) or len(key) != self.n or key.strip("01") or "1" not in key:
+            raise KeyError(key)
+        return self.scores[gray_rank(int(key, 2)) - 1].item()
+
+    def __repr__(self) -> str:
+        return f"SimilarityTable(n={self.n}, {len(self)} mixtures)"
+
+    def __deepcopy__(self, memo: dict) -> dict[str, float]:
+        return dict(self)
 
 
 def similarity_table(
     target: EmbeddingSet, per_dataset: Sequence[EmbeddingSet], metric: SimilarityMetric
-) -> dict[str, float]:
+) -> SimilarityTable:
     """Score every non-empty mixture; keys are canonical bit strings in Gray-code order.
 
     Per-dataset statistics are precomputed once and composed over the
@@ -149,7 +168,9 @@ def similarity_table(
     if not per_dataset:
         raise ValidationError("need at least one dataset embedding set")
     n = len(per_dataset)
-    keys, masks = _gray_keys(n)
+    codes = gray_codes(n)
+    # a code holds dataset 0 as its most significant bit; a lattice mask holds dataset b in bit b
+    masks = sum(((codes >> (n - 1 - b)) & 1) << b for b in range(n))
     pairs = [_pairwise(target, ds, metric) for ds in per_dataset]
     op = np.maximum if metric.direction == "maximize" else np.minimum
     reduce = np.max if metric.direction == "maximize" else np.min
@@ -174,7 +195,9 @@ def similarity_table(
         def finish(block, first):
             return block[:, 0]
 
-    return dict(zip(keys, _mask_values(rows, op, finish)[masks].tolist()))
+    scores = _mask_values(rows, op, finish)[masks]
+    scores.setflags(write=False)
+    return SimilarityTable(n, scores)
 
 
 def select_from_table(table: Mapping[str, float], direction: str) -> tuple[MixtureVector, float]:
@@ -184,7 +207,10 @@ def select_from_table(table: Mapping[str, float], direction: str) -> tuple[Mixtu
     """
     if not table:
         raise ValidationError("empty score table")
-    bits, value = best_mixture(table.items(), direction)
+    if isinstance(table, SimilarityTable):
+        bits, value = best_of_codes(table.n, gray_codes(table.n), table.scores, direction)
+    else:
+        bits, value = best_mixture(table.items(), direction)
     return MixtureVector.from_string(bits), float(value)
 
 

@@ -221,12 +221,14 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     metric = SimilarityMetric.from_name(args.metric)
     table = similarity_table(target, per_dataset, metric)
     best_alpha, best_score = select_from_table(table, metric.direction)
+    # table.scores follows the table's key order, so no key is parsed back
+    scores = dict(sorted(zip(table, table.scores.tolist())))
 
     out_csv = Path(args.out)
     write_csv(
         out_csv,
         ["mixture_bits", "metric", "score"],
-        ([bits, metric.value, repr(table[bits])] for bits in sorted(table)),
+        ([bits, metric.value, repr(score)] for bits, score in scores.items()),
     )
     out_json = out_csv.with_suffix(".json")
     payload = {
@@ -234,7 +236,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
         "direction": metric.direction,
         "best_alpha": str(best_alpha),
         "best_score": best_score,
-        "scores": {bits: table[bits] for bits in sorted(table)},
+        "scores": scores,
     }
     write_json(out_json, payload)
     inputs = [Path(args.target)] + [Path(p) for p in args.datasets]
@@ -381,7 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
         p_bench.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p_bench.add_argument("--train-seed", type=int, default=None, help="defaults to --seed")
     p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_bench.add_argument(
+        "--jobs",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="accepted for compatibility and not used: the bench runs in one process",
+    )
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

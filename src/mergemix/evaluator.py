@@ -222,9 +222,9 @@ def evaluate_external(
 
     The template must contain {checkpoint} and {data} placeholders, which are
     substituted per argument token (never through a shell). The final stdout
-    line must be a JSON object {"accuracy": <float in [0,1]>, "loss": <float >= 0>}.
-    An evaluator still running after timeout seconds is killed and reaped;
-    None means no limit.
+    line must be a JSON object {"accuracy": <float in [0,1]>, "loss": <float >= 0>},
+    and stdout must be UTF-8. An evaluator still running after timeout
+    seconds is killed and reaped; None means no limit.
     """
     if "{checkpoint}" not in command_template or "{data}" not in command_template:
         raise ValidationError("command template must contain {checkpoint} and {data}")
@@ -233,17 +233,21 @@ def evaluate_external(
         for token in shlex.split(command_template)
     ]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(argv, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         raise ExternalEvaluatorError(f"evaluator timed out after {timeout:g} s") from None
     except OSError as exc:
         raise ExternalEvaluatorError(f"evaluator could not start: {exc}") from exc
     if proc.returncode != 0:
-        tail = _stderr_tail(proc.stderr)
+        tail = _stderr_tail(proc.stderr.decode("utf-8", errors="replace"))
         raise ExternalEvaluatorError(
             f"evaluator failed (exit {proc.returncode})" + (f"; stderr: {tail}" if tail else "")
         )
-    obj = _final_json_line(proc.stdout)
+    try:
+        stdout = proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ExternalEvaluatorError(f"unparsable evaluator output: not UTF-8 ({exc})") from None
+    obj = _final_json_line(stdout)
     if "accuracy" not in obj or "loss" not in obj:
         raise ExternalEvaluatorError("evaluator output missing 'accuracy' or 'loss'")
     try:

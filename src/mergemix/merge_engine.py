@@ -26,8 +26,9 @@ from .tensor_store import Checkpoint, TensorSchema, validate_bank
 # the one limit on N wherever all 2^N - 1 mixtures are enumerated
 MAX_ENUMERATION_N = 20
 
-# bits as bytes 0/1 -> ASCII "0"/"1": the text form of a mixture
+# bits as bytes 0/1 -> ASCII "0"/"1": the text form of a mixture, and back
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 # parameters per column chunk of the exactness check; bounds its temporaries
 _CERTIFY_CHUNK = 1 << 16
@@ -179,6 +180,18 @@ def mixture_code(bank_size: int, alpha: MixtureVector) -> int:
     return int(str(alpha), 2)
 
 
+def code_bits(n: int, code: int) -> str:
+    """The text form of the mixture with this code (see mixture_code), e.g. "10110"."""
+    return format(code, f"0{n}b")
+
+
+def code_mixture(n: int, code: int) -> MixtureVector:
+    """The mixture with this code over n datasets; the inverse of mixture_code."""
+    if not 0 < code < 1 << n:
+        raise ValidationError(f"mixture code {code} out of range for N={n}")
+    return MixtureVector(tuple(code_bits(n, code).encode().translate(_BITS_FROM_ASCII)))
+
+
 def _sums(bank: ModelBank, selected: Sequence[int]) -> dict[str, np.ndarray]:
     """Per tensor, the float64 sum of the selected models in ascending dataset order."""
     sums = {}
@@ -266,11 +279,6 @@ def merge_weighted(bank: ModelBank, weights: Sequence[float]) -> Checkpoint:
     return Checkpoint(tensors=out)
 
 
-def _bit_tuples(width: int) -> list[tuple[int, ...]]:
-    """The bits of every width-bit value, most significant first, indexed by value."""
-    return [tuple((v >> s) & 1 for s in reversed(range(width))) for v in range(1 << width)]
-
-
 def gray_codes(n: int) -> np.ndarray:
     """The 2^n - 1 non-empty mixture codes (see mixture_code) in Gray-code order.
 
@@ -284,14 +292,22 @@ def gray_codes(n: int) -> np.ndarray:
     return i ^ (i >> 1)
 
 
+def gray_rank(code: int) -> int:
+    """The position of a mixture code in gray_codes order, counted from 1: the inverse Gray code.
+
+    The rank is the XOR of code >> k over all k, folded in doubling shifts.
+    """
+    rank, shift = code, 1
+    while shift < code.bit_length():
+        rank ^= rank >> shift
+        shift <<= 1
+    return rank
+
+
 def gray_code_order(n: int) -> Iterator[MixtureVector]:
     """All 2^n - 1 non-empty mixtures in the order of gray_codes(n)."""
-    codes = gray_codes(n)
-    # a code's bits are the bits of its high part, then of its low part
-    low = n // 2
-    high_bits, low_bits = _bit_tuples(n - low), _bit_tuples(low)
-    for g in codes.tolist():
-        yield MixtureVector(high_bits[g >> low] + low_bits[g & ((1 << low) - 1)])
+    for code in gray_codes(n).tolist():
+        yield code_mixture(n, code)
 
 
 def subset_merges(

@@ -4,6 +4,8 @@ Every non-empty mixture is merged and scored; the best mixture under the
 objective is reported. The builtin scorer runs in blocks: _SCORE_BLOCK
 mixtures per merge_block call and per stacked forward pass. Any other
 evaluator gets one merged Checkpoint per mixture from the subset_merges walk.
+Results are ScoreColumns: int mixture codes and float64 score arrays, which
+build a ScoreRecord only when one entry is read.
 best_mixture holds the tie-break that every selection in the package uses:
 the smaller selection first, then the lexicographically smallest bit string,
 so results are deterministic.
@@ -12,9 +14,10 @@ so results are deterministic.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +26,6 @@ from .evaluator import (
     TOY_TENSORS,
     EvalDataset,
     Score,
-    builtin_score,
     check_toy_target,
     evaluate_builtin,
     toy_mlp_scores,
@@ -32,7 +34,9 @@ from .merge_engine import (
     MAX_ENUMERATION_N,
     MixtureVector,
     ModelBank,
-    gray_code_order,
+    code_bits,
+    code_mixture,
+    gray_codes,
     merge_block,
     mixture_code,
     subset_merges,
@@ -100,9 +104,66 @@ def _score_json(score: Score | None) -> dict | None:
     return None if score is None else dataclasses.asdict(score)
 
 
+def _column(values, dtype, size: int) -> np.ndarray:
+    """values as a read-only [size] view; a scalar is shared by every row and costs no memory per row."""
+    return np.broadcast_to(np.asarray(values, dtype=dtype), (size,))
+
+
+class ScoreColumns(Sequence[ScoreRecord]):
+    """Merged scores as columns, a read-only Sequence[ScoreRecord].
+
+    Entry i is the ScoreRecord of the mixture with code codes[i] (see
+    mixture_code) over n datasets, scored Score(accuracy[i], mean_loss[i],
+    num_samples[i]). It is built when read and never cached, so the columns
+    hold 24 bytes per mixture when num_samples is one shared count.
+    """
+
+    __slots__ = ("n", "codes", "accuracy", "mean_loss", "num_samples")
+
+    def __init__(self, n: int, codes, accuracy, mean_loss, num_samples) -> None:
+        size = len(codes)
+        self.n = n
+        self.codes = _column(codes, np.int64, size)
+        self.accuracy = _column(accuracy, np.float64, size)
+        self.mean_loss = _column(mean_loss, np.float64, size)
+        self.num_samples = _column(num_samples, np.int64, size)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def _record(self, code: int, accuracy: float, mean_loss: float, num_samples: int) -> ScoreRecord:
+        return ScoreRecord(code_mixture(self.n, code), Score(accuracy, mean_loss, num_samples))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScoreColumns(
+                self.n, self.codes[index], self.accuracy[index], self.mean_loss[index], self.num_samples[index]
+            )
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"score index {index} out of range for {len(self)} mixtures")
+        columns = (self.codes, self.accuracy, self.mean_loss, self.num_samples)
+        return self._record(*(column[i].item() for column in columns))
+
+    def __iter__(self) -> Iterator[ScoreRecord]:
+        columns = (self.codes, self.accuracy, self.mean_loss, self.num_samples)
+        for row in zip(*(column.tolist() for column in columns)):
+            yield self._record(*row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"ScoreColumns(n={self.n}, {len(self)} mixtures)"
+
+
 @dataclass
 class SearchReport:
-    records: list[ScoreRecord]
+    records: Sequence[ScoreRecord]
     best_alpha: MixtureVector
     objective: str
     target_name: str
@@ -152,32 +213,27 @@ def best_mixture(items: Iterable[tuple[str, float]], direction: str) -> tuple[st
     return min(items, key=lambda item: (sign * item[1], item[0].count("1"), item[0]))
 
 
+def best_of_codes(n: int, codes: np.ndarray, values: np.ndarray, direction: str) -> tuple[str, float]:
+    """best_mixture over mixture codes and their finite values, given as arrays.
+
+    Only the entries that hold the best value can win, so only their bit
+    strings are built; best_mixture breaks the tie among them.
+    """
+    rows = np.flatnonzero(values == (values.max() if direction == "maximize" else values.min()))
+    return best_mixture(zip((code_bits(n, code) for code in codes[rows].tolist()), values[rows].tolist()), direction)
+
+
 def _best_record(records: Sequence[ScoreRecord], objective: str) -> MixtureVector:
     """The mixture whose merged score wins under the search objective."""
-    if objective == "max_accuracy":
-        items, direction = ((str(r.alpha), r.merged_score.accuracy) for r in records), "maximize"
+    field, direction = ("accuracy", "maximize") if objective == "max_accuracy" else ("mean_loss", "minimize")
+    if isinstance(records, ScoreColumns):
+        bits, _ = best_of_codes(records.n, records.codes, getattr(records, field), direction)
     else:
-        items, direction = ((str(r.alpha), r.merged_score.mean_loss) for r in records), "minimize"
-    bits, _ = best_mixture(items, direction)
+        bits, _ = best_mixture(((str(r.alpha), getattr(r.merged_score, field)) for r in records), direction)
     return MixtureVector.from_string(bits)
 
 
-def _scores(
-    alphas: Sequence[MixtureVector], blocks: list[tuple[np.ndarray, np.ndarray]], data: EvalDataset
-) -> list[Score]:
-    """Scores from stacked (correct, mean loss) blocks; an invalid score names its mixture."""
-    correct = np.concatenate([c for c, _ in blocks]).tolist()
-    losses = np.concatenate([loss for _, loss in blocks]).tolist()
-    scores = []
-    for alpha, c, loss in zip(alphas, correct, losses):
-        try:
-            scores.append(builtin_score(c, loss, data))
-        except ValidationError as exc:
-            raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
-    return scores
-
-
-def _checked(first: MixtureVector, ckpt: Checkpoint, target: TargetRef) -> EvalDataset:
+def _checked(first: str, ckpt: Checkpoint, target: TargetRef) -> EvalDataset:
     """The target as a dataset the toy checkpoint fits; errors name the first mixture."""
     try:
         data = _dataset(target)
@@ -187,44 +243,67 @@ def _checked(first: MixtureVector, ckpt: Checkpoint, target: TargetRef) -> EvalD
     return data
 
 
-def builtin_scores(
-    bank: ModelBank, candidates: Sequence[MixtureVector], target: TargetRef
-) -> list[Score]:
-    """Builtin scores of the candidates' merged surrogates, _SCORE_BLOCK mixtures at a time.
+def _block_scores(
+    n: int, codes: np.ndarray, data: EvalDataset, stacked: Callable[[int, int], Iterable[np.ndarray]]
+) -> ScoreColumns:
+    """Builtin scores of one toy model per code, _SCORE_BLOCK models per stacked forward pass.
+
+    stacked(lo, hi) gives the TOY_TENSORS of the models of codes[lo:hi],
+    stacked on a leading axis. A row that is no valid Score fails the
+    search with Score's message, naming the first such mixture.
+    """
+    accuracy, mean_loss = np.empty(len(codes)), np.empty(len(codes))
+    for lo in range(0, len(codes), _SCORE_BLOCK):
+        hi = lo + _SCORE_BLOCK
+        correct, loss = toy_mlp_scores(*stacked(lo, hi), data)
+        accuracy[lo:hi] = correct / len(data)
+        mean_loss[lo:hi] = loss
+    valid = (accuracy >= 0.0) & (accuracy <= 1.0) & np.isfinite(mean_loss) & (mean_loss >= 0.0)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        try:
+            Score(accuracy[i].item(), mean_loss[i].item(), len(data))
+        except ValidationError as exc:
+            raise EvaluatorError(f"evaluation failed for mixture {code_bits(n, int(codes[i]))}: {exc}") from exc
+    return ScoreColumns(n, codes, accuracy, mean_loss, len(data))
+
+
+def builtin_scores(bank: ModelBank, codes: np.ndarray, target: TargetRef) -> ScoreColumns:
+    """Builtin scores of the merged surrogates of mixture codes, _SCORE_BLOCK mixtures at a time.
 
     Bit for bit the scores of evaluate_builtin on merge_uniform; the bank's
     schema and the target are checked once.
     """
     n = len(bank)
-    data = _checked(candidates[0], bank.models[0], target)
-    blocks = []
-    for lo in range(0, len(candidates), _SCORE_BLOCK):
-        merged = merge_block(bank, [mixture_code(n, a) for a in candidates[lo : lo + _SCORE_BLOCK]])
-        blocks.append(toy_mlp_scores(*(merged[name] for name in TOY_TENSORS), data))
-    return _scores(candidates, blocks, data)
+    data = _checked(code_bits(n, int(codes[0])), bank.models[0], target)
+
+    def stacked(lo: int, hi: int) -> Iterable[np.ndarray]:
+        merged = merge_block(bank, codes[lo:hi])
+        return (merged[name] for name in TOY_TENSORS)
+
+    return _block_scores(n, codes, data, stacked)
 
 
 def checkpoint_scores(
-    ckpts: Sequence[Checkpoint], alphas: Sequence[MixtureVector], target: TargetRef
-) -> list[Score]:
-    """Builtin scores of same-schema toy checkpoints, one per mixture, _SCORE_BLOCK per stacked pass.
+    ckpts: Sequence[Checkpoint], n: int, codes: np.ndarray, target: TargetRef
+) -> ScoreColumns:
+    """Builtin scores of same-schema toy checkpoints, one per mixture code over n datasets.
 
-    Bit for bit the scores of evaluate_builtin on each checkpoint; the first
-    checkpoint and the target are checked once.
+    Bit for bit the scores of evaluate_builtin on each checkpoint, stacked
+    _SCORE_BLOCK at a time; the first checkpoint and the target are checked once.
     """
-    data = _checked(alphas[0], ckpts[0], target)
-    blocks = []
-    for lo in range(0, len(ckpts), _SCORE_BLOCK):
-        block = ckpts[lo : lo + _SCORE_BLOCK]
-        stacked = (np.stack([c.tensors[name] for c in block]) for name in TOY_TENSORS)
-        blocks.append(toy_mlp_scores(*stacked, data))
-    return _scores(alphas, blocks, data)
+    data = _checked(code_bits(n, int(codes[0])), ckpts[0], target)
+
+    def stacked(lo: int, hi: int) -> Iterable[np.ndarray]:
+        return (np.stack([c.tensors[name] for c in ckpts[lo:hi]]) for name in TOY_TENSORS)
+
+    return _block_scores(n, codes, data, stacked)
 
 
 def _score_chunk(
     bank: ModelBank, chunk: list[MixtureVector], eval_fn: EvalFn, target: TargetRef
-) -> list[ScoreRecord]:
-    records = []
+) -> list[Score]:
+    scores = []
     for alpha, merged in subset_merges(bank, chunk):
         try:
             score = eval_fn(merged, target, alpha)
@@ -234,8 +313,27 @@ def _score_chunk(
             raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
         if not isinstance(score, Score):
             raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {type(score).__name__}")
-        records.append(ScoreRecord(alpha=alpha, merged_score=score))
-    return records
+        scores.append(score)
+    return scores
+
+
+def _per_mixture_scores(
+    bank: ModelBank, codes: np.ndarray, eval_fn: EvalFn, target: TargetRef, jobs: int
+) -> ScoreColumns:
+    """eval_fn's score of each mixture's merged Checkpoint, from up to jobs threads."""
+    n = len(bank)
+    alphas = [code_mixture(n, code) for code in codes.tolist()]
+    if jobs > 1 and len(alphas) > 1:
+        jobs = min(jobs, len(alphas))
+        step = (len(alphas) + jobs - 1) // jobs
+        chunks = [alphas[i : i + step] for i in range(0, len(alphas), step)]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(lambda c: _score_chunk(bank, c, eval_fn, target), chunks))
+        scores = [score for part in parts for score in part]
+    else:
+        scores = _score_chunk(bank, alphas, eval_fn, target)
+    fields = ([s.accuracy for s in scores], [s.mean_loss for s in scores], [s.num_samples for s in scores])
+    return ScoreColumns(n, codes, *fields)
 
 
 def run_search(
@@ -253,8 +351,8 @@ def run_search(
     config = config or SearchConfig()
     n = len(bank)
     if config.candidates is not None:
-        candidates = list(config.candidates)
-        if not candidates:
+        codes = np.array([mixture_code(n, alpha) for alpha in config.candidates], dtype=np.int64)
+        if not len(codes):
             raise ValidationError("candidate list must not be empty")
     else:
         if n > MAX_ENUMERATION_N:
@@ -262,20 +360,12 @@ def run_search(
                 f"exhaustive enumeration over N={n} exceeds MAX_ENUMERATION_N="
                 f"{MAX_ENUMERATION_N}; pass explicit candidates"
             )
-        candidates = list(gray_code_order(n))
+        codes = gray_codes(n)
 
     if eval_fn is builtin_eval_fn:
-        scores = builtin_scores(bank, candidates, target)
-        records = [ScoreRecord(alpha=a, merged_score=s) for a, s in zip(candidates, scores)]
-    elif config.jobs > 1 and len(candidates) > 1:
-        jobs = min(config.jobs, len(candidates))
-        step = (len(candidates) + jobs - 1) // jobs
-        chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda c: _score_chunk(bank, c, eval_fn, target), chunks))
-        records = [rec for part in parts for rec in part]
+        records = builtin_scores(bank, codes, target)
     else:
-        records = _score_chunk(bank, candidates, eval_fn, target)
+        records = _per_mixture_scores(bank, codes, eval_fn, target, config.jobs)
 
     if isinstance(target, EvalDataset):
         target_name = target.name

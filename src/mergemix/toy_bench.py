@@ -717,12 +717,14 @@ def _score_target(
 
     Every selection but the similarity baseline is made here, on validation.
     """
+    n = len(bank)
+    codes = np.array([mixture_code(n, alpha) for alpha in order], dtype=np.int64)
     finetuned_models = [finetuned[str(alpha)] for alpha in order]
 
     def records(data: EvalDataset) -> list[ScoreRecord]:
-        merged = builtin_scores(bank, order, data)
-        tuned = checkpoint_scores(finetuned_models, order, data)
-        return [ScoreRecord(a, m, f) for a, m, f in zip(order, merged, tuned)]
+        merged = builtin_scores(bank, codes, data)
+        tuned = checkpoint_scores(finetuned_models, n, codes, data)
+        return [ScoreRecord(a, m.merged_score, f.merged_score) for a, m, f in zip(order, merged, tuned)]
 
     table = TargetTable(
         target_name=target.name,

@@ -347,6 +347,41 @@ def test_table_keys_follow_gray_codes(n):
     assert list(table) == [format(c, f"0{n}b") for c in gray_codes(n).tolist()]
 
 
+def similarity_score_loop(target, per_dataset, metric):
+    """Per mixture in Gray order: similarity_score on the pooled rows of its datasets."""
+    table = {}
+    for alpha in gray_code_order(len(per_dataset)):
+        pooled = np.concatenate([per_dataset[i].embeddings for i in alpha.selected])
+        table[str(alpha)] = similarity_score(target, emb(pooled, "pooled"), metric)
+    return table
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_table_mapping_reads_back_as_the_similarity_score_loop(metric):
+    """The read-only mapping has the loop's keys in order, its len, its
+    lookups through [], in and .get, and its values: equal for the L2 minimum
+    kinds, and within rounding for the kinds whose pooled products or sums
+    run in another order. Keys that name no mixture raise KeyError."""
+    rng = np.random.default_rng(5)
+    n = 5
+    target = emb(rng.standard_normal((4, 3)), "T")
+    per_dataset = [emb(rng.standard_normal((1 + i % 3, 3)), f"D{i}") for i in range(n)]
+    table = similarity_table(target, per_dataset, metric)
+    want = similarity_score_loop(target, per_dataset, metric)
+    assert len(table) == len(want) == 2**n - 1
+    assert list(table) == list(want) and list(table.keys()) == list(want)
+    assert dict(table) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    if metric in (SimilarityMetric.AVG_MIN_L2, SimilarityMetric.MIN_MIN_L2):
+        assert table == want
+    for bits in want:
+        assert bits in table
+        assert type(table[bits]) is float and table.get(bits) == table[bits]
+    for key in ("0" * n, "1" * (n - 1), "1" * (n + 1), "10201", "1_011", "+1011", " 1011", 11, all_datasets_vector(n)):
+        assert key not in table and table.get(key) is None
+        with pytest.raises(KeyError):
+            table[key]
+
+
 def test_table_rejects_n_above_the_enumeration_limit():
     per_dataset = [emb([[1.0, float(i)]], f"D{i}") for i in range(MAX_ENUMERATION_N + 1)]
     with pytest.raises(ValidationError, match=f"N <= {MAX_ENUMERATION_N}"):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import mergemix
+from mergemix.baselines import SimilarityMetric, similarity_table
 from mergemix.cli import build_parser, main
 from mergemix.evaluator import EvalDataset, write_eval_dataset
 from mergemix.tensor_store import (
@@ -370,6 +371,33 @@ def test_search_external_failure_exits_3(tmp_path, capsys):
     assert "mixture" in err
 
 
+def search_external_argv(tmp_path, template):
+    return ["search", "--bank", str(make_bank_dir(tmp_path)), "--target", "ref",
+            "--evaluator", template, "--out", str(tmp_path / "r.csv")]
+
+
+def test_search_external_non_utf8_stdout_exits_3(tmp_path, capsys):
+    """Evaluator stdout that is not UTF-8 is an evaluator failure, not a crash."""
+    template = external_stub(tmp_path, "import sys\nsys.stdout.buffer.write(b'\\xff\\n')\n")
+    code, _, err = run_cli(search_external_argv(tmp_path, template), capsys)
+    assert code == 3
+    assert err.startswith("error: mixture 01: unparsable evaluator output: not UTF-8")
+    assert err.count("\n") == 1
+
+
+def test_search_external_non_utf8_stderr_keeps_exit_code_and_tail(tmp_path, capsys):
+    template = external_stub(tmp_path, "import sys\nsys.stderr.buffer.write(b'\\xff oops')\nsys.exit(4)\n")
+    code, _, err = run_cli(search_external_argv(tmp_path, template), capsys)
+    assert code == 3
+    assert err == "error: mixture 01: evaluator failed (exit 4); stderr: � oops\n"
+
+
+def test_bench_jobs_help_says_the_flag_is_unused(capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert "runs in one process" in " ".join(capsys.readouterr().out.split())
+
+
 def test_search_eval_timeout_exits_3(tmp_path):
     """A hung evaluator under --eval-timeout ends the search with exit 3 and
     one error line naming the mixture and the limit, without a traceback."""
@@ -468,6 +496,25 @@ def test_similarity_min_min_l2(tmp_path, capsys):
     side = json.loads((tmp_path / "scores.json").read_text())
     assert side["direction"] == "minimize"
     assert side["best_alpha"] == "10"
+
+
+def test_similarity_rows_follow_the_table(tmp_path, capsys):
+    """Rows in bit-string order, each with its own mixture's score, in CSV and JSON."""
+    rng = np.random.default_rng(3)
+    sets = [EmbeddingSet(rng.standard_normal((i + 2, 3)).astype(np.float32), f"e{i}") for i in range(4)]
+    paths = [tmp_path / f"e{i}.mtm" for i in range(4)]
+    for emb, path in zip(sets, paths):
+        write_embeddings(emb, path)
+    out = tmp_path / "scores.csv"
+    argv = ["similarity", "--target", str(paths[0]), "--datasets", *map(str, paths[1:]),
+            "--metric", "avg_avg_l2", "--out", str(out)]
+    assert run_cli(argv, capsys)[0] == 0
+    table = similarity_table(sets[0], sets[1:], SimilarityMetric.AVG_AVG_L2)
+    with open(out, newline="") as fh:
+        rows = [(r["mixture_bits"], r["score"]) for r in csv.DictReader(fh)]
+    assert rows == [(bits, repr(table[bits])) for bits in sorted(table)]
+    assert len(set(score for _, score in rows)) == 7
+    assert json.loads((tmp_path / "scores.json").read_text())["scores"] == dict(table)
 
 
 def test_similarity_cosine_tie_prefers_fewer_datasets(tmp_path, capsys):

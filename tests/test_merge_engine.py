@@ -19,7 +19,15 @@ from mergemix import (
     merge_weighted,
     subset_merges,
 )
-from mergemix.merge_engine import MAX_ENUMERATION_N, gray_codes, merge_block, mixture_code
+from mergemix.merge_engine import (
+    MAX_ENUMERATION_N,
+    code_bits,
+    code_mixture,
+    gray_codes,
+    gray_rank,
+    merge_block,
+    mixture_code,
+)
 from mergemix.tensor_store import tensor
 
 
@@ -241,6 +249,20 @@ def test_gray_codes_out_of_range():
         gray_codes(0)
     with pytest.raises(ValidationError, match=f"N <= {MAX_ENUMERATION_N}"):
         gray_codes(MAX_ENUMERATION_N + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_codes_round_trip_through_mixtures(n):
+    """code_mixture inverts mixture_code, code_bits is the text form, and
+    gray_rank gives each code's 1-based position in gray_codes."""
+    for rank, code in enumerate(gray_codes(n).tolist(), start=1):
+        alpha = code_mixture(n, code)
+        assert mixture_code(n, alpha) == code
+        assert code_bits(n, code) == str(alpha) == format(code, f"0{n}b")
+        assert gray_rank(code) == rank
+    for code in (0, 1 << n, -1):
+        with pytest.raises(ValidationError, match="out of range"):
+            code_mixture(n, code)
 
 
 def test_gray_out_of_range():

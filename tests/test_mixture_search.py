@@ -24,9 +24,10 @@ from mergemix import (
     select_best,
 )
 from mergemix import emit_report, mixture_search
-from mergemix.baselines import select_from_table
-from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, merge_block, subset_merges
-from mergemix.mixture_search import best_mixture
+from mergemix.baselines import SimilarityTable, select_from_table
+from mergemix.evaluator import evaluate_builtin
+from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, merge_block, merge_uniform, subset_merges
+from mergemix.mixture_search import ScoreColumns, ScoreRecord, best_mixture
 
 
 def tiny_bank(n, seed=0):
@@ -228,8 +229,6 @@ def test_select_best_matches_report():
 
 def test_select_best_examples():
     def rec(bits, acc):
-        from mergemix.mixture_search import ScoreRecord
-
         return ScoreRecord(
             alpha=MixtureVector.from_string(bits),
             merged_score=Score(accuracy=acc, mean_loss=0.0, num_samples=0),
@@ -290,7 +289,7 @@ def sorted_reference(table, maximize):
 def tied_tables(draw):
     """bits -> value over all mixtures of N <= 4, values from a tiny set so ties abound."""
     n = draw(st.integers(1, 4))
-    values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    values = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
     return n, {str(a): draw(values) for a in gray_code_order(n)}
 
 
@@ -304,6 +303,10 @@ def test_every_selector_shares_the_tie_break(n_table):
     assert best_mixture(table.items(), "minimize") == (want_min, table[want_min])
 
     assert str(select_from_table(table, "maximize")[0]) == want_max
+    gray_table = SimilarityTable(n, np.array(list(table.values())))
+    assert gray_table == table
+    assert str(select_from_table(gray_table, "maximize")[0]) == want_max
+    assert str(select_from_table(gray_table, "minimize")[0]) == want_min
     assert str(oracle_select(table)) == want_max
     report = run_search(tiny_bank(n), accuracy_fn(lambda a: table[str(a)]), target=None)
     assert str(report.best_alpha) == want_max
@@ -436,6 +439,64 @@ def test_builtin_block_errors_name_the_first_mixture():
     with pytest.raises(ValidationError, match="length"):
         config = SearchConfig(candidates=[MixtureVector.from_string("11")])
         run_search(bank, builtin_eval_fn, toy_target(2), config)
+
+
+def test_invalid_builtin_score_names_the_first_bad_mixture():
+    """Scores are checked as arrays, with Score's message for the first bad row
+    in search order: "001" is fine, "011" is the first to merge the Inf."""
+    bank = toy_bank(3, seed=1)
+    bank.models[1].tensors["b2"][2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(EvaluatorError) as info:
+        run_search(bank, builtin_eval_fn, toy_target(2))
+    assert str(info.value) == "evaluation failed for mixture 011: mean_loss must be finite and >= 0, got nan"
+
+
+# ============================================================================
+# ScoreColumns: records built on access, read back against per-mixture loops
+# ============================================================================
+
+
+def reference_records(bank, candidates, data):
+    """The records a per-mixture loop builds: evaluate_builtin on each merge_uniform."""
+    return [ScoreRecord(alpha, evaluate_builtin(merge_uniform(bank, alpha), data)) for alpha in candidates]
+
+
+def test_score_columns_read_back_as_the_per_mixture_records(monkeypatch):
+    """Index, negative index, slice, iteration order, len and == all give the
+    records of the per-mixture loop, over Gray order and a shuffled candidate
+    list, with blocks of 3."""
+    monkeypatch.setattr(mixture_search, "_SCORE_BLOCK", 3)
+    bank, data = toy_bank(6, seed=4), toy_target(8)
+    gray = list(gray_code_order(6))
+    shuffled = [gray[i] for i in np.random.default_rng(9).permutation(len(gray))[:40]]
+    for candidates in (None, shuffled):
+        records = run_search(bank, builtin_eval_fn, data, SearchConfig(candidates=candidates)).records
+        want = reference_records(bank, candidates or gray, data)
+        assert isinstance(records, ScoreColumns)
+        assert len(records) == len(want)
+        assert list(records) == want
+        assert [records[i] for i in range(len(want))] == want
+        assert [records[np.int64(-i)] for i in range(1, len(want) + 1)] == want[::-1]
+        assert records[2:11:3] == want[2:11:3] and records[-5:] == want[-5:] and records[::-1] == want[::-1]
+        assert records == want and want == records and records == records[:]
+        assert records != want[:-1] and records != want[::-1]
+        for index in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                records[index]
+        score = records[-1].merged_score
+        assert (type(score.accuracy), type(score.mean_loss), type(score.num_samples)) == (float, float, int)
+
+
+def test_per_mixture_columns_hold_each_score_as_returned():
+    returned = {}
+
+    def eval_fn(ckpt, target, alpha):
+        returned[alpha] = Score(accuracy=1 / (1 + int(str(alpha), 2)), mean_loss=0.25, num_samples=alpha.n_selected)
+        return returned[alpha]
+
+    records = run_search(tiny_bank(4), eval_fn, target=None, config=SearchConfig(jobs=2)).records
+    assert isinstance(records, ScoreColumns)
+    assert records == [ScoreRecord(alpha, returned[alpha]) for alpha in gray_code_order(4)]
 
 
 def digest_eval_fn(ckpt, target, alpha):
