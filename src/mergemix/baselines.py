@@ -14,9 +14,8 @@ import math
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .errors import ValidationError
+from .errors import MergeMixError, ValidationError
 from .merge_engine import MixtureVector, code_bits, gray_codes, gray_rank
 from .mixture_search import _score_items, best_mixture, best_of_codes
 from .tensor_store import EmbeddingSet
@@ -64,6 +63,11 @@ def _pairwise(target: EmbeddingSet, mixture: EmbeddingSet, metric: SimilarityMet
         )
     if metric.direction == "maximize":
         return _unit_rows(t, "target embeddings") @ _unit_rows(s, "mixture embeddings").T
+    # scipy is loaded here, not at import: only the L2 kinds need it
+    try:
+        from scipy.spatial.distance import cdist
+    except ImportError as exc:
+        raise MergeMixError(f"similarity metric {metric.value} needs scipy: {exc}") from None
     return cdist(t, s)
 
 

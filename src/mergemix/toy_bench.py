@@ -444,22 +444,6 @@ def pretrain_base(universe: Universe, cfg: TrainConfig) -> Checkpoint:
     return train(init, universe.base_pool, pre_cfg, run_key=0)
 
 
-def concat_datasets(parts: list[EvalDataset], name: str, split: str = "train") -> EvalDataset:
-    """Concatenate datasets in the given (ascending dataset index) order."""
-    if not parts:
-        raise ValidationError("nothing to concatenate")
-    classes = {p.num_classes for p in parts}
-    if len(classes) != 1:
-        raise ValidationError("datasets disagree on num_classes")
-    return EvalDataset(
-        features=np.concatenate([p.features for p in parts], axis=0),
-        labels=np.concatenate([p.labels for p in parts], axis=0),
-        num_classes=classes.pop(),
-        name=name,
-        split=split,
-    )
-
-
 # ---------------------------------------------------------------------------
 # full benchmark
 

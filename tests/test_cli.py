@@ -584,6 +584,47 @@ def test_similarity_missing_target_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def similarity_argv(tmp_path, metric):
+    rng = np.random.default_rng(8)
+    paths = [tmp_path / f"e{i}.mtm" for i in range(3)]
+    for i, path in enumerate(paths):
+        write_embeddings(EmbeddingSet(rng.standard_normal((i + 2, 3)).astype(np.float32), f"e{i}"), path)
+    return ["similarity", "--target", str(paths[0]), "--datasets", *map(str, paths[1:]),
+            "--metric", metric, "--out", str(tmp_path / f"{metric}.csv")]
+
+
+@pytest.mark.parametrize("command", ["similarity", "bench"])
+def test_l2_metric_without_scipy_exits_1(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setitem(sys.modules, "scipy.spatial.distance", None)
+    if command == "similarity":
+        argv = similarity_argv(tmp_path, "min_min_l2")
+    else:
+        argv = ["bench", "--out", str(tmp_path / "run"), *TINY_BENCH_ARGS]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: similarity metric ") and "_l2 needs scipy" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "min_min_l2.csv").exists() and not (tmp_path / "run").exists()
+
+
+def test_commands_without_l2_run_without_scipy(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.spatial.distance", None)
+    assert run_cli(similarity_argv(tmp_path, "avg_max_cos"), capsys)[0] == 0
+    bank = make_bank_dir(tmp_path)
+    target = tmp_path / "target.mtm"
+    write_target_dataset(target)
+    argv = ["search", "--bank", str(bank), "--target", str(target), "--out", str(tmp_path / "s.csv")]
+    assert run_cli(argv, capsys)[0] == 0
+    template = external_stub(tmp_path, "print('{\"accuracy\": 0.5, \"loss\": 1.0}')\n")
+    (tmp_path / "ext").mkdir()
+    assert run_cli(search_external_argv(tmp_path / "ext", template), capsys)[0] == 0
+    models = [str(p) for p in sorted(bank.glob("*.mtm"))]
+    assert run_cli(["merge", "--models", *models, "--out", str(tmp_path / "m.mtm")], capsys)[0] == 0
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [("T", 1, 2, 2), ("T", 2, 3, 2), ("T", 3, 5, 2)])
+    assert run_cli(["correlate", "--pairs", str(pairs), "--out", str(tmp_path / "c.csv")], capsys)[0] == 0
+
+
 # ============================================================================
 # correlate
 # ============================================================================
@@ -663,6 +704,24 @@ def test_correlate_non_numeric_cell_exits_1(tmp_path):
     proc = run_cli_process(["correlate", "--pairs", str(pairs), "--out", str(tmp_path / "c.csv")])
     assert_clean_validation_failure(proc)
     assert "line 3" in proc.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_correlate_non_utf8_pairs_exits_1(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_bytes(b"task,x,y,n_selected\nT,1,2,2\nT,\xff,1,2\n")
+    proc = run_cli_process(["correlate", "--pairs", str(pairs), "--out", str(tmp_path / "c.csv")])
+    assert_clean_validation_failure(proc)
+    assert proc.stderr == f"error: {pairs} is not UTF-8 text: invalid start byte\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_correlate_oversized_field_exits_1(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [("T", 1, 2, 2), ("T" * (csv.field_size_limit() + 1), 3, 4, 3)])
+    proc = run_cli_process(["correlate", "--pairs", str(pairs), "--out", str(tmp_path / "c.csv")])
+    assert_clean_validation_failure(proc)
+    assert proc.stderr.startswith(f"error: {pairs} line 3: field larger than field limit")
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -1,17 +1,26 @@
-"""Memory held per mixture by search results and similarity tables.
+"""Memory held per mixture by search results and similarity tables, and the
+modules a fresh process loads.
 
 Results are columns indexed by mixture, so their size per mixture is a few
-array entries. Each test warms up first (the bank's flat copy, numpy and
-scipy set-up), then measures with tracemalloc what one more call keeps
-allocated while its result is alive.
+array entries. Each memory test warms up first (the bank's flat copy and
+numpy set-up), then measures with tracemalloc what one more call keeps
+allocated while its result is alive. The module tests run in a fresh
+interpreter: scipy is loaded only by the L2 similarity metrics.
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import mergemix
 from mergemix import EmbeddingSet, SimilarityMetric, builtin_eval_fn, run_search, similarity_table
+from mergemix.tensor_store import write_checkpoint
 
 from test_mixture_search import toy_bank, toy_target
 
@@ -54,3 +63,80 @@ def test_similarity_table_retains_at_most_16_bytes_per_mixture_and_no_cache():
     left, size = traced_growth(lambda: len(similarity_table(target, per_dataset[:11], metric)))
     assert size == 2047
     assert left <= size
+
+
+# ---------------------------------------------------------------------------
+# modules loaded
+
+
+SRC = str(Path(mergemix.__file__).resolve().parents[1])
+
+LIST_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+EMBEDDINGS = """
+import numpy as np
+from mergemix import EmbeddingSet
+rng = np.random.default_rng(5)
+target = EmbeddingSet(rng.standard_normal((6, 4)).astype(np.float32), "T")
+per_dataset = [EmbeddingSet(rng.standard_normal((i + 2, 4)).astype(np.float32), f"D{i}") for i in range(4)]
+"""
+
+
+def fresh_process(code, *argv):
+    """The last stdout line of code run in a new interpreter, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert fresh_process("import mergemix, mergemix.cli\n" + LIST_SCIPY) == []
+
+
+def test_cosine_similarity_tables_load_no_scipy():
+    code = EMBEDDINGS + """
+from mergemix import SimilarityMetric, similarity_table
+for metric in SimilarityMetric:
+    if metric.direction == "maximize":
+        assert len(similarity_table(target, per_dataset, metric)) == 15
+""" + LIST_SCIPY
+    assert fresh_process(code) == []
+
+
+def test_external_search_loads_no_scipy(tmp_path):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for i, ckpt in enumerate(toy_bank(3, seed=6).models):
+        write_checkpoint(ckpt, bank / f"{i}_d{i}.mtm")
+    stub = tmp_path / "stub_eval.py"
+    stub.write_text("print('{\"accuracy\": 0.5, \"loss\": 1.0}')\n")
+    argv = ["search", "--bank", str(bank), "--target", "ref", "--out", str(tmp_path / "r.csv"),
+            "--evaluator", f"{sys.executable} {stub} {{checkpoint}} {{data}}"]
+    code = "from mergemix.cli import main\nassert main(sys.argv[1:]) == 0\n" + LIST_SCIPY
+    assert fresh_process(code, *argv) == []
+    assert (tmp_path / "r.json").exists()
+
+
+def test_l2_tables_load_scipy_and_match_cdist_bit_for_bit():
+    code = EMBEDDINGS + """
+from mergemix import SimilarityMetric, similarity_table
+from mergemix.baselines import _pairwise
+assert "scipy" not in sys.modules
+table = similarity_table(target, per_dataset, SimilarityMetric.MIN_MIN_L2)
+assert "scipy.spatial.distance" in sys.modules
+from scipy.spatial.distance import cdist
+for i, ds in enumerate(per_dataset):
+    want = cdist(target.embeddings.astype(np.float64), ds.embeddings.astype(np.float64))
+    for metric in SimilarityMetric:
+        if metric.direction == "minimize":
+            got = _pairwise(target, ds, metric)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (metric, i)
+    assert table["0" * i + "1" + "0" * (3 - i)] == want.min(), i
+""" + LIST_SCIPY
+    assert "scipy.spatial.distance" in fresh_process(code)

