@@ -51,6 +51,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def finite_or_none(r: float) -> float | None:
+    """r, or None where r is NaN or infinite, so a JSON report stays strictly parseable."""
+    return r if math.isfinite(r) else None
+
+
 @dataclass
 class CorrelationInput:
     """One task's (x, y, n_selected) triples, one per scored mixture."""
@@ -86,12 +91,9 @@ class CorrelationReport:
         ]
 
     def to_json_obj(self) -> dict:
-        # average_r is NaN only for the empty degraded report; emit null
-        # instead so the JSON stays strictly parseable.
-        avg = self.average_r if math.isfinite(self.average_r) else None
         return {
             "per_task": dict(sorted(self.per_task.items())),
-            "average_r": avg,
+            "average_r": finite_or_none(self.average_r),
             "excluded_count": self.excluded_count,
             "skipped_tasks": sorted(self.skipped_tasks),
             "n_pairs": dict(sorted(self.n_pairs.items())),

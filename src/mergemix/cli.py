@@ -27,6 +27,7 @@ from .analytics import (
     CorrelationInput,
     correlate_tasks,
     emit_report,
+    finite_or_none,
     write_csv,
     write_json,
 )
@@ -314,9 +315,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _print_json(
         {
             "out": str(outdir),
-            "average_r": report.correlation.average_r,
-            "average_r_logit": report.correlation_logit.average_r,
-            "best_similarity_r": report.best_similarity_correlation_r,
+            "average_r": finite_or_none(report.correlation.average_r),
+            "average_r_logit": finite_or_none(report.correlation_logit.average_r),
+            "best_similarity_r": finite_or_none(report.best_similarity_correlation_r),
             "targets": len(report.per_target),
         }
     )

@@ -8,8 +8,8 @@ compared against true mixture fine-tuning on every candidate mixture.
 
 All randomness flows through Philox (a 64-bit counter-based generator) keyed
 by (seed, stream), so runs are bit-reproducible across platforms. Universe
-generation uses small stream ids; training run streams start at 2**32 plus
-the integer value of the mixture bit string, so the two spaces never collide.
+generation uses small stream ids; a training run's stream is 2**32 plus its
+mixture code (merge_engine.mixture_code), so the two spaces never collide.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,17 +27,11 @@ from .analytics import (
     CorrelationReport,
     correlate_tasks,
     emit_report,
-    plot_coordinates,
+    finite_or_none,
     write_csv,
     write_plot_csv,
 )
-from .baselines import (
-    SimilarityMetric,
-    all_datasets_vector,
-    random_selection_mean,
-    select_from_table,
-    similarity_table,
-)
+from .baselines import SimilarityMetric, similarity_table
 from .errors import MergeMixError, ValidationError
 from .evaluator import (
     TOY_TENSORS,
@@ -49,8 +44,8 @@ from .evaluator import (
     toy_mlp_hidden,
     toy_mlp_logits,
 )
-from .merge_engine import MAX_ENUMERATION_N, MixtureVector, ModelBank, gray_code_order, mixture_code
-from .mixture_search import ScoreRecord, best_mixture, builtin_scores, checkpoint_scores
+from .merge_engine import MAX_ENUMERATION_N, ModelBank, code_bits, gray_codes, gray_rank
+from .mixture_search import ScoreColumns, ScoreRecord, best_of_codes, builtin_scores, checkpoint_scores
 from .tensor_store import Checkpoint, EmbeddingSet
 
 # Philox stream ids for universe generation (train streams live at >= 1 << 32)
@@ -462,27 +457,45 @@ class SelectionOutcome:
 
 @dataclass
 class TargetTable:
+    """A target's merged and fine-tuned scores of all mixtures, in gray_codes order, and its selections."""
+
     target_name: str
     base_val_accuracy: float
     base_test_accuracy: float
-    records_val: list[ScoreRecord]
-    records_test: list[ScoreRecord]
+    merged_val: ScoreColumns
+    merged_test: ScoreColumns
+    finetuned_val: ScoreColumns
+    finetuned_test: ScoreColumns
     selections: dict[str, SelectionOutcome] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self._row = {str(rec.alpha): i for i, rec in enumerate(self.records_val)}
+    @property
+    def records_val(self) -> list[ScoreRecord]:
+        pairs = zip(self.merged_val, self.finetuned_val)
+        return [ScoreRecord(m.alpha, m.merged_score, f.merged_score) for m, f in pairs]
+
+    @property
+    def records_test(self) -> list[ScoreRecord]:
+        pairs = zip(self.merged_test, self.finetuned_test)
+        return [ScoreRecord(m.alpha, m.merged_score, f.merged_score) for m, f in pairs]
 
     def outcome(
         self, method: str, bits: str, merged: bool = False, detail: str = ""
     ) -> SelectionOutcome:
         """Selecting one mixture: its fine-tuned (or merged) model's accuracies."""
-        row = self._row[bits]
-        val, test = self.records_val[row], self.records_test[row]
+        row = gray_rank(int(bits, 2)) - 1
         if merged:
-            val_acc, test_acc = val.merged_score.accuracy, test.merged_score.accuracy
+            val, test = self.merged_val, self.merged_test
         else:
-            val_acc, test_acc = val.finetuned_score.accuracy, test.finetuned_score.accuracy
-        return SelectionOutcome(method, bits, val_acc, test_acc, detail)
+            val, test = self.finetuned_val, self.finetuned_test
+        return SelectionOutcome(method, bits, val.accuracy[row].item(), test.accuracy[row].item(), detail)
+
+    def surrogate_pairs(self, link: Callable[[float, float], float]) -> CorrelationInput:
+        """Per mixture: link(acc, base acc) of its merged and fine-tuned test accuracy, and n_selected."""
+        base = self.base_test_accuracy
+        merged, tuned = self.merged_test.accuracy.tolist(), self.finetuned_test.accuracy.tolist()
+        sizes = (code.bit_count() for code in self.merged_test.codes.tolist())
+        pairs = [(link(m, base), link(f, base), k) for m, f, k in zip(merged, tuned, sizes)]
+        return CorrelationInput(self.target_name, pairs)
 
 
 @dataclass
@@ -553,11 +566,7 @@ class BenchReport:
                 k: v.to_json_obj() for k, v in sorted(self.similarity_correlations.items())
             },
             "best_similarity_correlation_metric": self.best_similarity_correlation_metric,
-            "best_similarity_correlation_r": (
-                self.best_similarity_correlation_r
-                if math.isfinite(self.best_similarity_correlation_r)
-                else None
-            ),
+            "best_similarity_correlation_r": finite_or_none(self.best_similarity_correlation_r),
             "table_similarity_metric": self.table_similarity_metric,
         }
 
@@ -568,6 +577,7 @@ class BenchReport:
         report_json, selections_csv, mixtures_csv, correlations_csv, plot_csv = paths
         emit_report(self, "json", report_json)
         emit_report(self, "csv", selections_csv)
+        n = len(self.dataset_names)
         write_csv(
             mixtures_csv,
             [
@@ -580,17 +590,15 @@ class BenchReport:
                 "finetuned_test_accuracy",
             ],
             (
-                [
-                    t.target_name,
-                    str(val.alpha),
-                    val.alpha.n_selected,
-                    repr(val.merged_score.accuracy),
-                    repr(test.merged_score.accuracy),
-                    repr(val.finetuned_score.accuracy),
-                    repr(test.finetuned_score.accuracy),
-                ]
+                [t.target_name, code_bits(n, code), code.bit_count(), *map(repr, accuracies)]
                 for t in self.per_target
-                for val, test in zip(t.records_val, t.records_test)
+                for code, *accuracies in zip(
+                    t.merged_val.codes.tolist(),
+                    t.merged_val.accuracy.tolist(),
+                    t.merged_test.accuracy.tolist(),
+                    t.finetuned_val.accuracy.tolist(),
+                    t.finetuned_test.accuracy.tolist(),
+                )
             ),
         )
         series = [("merged_raw", self.correlation), ("merged_logit", self.correlation_logit)]
@@ -602,10 +610,8 @@ class BenchReport:
         )
         plot_rows = {}
         for t in self.per_target:
-            coords = plot_coordinates(t.records_test, t.base_test_accuracy, "merged")
-            plot_rows[t.target_name] = [
-                (str(rec.alpha), x, y, n_sel) for rec, (x, y, n_sel) in zip(t.records_test, coords)
-            ]
+            codes, points = t.merged_test.codes.tolist(), t.surrogate_pairs(logit_improvement).pairs
+            plot_rows[t.target_name] = [(code_bits(n, c), *p) for c, p in zip(codes, points)]
         write_plot_csv(plot_csv, plot_rows)
         return paths
 
@@ -617,41 +623,23 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     from the shared base on the concatenated train splits. Selection happens
     on validation accuracy; reporting and correlations use test accuracy.
     """
-    if bench_cfg.num_datasets > MAX_BENCH_N:
-        raise ValidationError(
-            f"2^N - 1 fine-tuning runs infeasible for N={bench_cfg.num_datasets} (max {MAX_BENCH_N})"
-        )
+    n = bench_cfg.num_datasets
+    if n > MAX_BENCH_N:
+        raise ValidationError(f"2^N - 1 fine-tuning runs infeasible for N={n} (max {MAX_BENCH_N})")
     universe = generate_universe(bench_cfg)
     base = pretrain_base(universe, train_cfg)
-    order = list(gray_code_order(bench_cfg.num_datasets))
-    finetuned = _finetune_mixtures(base, [t.train for t in universe.datasets], order, train_cfg)
-    bank = _singleton_bank(finetuned, [t.name for t in universe.datasets])
-    per_target = [_score_target(t, base, bank, finetuned, order) for t in universe.targets]
+    codes = gray_codes(n)
+    finetuned = _finetune_mixtures(base, [t.train for t in universe.datasets], codes, train_cfg)
+    # a single-dataset mixture's merged surrogate is its own fine-tune; dataset i is bit n - 1 - i
+    singles = [finetuned[gray_rank(1 << (n - 1 - i)) - 1] for i in range(n)]
+    bank = ModelBank(models=singles, names=[t.name for t in universe.datasets])
+    per_target = [_score_target(t, base, bank, finetuned, codes) for t in universe.targets]
 
     ds_embs, tg_embs = _embeddings(universe, base, bench_cfg.embedding_source)
-    sim_inputs, table_metric = _similarity_baseline(per_target, tg_embs, ds_embs)
+    sim_inputs, table_metric = _similarity_baseline(per_target, codes, tg_embs, ds_embs)
 
-    def merged_inputs(link) -> list[CorrelationInput]:
-        """Per target: (link(merged), link(fine-tuned) test accuracy, n_selected)."""
-        return [
-            CorrelationInput(
-                task_name=t.target_name,
-                pairs=[
-                    (
-                        link(r.merged_score.accuracy, t),
-                        link(r.finetuned_score.accuracy, t),
-                        r.alpha.n_selected,
-                    )
-                    for r in t.records_test
-                ],
-            )
-            for t in per_target
-        ]
-
-    correlation = _correlate_or_empty(merged_inputs(lambda acc, t: acc))
-    correlation_logit = _correlate_or_empty(
-        merged_inputs(lambda acc, t: logit_improvement(acc, t.base_test_accuracy))
-    )
+    correlation = _correlate_or_empty([t.surrogate_pairs(lambda acc, base_acc: acc) for t in per_target])
+    correlation_logit = _correlate_or_empty([t.surrogate_pairs(logit_improvement) for t in per_target])
     similarity_correlations = {
         name: _correlate_or_empty(items) for name, items in sim_inputs.items()
     }
@@ -679,56 +667,38 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     )
 
 
-def _singleton_bank(finetuned: dict[str, Checkpoint], names: list[str]) -> ModelBank:
-    """The bank of single-dataset fine-tunes, in dataset order.
-
-    A single-dataset mixture's merged surrogate is its bank checkpoint.
-    """
-    n = len(names)
-    return ModelBank(
-        models=[finetuned[str(MixtureVector.from_indices([i], n))] for i in range(n)], names=names
-    )
-
-
 def _score_target(
     target: TargetPair,
     base: Checkpoint,
     bank: ModelBank,
-    finetuned: dict[str, Checkpoint],
-    order: list[MixtureVector],
+    finetuned: list[Checkpoint],
+    codes: np.ndarray,
 ) -> TargetTable:
     """Score every mixture's merged and fine-tuned model on one target, in stacked blocks.
 
-    Every selection but the similarity baseline is made here, on validation.
+    finetuned[i] is the model of codes[i]. Every selection but the
+    similarity baseline is made here, on validation.
     """
     n = len(bank)
-    codes = np.array([mixture_code(n, alpha) for alpha in order], dtype=np.int64)
-    finetuned_models = [finetuned[str(alpha)] for alpha in order]
-
-    def records(data: EvalDataset) -> list[ScoreRecord]:
-        merged = builtin_scores(bank, codes, data)
-        tuned = checkpoint_scores(finetuned_models, n, codes, data)
-        return [ScoreRecord(a, m.merged_score, f.merged_score) for a, m, f in zip(order, merged, tuned)]
-
     table = TargetTable(
         target_name=target.name,
         base_val_accuracy=evaluate_builtin(base, target.val).accuracy,
         base_test_accuracy=evaluate_builtin(base, target.test).accuracy,
-        records_val=records(target.val),
-        records_test=records(target.test),
+        merged_val=builtin_scores(bank, codes, target.val),
+        merged_test=builtin_scores(bank, codes, target.test),
+        finetuned_val=checkpoint_scores(finetuned, n, codes, target.val),
+        finetuned_test=checkpoint_scores(finetuned, n, codes, target.test),
     )
-    merged_val = [(str(r.alpha), r.merged_score.accuracy) for r in table.records_val]
-    ft_val = {str(r.alpha): r.finetuned_score.accuracy for r in table.records_val}
-    ft_test = {str(r.alpha): r.finetuned_score.accuracy for r in table.records_test}
-    mtm_bits, _ = best_mixture(merged_val, "maximize")
-    oracle_bits, _ = best_mixture(ft_val.items(), "maximize")
-    all_bits = str(all_datasets_vector(len(order[0])))
+    mtm_bits, _ = best_of_codes(n, codes, table.merged_val.accuracy, "maximize")
+    oracle_bits, _ = best_of_codes(n, codes, table.finetuned_val.accuracy, "maximize")
+    ft_val, ft_test = table.finetuned_val.accuracy.tolist(), table.finetuned_test.accuracy.tolist()
     table.selections = {
         "merge_to_mix_merged": table.outcome("merge_to_mix_merged", mtm_bits, merged=True),
         "merge_to_mix_finetuned": table.outcome("merge_to_mix_finetuned", mtm_bits),
-        "all_datasets": table.outcome("all_datasets", all_bits),
+        "all_datasets": table.outcome("all_datasets", "1" * n),
+        # the expected accuracy of a uniformly random non-empty mixture, exactly rounded
         "random_mean": SelectionOutcome(
-            "random_mean", "", random_selection_mean(ft_val), random_selection_mean(ft_test)
+            "random_mean", "", math.fsum(ft_val) / len(ft_val), math.fsum(ft_test) / len(ft_test)
         ),
         "oracle": table.outcome("oracle", oracle_bits),
     }
@@ -751,24 +721,28 @@ def _embeddings(
 
 
 def _similarity_baseline(
-    per_target: list[TargetTable], tg_embs: list[EmbeddingSet], ds_embs: list[EmbeddingSet]
+    per_target: list[TargetTable],
+    codes: np.ndarray,
+    tg_embs: list[EmbeddingSet],
+    ds_embs: list[EmbeddingSet],
 ) -> tuple[dict[str, list[CorrelationInput]], str]:
     """Correlation inputs per similarity metric, and the metric behind the "similarity" pick.
 
     Each metric picks one mixture per target; the metric whose picks have the
     best mean fine-tuned test accuracy sets every target's "similarity" selection.
+    similarity_table's scores, like the tables' columns, follow codes.
     """
+    n = len(ds_embs)
+    sizes = [code.bit_count() for code in codes.tolist()]
     corr_inputs: dict[str, list[CorrelationInput]] = {m.value: [] for m in SimilarityMetric}
     picks: dict[str, list[str]] = {m.value: [] for m in SimilarityMetric}
     for table, tg_emb in zip(per_target, tg_embs):
+        ft_test = table.finetuned_test.accuracy.tolist()
         for metric in SimilarityMetric:
-            scores = similarity_table(tg_emb, ds_embs, metric)
-            pairs = [
-                (scores[str(r.alpha)], r.finetuned_score.accuracy, r.alpha.n_selected)
-                for r in table.records_test
-            ]
+            scores = similarity_table(tg_emb, ds_embs, metric).scores
+            pairs = list(zip(scores.tolist(), ft_test, sizes))
             corr_inputs[metric.value].append(CorrelationInput(table.target_name, pairs))
-            picks[metric.value].append(str(select_from_table(scores, metric.direction)[0]))
+            picks[metric.value].append(best_of_codes(n, codes, scores, metric.direction)[0])
     mean_acc = {}
     for name, bits in picks.items():
         accs = [t.outcome("similarity", b).test_accuracy for t, b in zip(per_target, bits)]
@@ -792,24 +766,24 @@ def _check_oracle(per_target: list[TargetTable]) -> None:
 
 
 def _finetune_mixtures(
-    base: Checkpoint, parts: list[EvalDataset], mixtures: list[MixtureVector], cfg: TrainConfig
-) -> dict[str, Checkpoint]:
-    """Fine-tune base on every mixture, keyed by bit string.
+    base: Checkpoint, parts: list[EvalDataset], codes: np.ndarray, cfg: TrainConfig
+) -> list[Checkpoint]:
+    """Fine-tune base on every mixture code; the models come back in the order of codes.
 
     Mixtures of one size have equal row counts, so they train in lockstep,
     _LOCKSTEP_CHUNK runs at a time. Run keys are the mixtures' codes.
     """
-    by_size: dict[int, list[MixtureVector]] = {}
-    for alpha in mixtures:
-        by_size.setdefault(alpha.n_selected, []).append(alpha)
-    finetuned: dict[str, Checkpoint] = {}
+    n = len(parts)
+    by_size: dict[int, list[int]] = {}
+    for code in codes.tolist():
+        by_size.setdefault(code.bit_count(), []).append(code)
+    finetuned: dict[int, Checkpoint] = {}
     for group in by_size.values():
         for lo in range(0, len(group), _LOCKSTEP_CHUNK):
             chunk = group[lo : lo + _LOCKSTEP_CHUNK]
-            keys = [mixture_code(len(parts), a) for a in chunk]
-            models = train_many(base, parts, [a.selected for a in chunk], cfg, keys)
-            finetuned.update(zip(map(str, chunk), models))
-    return finetuned
+            selections = [tuple(i for i in range(n) if code >> (n - 1 - i) & 1) for code in chunk]
+            finetuned.update(zip(chunk, train_many(base, parts, selections, cfg, chunk)))
+    return [finetuned[code] for code in codes.tolist()]
 
 
 def _correlate_or_empty(inputs: list[CorrelationInput]) -> CorrelationReport:

@@ -823,6 +823,54 @@ def test_bench_reruns_are_byte_identical(tmp_path, capsys):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+# sha256 of the five bench files at two default-size settings, taken before the
+# bench moved onto mixture codes and score columns (numpy 2.4, x86-64). Any byte
+# that a refactor of the bench moves in its reports fails here.
+BENCH_GOLDEN = {
+    ("--seed", "3", "--num-datasets", "2"): {
+        "report.json": "082a69b143f2e001a2e6843dcd391f97167741b09cdd395f666497ed7aa982e8",
+        "selections.csv": "a71cadc6883ca5fc0494eb0c19f6a5ab4d2bfec7e553d4796cf0c4cdfa475150",
+        "mixtures.csv": "ce2a72a33401ced811a421175abdc4ea4d89575d39ea95915b95b3fce262c4ec",
+        "correlations.csv": "ea41d75421641e46c0fc33f549ac7229ff531f659fd1e6616c7f2645a0d9c31f",
+        "plot_data.csv": "a3d52474782dae493203fcc877f616414b26a0dbd2d81b36cdcd229d2eb7b958",
+    },
+    ("--seed", "7", "--num-datasets", "4", "--embedding-source", "raw"): {
+        "report.json": "7cc160905956a2eeb466e2b3f6c333d0c31a1da9307c92ba53937db30ee63ee9",
+        "selections.csv": "b7af1677e1656fd814277f95ea0882998373f1efb0f3b2ed619953c8c5e1499e",
+        "mixtures.csv": "95d692c363c953d7cafa81666dacce463849d7509a66eaec6b00804bcd1d46e6",
+        "correlations.csv": "beea2fdb3c6124ddabd30b208dbea5eb121c8e6d752c1e7d0c0574a42618272c",
+        "plot_data.csv": "09fd0e844b7801c099eac306e81971857bfa3ad2b86b08ed7ddad02622f640a2",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(BENCH_GOLDEN), ids=["seed3-n2", "seed7-n4-raw"])
+def test_bench_files_match_golden_digests(tmp_path, capsys, args):
+    outdir = tmp_path / "run"
+    assert run_cli(["bench", "--out", str(outdir), "--jobs", "1", *args], capsys)[0] == 0
+    digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in BENCH_FILES}
+    assert digests == BENCH_GOLDEN[args]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("degrade", [["--num-datasets", "2"], ["--epochs", "0"]], ids=["n2", "epochs0"])
+def test_bench_stdout_is_strict_json_when_correlations_degrade(tmp_path, capsys, degrade):
+    """Too few pairs (N=2) or constant series (no fine-tuning) leave no r; stdout says null, not NaN."""
+    outdir = tmp_path / "run"
+    code, stdout, _ = run_cli(["bench", "--out", str(outdir), *TINY_BENCH_ARGS, *degrade], capsys)
+    assert code == 0
+    assert stdout.count("\n") == 1
+    payload = json.loads(stdout, parse_constant=_reject_constant)
+    assert payload["average_r"] is None
+    assert payload["average_r_logit"] is None
+    assert payload["best_similarity_r"] is None
+    report = json.loads((outdir / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["correlation"]["average_r"] is None
+
+
 def test_bench_invalid_config_exits_1(tmp_path, capsys):
     code, _, err = run_cli(
         [

@@ -22,8 +22,10 @@ from mergemix import (
     train,
 )
 from mergemix.evaluator import EvalDataset
+from mergemix.merge_engine import code_bits, code_mixture, gray_codes
 from mergemix.toy_bench import (
     MAX_BENCH_N,
+    _finetune_mixtures,
     init_checkpoint,
     loss_and_grads,
     train_many,
@@ -376,6 +378,40 @@ def test_micro_benchmark_structure():
                 assert table.selections[method].val_accuracy <= oracle_val + 1e-12
 
 
+def test_target_table_outcome_reads_the_mixtures_row():
+    """outcome(bits) finds the row of bits in Gray order, for the fine-tuned and the merged columns."""
+    report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
+    for table in report.per_target:
+        for val, test in zip(table.records_val, table.records_test):
+            bits = str(val.alpha)
+            assert str(test.alpha) == bits
+            tuned = table.outcome("oracle", bits)
+            assert (tuned.val_accuracy, tuned.test_accuracy) == (
+                val.finetuned_score.accuracy,
+                test.finetuned_score.accuracy,
+            ), bits
+            merged = table.outcome("merge_to_mix_merged", bits, merged=True)
+            assert (merged.val_accuracy, merged.test_accuracy) == (
+                val.merged_score.accuracy,
+                test.merged_score.accuracy,
+            ), bits
+            assert merged.mixture_bits == tuned.mixture_bits == bits
+
+
+def test_finetune_mixtures_returns_each_codes_own_run():
+    """Model i is a lone train_many run of codes[i]'s selection, keyed by codes[i]."""
+    universe = generate_universe(MICRO_BENCH)
+    base = pretrain_base(universe, MICRO_TRAIN)
+    parts = [d.train for d in universe.datasets]
+    n = MICRO_BENCH.num_datasets
+    codes = gray_codes(n)
+    models = _finetune_mixtures(base, parts, codes, MICRO_TRAIN)
+    assert len(models) == len(codes)
+    for code, model in zip(codes.tolist(), models):
+        alone = train_many(base, parts, [code_mixture(n, code).selected], MICRO_TRAIN, [code])[0]
+        assert checkpoint_equal(model, alone), code_bits(n, code)
+
+
 def test_micro_benchmark_reproducible():
     r1 = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
     r2 = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
@@ -389,7 +425,14 @@ def test_micro_benchmark_reproducible():
 def test_benchmark_raises_when_a_method_beats_the_oracle(monkeypatch):
     from mergemix import toy_bench
 
-    monkeypatch.setattr(toy_bench, "random_selection_mean", lambda accs: 2.0)
+    real = toy_bench.SelectionOutcome
+
+    def outcome(method, bits, val_accuracy, test_accuracy, detail=""):
+        if method == "random_mean":
+            val_accuracy = 2.0
+        return real(method, bits, val_accuracy, test_accuracy, detail)
+
+    monkeypatch.setattr(toy_bench, "SelectionOutcome", outcome)
     with pytest.raises(MergeMixError, match="target T1: random_mean .* exceeds the oracle"):
         run_benchmark(MICRO_BENCH, MICRO_TRAIN)
 
