@@ -17,12 +17,10 @@ from .analytics import (
     correlate_tasks,
     emit_report,
     pearson,
-    plot_coordinates,
 )
 from .baselines import (
     SimilarityMetric,
     all_datasets_vector,
-    random_selection_mean,
     similarity_score,
     similarity_select,
     similarity_table,
@@ -57,9 +55,7 @@ from .mixture_search import (
     SearchConfig,
     SearchReport,
     builtin_eval_fn,
-    oracle_select,
     run_search,
-    select_best,
 )
 from .tensor_store import (
     Checkpoint,
@@ -118,17 +114,13 @@ __all__ = [
     "logit_improvement",
     "merge_uniform",
     "merge_weighted",
-    "oracle_select",
     "pearson",
-    "plot_coordinates",
     "pretrain_base",
-    "random_selection_mean",
     "read_checkpoint",
     "read_embeddings",
     "read_eval_dataset",
     "run_benchmark",
     "run_search",
-    "select_best",
     "similarity_score",
     "similarity_select",
     "similarity_table",

@@ -19,8 +19,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .evaluator import logit_improvement
-from .mixture_search import ScoreRecord
 from .tensor_store import atomic_open
 
 log = logging.getLogger("mergemix.analytics")
@@ -28,6 +26,13 @@ log = logging.getLogger("mergemix.analytics")
 REPORT_FORMATS = ("csv", "json")
 
 MIN_PAIRS_PER_TASK = 3
+
+
+def _centered_products(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """sum(dx * dy) and sqrt(sum(dx * dx) * sum(dy * dy)), dx and dy taken about the means."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return (dx * dy).sum(), math.sqrt((dx * dx).sum() * (dy * dy).sum())
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -43,11 +48,15 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValidationError("need at least 2 pairs")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("non-finite value in series")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    # min == max rather than np.ptp == 0: max - min overflows for spreads beyond the float64 range
+    if x.min() == x.max() or y.min() == y.max():
         raise ValidationError("degenerate: constant series")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    r = float((dx * dy).sum() / math.sqrt((dx * dx).sum() * (dy * dy).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov, norm = _centered_products(x, y)
+    if not 0.0 < norm < math.inf:
+        # the sums of squares overflowed or underflowed; r is scale-invariant, so scale both to max |value| 1
+        cov, norm = _centered_products(x / np.abs(x).max(), y / np.abs(y).max())
+    r = float(cov / norm)
     return max(-1.0, min(1.0, r))
 
 
@@ -148,39 +157,6 @@ def correlate_tasks(
         skipped_tasks=skipped,
         n_pairs=n_pairs,
     )
-
-
-def plot_coordinates(
-    records: Sequence[ScoreRecord],
-    base_acc: float,
-    surrogate: str = "merged",
-    similarity_scores: Mapping[str, float] | None = None,
-) -> list[tuple[float, float, int]]:
-    """Scatter coordinates for surrogate-vs-fine-tuned plots.
-
-    y is always the fine-tuned logit improvement over the base accuracy.
-    x is the merged-model logit improvement ("merged") or the raw metric
-    score ("similarity", which requires similarity_scores keyed by bit
-    string). Single-dataset mixtures land on x == y in merged mode.
-    """
-    if surrogate not in ("merged", "similarity"):
-        raise ValidationError(f"surrogate must be 'merged' or 'similarity', got {surrogate!r}")
-    if surrogate == "similarity" and similarity_scores is None:
-        raise ValidationError("similarity surrogate needs similarity_scores")
-    out: list[tuple[float, float, int]] = []
-    for rec in records:
-        if rec.finetuned_score is None:
-            raise ValidationError(f"record {rec.alpha} is missing a fine-tuned score")
-        y = logit_improvement(rec.finetuned_score.accuracy, base_acc)
-        if surrogate == "merged":
-            x = logit_improvement(rec.merged_score.accuracy, base_acc)
-        else:
-            bits = str(rec.alpha)
-            if bits not in similarity_scores:
-                raise ValidationError(f"similarity_scores missing mixture {bits}")
-            x = float(similarity_scores[bits])
-        out.append((x, y, rec.alpha.n_selected))
-    return out
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:

@@ -1,4 +1,4 @@
-"""Mixture-selection baselines: embedding similarity, all-data, random mean.
+"""Mixture-selection baselines: embedding similarity and all-data.
 
 Similarity metrics compare a target embedding set against the pooled
 embeddings of a candidate mixture (the multiset union of the selected
@@ -10,14 +10,13 @@ normalize internally by definition.
 from __future__ import annotations
 
 import enum
-import math
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MergeMixError, ValidationError
 from .merge_engine import MixtureVector, code_bits, gray_codes, gray_rank
-from .mixture_search import _score_items, best_mixture, best_of_codes
+from .mixture_search import best_of_codes
 from .tensor_store import EmbeddingSet
 
 
@@ -204,17 +203,14 @@ def similarity_table(
     return SimilarityTable(n, scores)
 
 
-def select_from_table(table: Mapping[str, float], direction: str) -> tuple[MixtureVector, float]:
-    """Best mixture in a bits->score table under best_mixture's tie-break.
+def select_from_table(table: SimilarityTable, direction: str) -> tuple[MixtureVector, float]:
+    """Best mixture in a similarity table under best_of_codes's tie-break.
 
     direction is "maximize" or "minimize".
     """
     if not table:
         raise ValidationError("empty score table")
-    if isinstance(table, SimilarityTable):
-        bits, value = best_of_codes(table.n, gray_codes(table.n), table.scores, direction)
-    else:
-        bits, value = best_mixture(table.items(), direction)
+    bits, value = best_of_codes(table.n, gray_codes(table.n), table.scores, direction)
     return MixtureVector.from_string(bits), float(value)
 
 
@@ -231,20 +227,3 @@ def all_datasets_vector(n: int) -> MixtureVector:
     if n < 1:
         raise ValidationError("N must be >= 1")
     return MixtureVector(tuple([1] * n))
-
-
-def random_selection_mean(scores: Mapping, exact: bool = True) -> float:
-    """Expected accuracy of a uniformly random non-empty mixture.
-
-    In exact mode the map must cover all 2^N - 1 mixtures; otherwise the
-    provided entries are treated as a Monte Carlo sample and averaged as-is.
-    """
-    items = _score_items(scores)
-    if exact:
-        n = len(items[0][0])
-        expected = (1 << n) - 1
-        if len(items) != expected:
-            raise ValidationError(
-                f"exact mode needs all {expected} mixtures for N={n}, got {len(items)}"
-            )
-    return math.fsum(acc for _, acc in items) / len(items)

@@ -6,9 +6,9 @@ mixtures per merge_block call and per stacked forward pass. Any other
 evaluator gets one merged Checkpoint per mixture from the subset_merges walk.
 Results are ScoreColumns: int mixture codes and float64 score arrays, which
 build a ScoreRecord only when one entry is read.
-best_mixture holds the tie-break that every selection in the package uses:
-the smaller selection first, then the lexicographically smallest bit string,
-so results are deterministic.
+best_of_codes holds the tie-break that every selection in the package uses:
+the best value, then the fewest datasets, then the smaller code, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class ScoreColumns(Sequence[ScoreRecord]):
 
 @dataclass
 class SearchReport:
-    records: Sequence[ScoreRecord]
+    records: ScoreColumns
     best_alpha: MixtureVector
     objective: str
     target_name: str
@@ -203,36 +203,20 @@ class SearchReport:
         }
 
 
-def best_mixture(items: Iterable[tuple[str, float]], direction: str) -> tuple[str, float]:
-    """The winning (bits, value) pair among (bits, value) pairs.
+def best_of_codes(n: int, codes: np.ndarray, values: np.ndarray, direction: str) -> tuple[str, float]:
+    """The winning (bits, value) of mixture codes over n datasets and their finite values, as arrays.
 
     direction is "maximize" or "minimize". Ties on the value resolve to the
-    smaller selection first, then the lexicographically smallest bit string.
+    fewest datasets (code.bit_count()), then to the smaller code, which for
+    bit strings of one length is the lexicographically smaller string. Only
+    the winner's bits are formatted.
     """
     if direction not in ("maximize", "minimize"):
         raise ValidationError(f"direction must be 'maximize' or 'minimize', got {direction!r}")
-    sign = -1.0 if direction == "maximize" else 1.0
-    return min(items, key=lambda item: (sign * item[1], item[0].count("1"), item[0]))
-
-
-def best_of_codes(n: int, codes: np.ndarray, values: np.ndarray, direction: str) -> tuple[str, float]:
-    """best_mixture over mixture codes and their finite values, given as arrays.
-
-    Only the entries that hold the best value can win, so only their bit
-    strings are built; best_mixture breaks the tie among them.
-    """
     rows = np.flatnonzero(values == (values.max() if direction == "maximize" else values.min()))
-    return best_mixture(zip((code_bits(n, code) for code in codes[rows].tolist()), values[rows].tolist()), direction)
-
-
-def _best_record(records: Sequence[ScoreRecord], objective: str) -> MixtureVector:
-    """The mixture whose merged score wins under the search objective."""
-    field, direction = ("accuracy", "maximize") if objective == "max_accuracy" else ("mean_loss", "minimize")
-    if isinstance(records, ScoreColumns):
-        bits, _ = best_of_codes(records.n, records.codes, getattr(records, field), direction)
-    else:
-        bits, _ = best_mixture(((str(r.alpha), getattr(r.merged_score, field)) for r in records), direction)
-    return MixtureVector.from_string(bits)
+    tied = zip(codes[rows].tolist(), values[rows].tolist())
+    code, value = min(tied, key=lambda item: (item[0].bit_count(), item[0]))
+    return code_bits(n, code), value
 
 
 def _checked(first: str, ckpt: Checkpoint, target: TargetRef) -> EvalDataset:
@@ -369,55 +353,15 @@ def run_search(
     else:
         records = _per_mixture_scores(bank, codes, eval_fn, target, config.jobs)
 
+    field, direction = ("accuracy", "maximize") if config.objective == "max_accuracy" else ("mean_loss", "minimize")
+    best_bits, _ = best_of_codes(n, codes, getattr(records, field), direction)
     if isinstance(target, EvalDataset):
         target_name = target.name
     else:
         target_name = str(target)
     return SearchReport(
         records=records,
-        best_alpha=_best_record(records, config.objective),
+        best_alpha=MixtureVector.from_string(best_bits),
         objective=config.objective,
         target_name=target_name,
     )
-
-
-def select_best(report: SearchReport) -> MixtureVector:
-    """Recompute the winner from a report's records (consistency check)."""
-    if not report.records:
-        raise ValidationError("report holds no records")
-    return _best_record(report.records, report.objective)
-
-
-def _score_items(scores: Mapping) -> list[tuple[str, float]]:
-    """(bits, accuracy) pairs of a scores map, validated.
-
-    Keys may be MixtureVector or bit strings; values may be Score or floats.
-    Rejects an empty map, empty mixtures, duplicate mixtures, accuracies
-    outside [0, 1] and mixtures of different lengths.
-    """
-    if not scores:
-        raise ValidationError("scores map must not be empty")
-    items: dict[str, float] = {}
-    for key, value in scores.items():
-        alpha = key if isinstance(key, MixtureVector) else MixtureVector.from_string(str(key))
-        if alpha.n_selected == 0:
-            raise ValidationError("empty mixture in scores map")
-        bits = str(alpha)
-        if bits in items:
-            raise ValidationError(f"duplicate mixture {bits}")
-        acc = value.accuracy if isinstance(value, Score) else float(value)
-        if not 0.0 <= acc <= 1.0:
-            raise ValidationError(f"accuracy out of range: {acc}")
-        items[bits] = acc
-    if len({len(bits) for bits in items}) != 1:
-        raise ValidationError("scores map mixes mixture lengths")
-    return list(items.items())
-
-
-def oracle_select(scores: Mapping) -> MixtureVector:
-    """Best mixture by known (validation) accuracy, same tie-break as search.
-
-    Keys may be MixtureVector or bit strings; values may be Score or floats.
-    """
-    bits, _ = best_mixture(_score_items(scores), "maximize")
-    return MixtureVector.from_string(bits)

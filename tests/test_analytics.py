@@ -1,5 +1,5 @@
-"""Correlation analytics tests: pearson, singleton exclusion, plot
-coordinates, and deterministic report emission."""
+"""Correlation analytics tests: pearson, singleton exclusion, the bench's
+surrogate plot points, and deterministic report emission."""
 
 import json
 
@@ -10,26 +10,18 @@ from hypothesis import strategies as st
 
 from mergemix import (
     CorrelationInput,
-    MixtureVector,
-    Score,
     ValidationError,
     correlate_tasks,
     emit_report,
+    logit_improvement,
     pearson,
-    plot_coordinates,
 )
 from mergemix.analytics import write_plot_csv
-from mergemix.mixture_search import ScoreRecord
+from mergemix.merge_engine import gray_codes
+from mergemix.mixture_search import ScoreColumns
+from mergemix.toy_bench import TargetTable
 
 LN3 = 1.0986122886681098
-
-
-def record(bits, merged_acc, ft_acc):
-    return ScoreRecord(
-        alpha=MixtureVector.from_string(bits),
-        merged_score=Score(accuracy=merged_acc, mean_loss=0.0, num_samples=0),
-        finetuned_score=Score(accuracy=ft_acc, mean_loss=0.0, num_samples=0),
-    )
 
 
 # ============================================================================
@@ -41,8 +33,11 @@ def test_pearson_perfect_positive():
     assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pearson_perfect_negative():
-    assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-12)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1, 1e-200, 1e100, 1e155, 1e200, 1e308])
+def test_pearson_perfect_negative(s):
+    """Sums of squares that overflow or underflow float64 still give r = -1, silently."""
+    assert pearson([s, -s, 0], [-s, s, 0]) == -1.0
 
 
 def test_pearson_point_six():
@@ -164,52 +159,42 @@ def test_average_is_unweighted_mean():
 
 
 # ============================================================================
-# plot_coordinates
+# TargetTable.surrogate_pairs: the bench's plot points
 # ============================================================================
 
 
+def pair_table(bits, merged_acc, ft_acc, base_acc=0.5):
+    """A hand-built TargetTable whose mixtures have these merged and fine-tuned accuracies."""
+    codes = [int(b, 2) for b in bits]
+    merged = ScoreColumns(len(bits[0]), codes, merged_acc, 0.0, 0)
+    tuned = ScoreColumns(len(bits[0]), codes, ft_acc, 0.0, 0)
+    return TargetTable("T", base_acc, base_acc, merged, merged, tuned, tuned)
+
+
 def test_plot_origin_when_nothing_improves():
-    recs = [record("11", 0.5, 0.5)]
-    pts = plot_coordinates(recs, base_acc=0.5)
-    assert pts == [(0.0, 0.0, 2)]
+    pairs = pair_table(["11"], [0.5], [0.5]).surrogate_pairs(logit_improvement)
+    assert (pairs.task_name, pairs.pairs) == ("T", [(0.0, 0.0, 2)])
 
 
 def test_plot_ln3_point():
-    recs = [record("11", 0.75, 0.75)]
-    ((x, y, n),) = plot_coordinates(recs, base_acc=0.5)
+    ((x, y, n),) = pair_table(["11"], [0.75], [0.75]).surrogate_pairs(logit_improvement).pairs
     assert x == pytest.approx(LN3, abs=1e-12)
     assert y == pytest.approx(LN3, abs=1e-12)
     assert n == 2
 
 
 def test_plot_singletons_on_diagonal():
-    recs = [record("10", 0.62, 0.62), record("01", 0.43, 0.43), record("11", 0.9, 0.7)]
-    pts = plot_coordinates(recs, base_acc=0.5)
-    for x, y, n in pts:
-        if n == 1:
-            assert x == pytest.approx(y, abs=1e-9)
+    table = pair_table(["10", "01", "11"], [0.62, 0.43, 0.9], [0.62, 0.43, 0.7])
+    pts = table.surrogate_pairs(logit_improvement).pairs
+    assert [(x == y, n) for x, y, n in pts] == [(True, 1), (True, 1), (False, 2)]
 
 
-def test_plot_similarity_mode_uses_raw_scores():
-    recs = [record("10", 0.6, 0.7), record("01", 0.5, 0.6)]
-    sims = {"10": 0.91, "01": 0.12}
-    pts = plot_coordinates(recs, base_acc=0.5, surrogate="similarity", similarity_scores=sims)
-    assert pts[0][0] == pytest.approx(0.91)
-    assert pts[1][0] == pytest.approx(0.12)
-
-
-def test_plot_missing_finetuned_rejected():
-    rec = ScoreRecord(
-        alpha=MixtureVector.from_string("11"),
-        merged_score=Score(accuracy=0.5, mean_loss=0.0, num_samples=0),
-    )
-    with pytest.raises(ValidationError, match="missing a fine-tuned score"):
-        plot_coordinates([rec], base_acc=0.5)
-
-
-def test_plot_similarity_mode_needs_scores():
-    with pytest.raises(ValidationError, match="similarity_scores"):
-        plot_coordinates([record("11", 0.5, 0.6)], base_acc=0.5, surrogate="similarity")
+def test_surrogate_pairs_n_selected_is_the_bit_count():
+    codes = gray_codes(4).tolist()
+    acc = [0.1 + 0.05 * i for i in range(len(codes))]
+    table = pair_table([format(code, "04b") for code in codes], acc, acc[::-1])
+    pts = table.surrogate_pairs(lambda acc, base_acc: acc).pairs
+    assert pts == [(m, f, code.bit_count()) for m, f, code in zip(acc, acc[::-1], codes)]
 
 
 # ============================================================================

@@ -1,7 +1,6 @@
 """Baseline selector tests: the six similarity metrics against a double-loop
-reference, mixture composition, and the random/all-data selectors."""
+reference, mixture composition, and the all-data selector."""
 
-import math
 import struct
 from unittest import mock
 
@@ -13,12 +12,9 @@ from hypothesis import strategies as st
 from mergemix import baselines
 from mergemix import (
     EmbeddingSet,
-    MixtureVector,
-    Score,
     SimilarityMetric,
     ValidationError,
     all_datasets_vector,
-    random_selection_mean,
     similarity_score,
     similarity_select,
     similarity_table,
@@ -389,42 +385,8 @@ def test_table_rejects_n_above_the_enumeration_limit():
 
 
 # ============================================================================
-# random_selection_mean / all_datasets_vector
+# all_datasets_vector
 # ============================================================================
-
-
-def test_random_mean_example():
-    scores = {"01": 0.4, "10": 0.6, "11": 0.8}
-    assert random_selection_mean(scores) == pytest.approx(0.6, abs=1e-12)
-
-
-def test_random_mean_constant():
-    scores = {str(a): 0.5 for a in gray_code_order(3)}
-    assert random_selection_mean(scores) == 0.5
-
-
-def test_random_mean_accepts_score_values():
-    scores = {
-        str(a): Score(accuracy=0.25 * (i + 1) / 7, mean_loss=0.0, num_samples=0)
-        for i, a in enumerate(gray_code_order(3))
-    }
-    want = math.fsum(s.accuracy for s in scores.values()) / 7
-    assert random_selection_mean(scores) == pytest.approx(want, abs=1e-15)
-
-
-def test_random_mean_incomplete_rejected():
-    with pytest.raises(ValidationError, match="exact mode needs all 3 mixtures"):
-        random_selection_mean({"01": 0.4, "10": 0.6})
-
-
-def test_random_mean_mixed_lengths_rejected():
-    with pytest.raises(ValidationError):
-        random_selection_mean({"01": 0.4, "100": 0.6, "11": 0.8})
-
-
-def test_random_mean_sample_mode():
-    scores = {"0110": 0.2, "1001": 0.8}
-    assert random_selection_mean(scores, exact=False) == pytest.approx(0.5)
 
 
 def test_all_datasets_vector():

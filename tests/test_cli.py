@@ -688,6 +688,19 @@ def test_correlate_singleton_handling(tmp_path, capsys):
     assert payload["average_r"] != pytest.approx(0.6, abs=1e-6)
 
 
+def test_correlate_reports_r_where_sums_of_squares_overflow(tmp_path):
+    """Perfectly anti-correlated values near 1e200, whose squares overflow float64."""
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [("T", 1e200, -1e200, 2), ("T", -1e200, 1e200, 2), ("T", 0.0, 0.0, 2)])
+    out = tmp_path / "corr.csv"
+    proc = run_cli_process(["correlate", "--pairs", str(pairs), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert assert_single_json_line(proc.stdout)["average_r"] == -1.0
+    with open(out, newline="") as fh:
+        assert [row["r"] for row in csv.DictReader(fh)] == ["-1.0"]
+
+
 def test_correlate_bad_columns_exits_1(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("task,x,y\nT,1,2\n")

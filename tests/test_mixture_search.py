@@ -1,7 +1,8 @@
-"""Search tests: exhaustive enumeration, objectives, tie-breaks, the oracle
-selector, and parity between serial and threaded scoring."""
+"""Search tests: exhaustive enumeration, objectives, the one tie-break of
+every selection, and parity between serial and threaded scoring."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -16,18 +17,23 @@ from mergemix import (
     ModelBank,
     Score,
     SearchConfig,
-    SearchReport,
     ValidationError,
     builtin_eval_fn,
-    oracle_select,
     run_search,
-    select_best,
 )
 from mergemix import emit_report, mixture_search
 from mergemix.baselines import SimilarityTable, select_from_table
 from mergemix.evaluator import evaluate_builtin
-from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, merge_block, merge_uniform, subset_merges
-from mergemix.mixture_search import ScoreColumns, ScoreRecord, best_mixture
+from mergemix.merge_engine import (
+    MAX_ENUMERATION_N,
+    code_bits,
+    gray_code_order,
+    gray_codes,
+    merge_block,
+    merge_uniform,
+    subset_merges,
+)
+from mergemix.mixture_search import ScoreColumns, ScoreRecord, best_of_codes
 
 
 def tiny_bank(n, seed=0):
@@ -215,67 +221,15 @@ def test_builtin_eval_fn_requires_dataset():
 
 
 # ============================================================================
-# select_best / oracle_select
+# best_of_codes: the one tie-break behind every selection
 # ============================================================================
-
-
-def test_select_best_matches_report():
-    report = run_search(
-        tiny_bank(3), accuracy_fn(lambda a: a.n_selected / 3), target=None
-    )
-    assert select_best(report) == report.best_alpha
-    assert str(report.best_alpha) == "111"
-
-
-def test_select_best_examples():
-    def rec(bits, acc):
-        return ScoreRecord(
-            alpha=MixtureVector.from_string(bits),
-            merged_score=Score(accuracy=acc, mean_loss=0.0, num_samples=0),
-        )
-
-    report = SearchReport(
-        records=[rec("001", 0.3), rec("010", 0.9), rec("100", 0.7)],
-        best_alpha=MixtureVector.from_string("010"),
-        objective="max_accuracy",
-        target_name="t",
-    )
-    assert str(select_best(report)) == "010"
 
 
 def test_oracle_select_examples():
-    assert str(oracle_select({"01": 0.4, "10": 0.6, "11": 0.8})) == "11"
-    assert str(oracle_select({"01": 0.7, "10": 0.7})) == "01"
-
-
-def test_oracle_select_accepts_scores_and_vectors():
-    scores = {
-        MixtureVector.from_string("01"): Score(accuracy=0.4, mean_loss=0.0, num_samples=0),
-        MixtureVector.from_string("10"): Score(accuracy=0.9, mean_loss=0.0, num_samples=0),
-    }
-    assert str(oracle_select(scores)) == "10"
-
-
-def test_oracle_select_errors():
-    with pytest.raises(ValidationError):
-        oracle_select({})
-    with pytest.raises(ValidationError, match="length"):
-        oracle_select({"01": 0.5, "100": 0.6})
-    with pytest.raises(ValidationError, match="accuracy out of range"):
-        oracle_select({"01": 1.5})
-    with pytest.raises(ValidationError, match="empty mixture"):
-        oracle_select({"00": 0.5})
-
-
-def test_oracle_select_rejects_duplicate_mixtures():
-    """A bit string and a MixtureVector naming the same mixture are one key twice."""
-    with pytest.raises(ValidationError, match="duplicate mixture 01"):
-        oracle_select({"01": 0.5, MixtureVector.from_string("01"): 0.9})
-
-
-# ============================================================================
-# best_mixture: the one tie-break behind every selection
-# ============================================================================
+    """The oracle is best_of_codes over fine-tuned validation accuracy."""
+    codes = np.array([0b01, 0b10, 0b11])
+    assert best_of_codes(2, codes, np.array([0.4, 0.6, 0.8]), "maximize") == ("11", 0.8)
+    assert best_of_codes(2, codes[:2], np.array([0.7, 0.7]), "maximize") == ("01", 0.7)
 
 
 def sorted_reference(table, maximize):
@@ -287,42 +241,47 @@ def sorted_reference(table, maximize):
 
 @st.composite
 def tied_tables(draw):
-    """bits -> value over all mixtures of N <= 4, values from a tiny set so ties abound."""
+    """bits -> value over all mixtures of N <= 4 in Gray order, values from a tiny
+    set so ties abound, and a shuffle of the mixtures."""
     n = draw(st.integers(1, 4))
     values = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
-    return n, {str(a): draw(values) for a in gray_code_order(n)}
+    table = {str(a): draw(values) for a in gray_code_order(n)}
+    return n, table, draw(st.permutations(range(len(table))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(tied_tables())
-def test_every_selector_shares_the_tie_break(n_table):
-    n, table = n_table
+def test_every_selector_shares_the_tie_break(n_table_order):
+    n, table, order = n_table_order
     want_max = sorted_reference(table, maximize=True)
     want_min = sorted_reference(table, maximize=False)
-    assert best_mixture(table.items(), "maximize") == (want_max, table[want_max])
-    assert best_mixture(table.items(), "minimize") == (want_min, table[want_min])
+    codes = gray_codes(n)
+    values = np.array(list(table.values()))
+    assert [code_bits(n, code) for code in codes.tolist()] == list(table)
+    for rows in (np.arange(len(codes)), np.array(order)):
+        for direction, want in (("maximize", want_max), ("minimize", want_min)):
+            bits, value = best_of_codes(n, codes[rows], values[rows], direction)
+            # the winner's own value, so a -0.0 keeps its sign
+            assert (bits, value, math.copysign(1.0, value)) == (want, table[want], math.copysign(1.0, table[want]))
 
-    assert str(select_from_table(table, "maximize")[0]) == want_max
-    gray_table = SimilarityTable(n, np.array(list(table.values())))
+    gray_table = SimilarityTable(n, values)
     assert gray_table == table
     assert str(select_from_table(gray_table, "maximize")[0]) == want_max
     assert str(select_from_table(gray_table, "minimize")[0]) == want_min
-    assert str(oracle_select(table)) == want_max
     report = run_search(tiny_bank(n), accuracy_fn(lambda a: table[str(a)]), target=None)
     assert str(report.best_alpha) == want_max
-    assert str(select_best(report)) == want_max
 
     def loss_fn(ckpt, target, alpha):
         return Score(accuracy=0.5, mean_loss=table[str(alpha)], num_samples=0)
 
     loss_report = run_search(tiny_bank(n), loss_fn, None, SearchConfig(objective="min_loss"))
     assert str(loss_report.best_alpha) == want_min
-    assert str(select_best(loss_report)) == want_min
 
 
-def test_best_mixture_rejects_unknown_direction():
+def test_best_of_codes_rejects_unknown_direction():
+    """The direction is checked before any reduction, so even empty arrays name it."""
     with pytest.raises(ValidationError, match="direction"):
-        best_mixture([("1", 0.5)], "upward")
+        best_of_codes(1, np.array([], dtype=np.int64), np.array([]), "upward")
 
 
 # ============================================================================

@@ -1,9 +1,12 @@
-"""The benchmark's tracer wraps mergemix functions by module and name; a
-rename or move must not leave one of them unresolved."""
+"""Names looked up in mergemix: the functions the benchmark's tracer wraps by
+module and name, and the package's public __all__. A rename, move or removal
+must not leave one of them unresolved."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import mergemix
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -15,3 +18,9 @@ def test_every_traced_name_resolves():
     assert tracing.TRACED
     for module, attr, *_ in tracing.TRACED:
         assert callable(getattr(importlib.import_module(f"mergemix.{module}"), attr)), (module, attr)
+
+
+def test_every_public_name_resolves_once():
+    assert len(mergemix.__all__) == len(set(mergemix.__all__))
+    for name in mergemix.__all__:
+        assert hasattr(mergemix, name), name
