@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MergeMixError, ValidationError
+from .errors import ValidationError
 from .merge_engine import MixtureVector, code_bits, gray_codes, gray_rank
 from .mixture_search import best_of_codes
 from .tensor_store import EmbeddingSet
@@ -62,12 +62,34 @@ def _pairwise(target: EmbeddingSet, mixture: EmbeddingSet, metric: SimilarityMet
         )
     if metric.direction == "maximize":
         return _unit_rows(t, "target embeddings") @ _unit_rows(s, "mixture embeddings").T
-    # scipy is loaded here, not at import: only the L2 kinds need it
-    try:
-        from scipy.spatial.distance import cdist
-    except ImportError as exc:
-        raise MergeMixError(f"similarity metric {metric.value} needs scipy: {exc}") from None
-    return cdist(t, s)
+    return _euclidean(t, s)
+
+
+def _euclidean(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """L2 distances [len(t), len(s)] between float64 rows, with the bits of a euclidean cdist.
+
+    Each distance starts at 0.0, adds (t_j - s_j)**2 for the dimensions j in
+    order and takes one square root, the order cdist sums in. numpy's own
+    reductions (sum, norm, einsum, vecdot) sum in another order and can
+    differ in the last bits.
+
+    The differences t_j - s_j come from the rank-2 product [t_j, 1] @ [1, -s_j].
+    Both products are exact, so in any order the two-term sum is t_j - s_j
+    rounded once, as a subtraction rounds it (up to the sign of a zero, which
+    the square drops). BLAS writes it several times faster than a broadcast subtract.
+    """
+    dim = t.shape[1]
+    left = np.ones((dim, len(t), 2))
+    left[:, :, 0] = t.T
+    right = np.ones((dim, 2, len(s)))
+    np.negative(s.T, out=right[:, 1])
+    acc = np.zeros((len(t), len(s)))
+    diff = np.empty_like(acc)
+    for left_j, right_j in zip(left, right):
+        np.matmul(left_j, right_j, out=diff)
+        np.square(diff, out=diff)
+        acc += diff
+    return np.sqrt(acc, out=acc)
 
 
 def similarity_score(target: EmbeddingSet, mixture: EmbeddingSet, metric: SimilarityMetric) -> float:

@@ -1,6 +1,7 @@
 """Baseline selector tests: the six similarity metrics against a double-loop
 reference, mixture composition, and the all-data selector."""
 
+import math
 import struct
 from unittest import mock
 
@@ -244,6 +245,37 @@ def test_select_property_matches_scan(seed):
                 best = (key, alpha, val)
         assert got_alpha == best[1]
         assert got_val == pytest.approx(best[2], abs=1e-9)
+
+
+# ============================================================================
+# L2 distances: the left-to-right sum, bit for bit
+# ============================================================================
+
+
+def left_to_right_distance(a_row, b_row):
+    """math.sqrt of the float sum of (a - b) * (a - b), left to right from 0.0."""
+    acc = 0.0
+    for a, b in zip(a_row, b_row):
+        acc += (a - b) * (a - b)
+    return math.sqrt(acc)
+
+
+@st.composite
+def float32_row_pairs(draw):
+    """Two row sets of one dim, with any finite float32 values (-0.0, subnormals,
+    extremes). Past 8 dims numpy's sum reductions leave the left-to-right order."""
+    dim = draw(st.integers(1, 20))
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=dim, max_size=dim)
+    return [draw(st.lists(row, min_size=1, max_size=4)) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(float32_row_pairs())
+def test_l2_distance_is_the_left_to_right_sum(rows):
+    t, s = rows
+    got = baselines._euclidean(np.array(t), np.array(s))
+    want = np.array([[left_to_right_distance(a, b) for b in s] for a in t])
+    assert got.tobytes() == want.tobytes()
 
 
 # ============================================================================

@@ -593,23 +593,18 @@ def similarity_argv(tmp_path, metric):
             "--metric", metric, "--out", str(tmp_path / f"{metric}.csv")]
 
 
-@pytest.mark.parametrize("command", ["similarity", "bench"])
-def test_l2_metric_without_scipy_exits_1(tmp_path, capsys, monkeypatch, command):
+def test_every_command_runs_with_scipy_blocked(tmp_path, capsys, monkeypatch):
+    """numpy is the only runtime dependency: with scipy unimportable, every
+    similarity metric and the bench still run, and the bench writes its
+    golden bytes."""
+    monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.setitem(sys.modules, "scipy.spatial.distance", None)
-    if command == "similarity":
-        argv = similarity_argv(tmp_path, "min_min_l2")
-    else:
-        argv = ["bench", "--out", str(tmp_path / "run"), *TINY_BENCH_ARGS]
-    code, stdout, err = run_cli(argv, capsys)
-    assert code == 1 and stdout == ""
-    assert err.startswith("error: similarity metric ") and "_l2 needs scipy" in err
-    assert err.count("\n") == 1
-    assert not (tmp_path / "min_min_l2.csv").exists() and not (tmp_path / "run").exists()
-
-
-def test_commands_without_l2_run_without_scipy(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(sys.modules, "scipy.spatial.distance", None)
-    assert run_cli(similarity_argv(tmp_path, "avg_max_cos"), capsys)[0] == 0
+    for metric in SimilarityMetric:
+        assert run_cli(similarity_argv(tmp_path, metric.value), capsys)[0] == 0, metric
+    golden_args = ("--seed", "3", "--num-datasets", "2")
+    outdir = tmp_path / "run"
+    assert run_cli(["bench", "--out", str(outdir), "--jobs", "1", *golden_args], capsys)[0] == 0
+    assert bench_digests(outdir) == BENCH_GOLDEN[golden_args]
     bank = make_bank_dir(tmp_path)
     target = tmp_path / "target.mtm"
     write_target_dataset(target)
@@ -857,12 +852,15 @@ BENCH_GOLDEN = {
 }
 
 
+def bench_digests(outdir):
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in BENCH_FILES}
+
+
 @pytest.mark.parametrize("args", list(BENCH_GOLDEN), ids=["seed3-n2", "seed7-n4-raw"])
 def test_bench_files_match_golden_digests(tmp_path, capsys, args):
     outdir = tmp_path / "run"
     assert run_cli(["bench", "--out", str(outdir), "--jobs", "1", *args], capsys)[0] == 0
-    digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in BENCH_FILES}
-    assert digests == BENCH_GOLDEN[args]
+    assert bench_digests(outdir) == BENCH_GOLDEN[args]
 
 
 def _reject_constant(name):

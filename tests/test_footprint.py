@@ -5,7 +5,8 @@ Results are columns indexed by mixture, so their size per mixture is a few
 array entries. Each memory test warms up first (the bank's flat copy and
 numpy set-up), then measures with tracemalloc what one more call keeps
 allocated while its result is alive. The module tests run in a fresh
-interpreter: scipy is loaded only by the L2 similarity metrics.
+interpreter: no command loads scipy, the L2 similarity metrics included.
+scipy is a test dependency only, for the cross-check against cdist.
 """
 
 import gc
@@ -123,20 +124,47 @@ def test_external_search_loads_no_scipy(tmp_path):
     assert (tmp_path / "r.json").exists()
 
 
-def test_l2_tables_load_scipy_and_match_cdist_bit_for_bit():
+def test_l2_tables_and_bench_load_no_scipy(tmp_path):
     code = EMBEDDINGS + """
 from mergemix import SimilarityMetric, similarity_table
-from mergemix.baselines import _pairwise
-assert "scipy" not in sys.modules
-table = similarity_table(target, per_dataset, SimilarityMetric.MIN_MIN_L2)
-assert "scipy.spatial.distance" in sys.modules
-from scipy.spatial.distance import cdist
-for i, ds in enumerate(per_dataset):
-    want = cdist(target.embeddings.astype(np.float64), ds.embeddings.astype(np.float64))
-    for metric in SimilarityMetric:
-        if metric.direction == "minimize":
-            got = _pairwise(target, ds, metric)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (metric, i)
-    assert table["0" * i + "1" + "0" * (3 - i)] == want.min(), i
+from mergemix.cli import main
+for metric in SimilarityMetric:
+    if metric.direction == "minimize":
+        assert len(similarity_table(target, per_dataset, metric)) == 15
+assert main(sys.argv[1:]) == 0
 """ + LIST_SCIPY
-    assert "scipy.spatial.distance" in fresh_process(code)
+    argv = ["bench", "--out", str(tmp_path / "run"), "--jobs", "1", "--num-datasets", "2",
+            "--samples-per-dataset", "60", "--num-targets", "1", "--epochs", "1"]
+    assert fresh_process(code, *argv) == []
+    assert (tmp_path / "run" / "report.json").exists()
+
+
+def l2_cross_check_sets():
+    """(target rows, dataset rows) pairs: one-row sets, d = 1, zero and -0.0
+    entries, magnitudes from 1e-30 to 1e30, and sets large enough for BLAS's
+    blocked kernels."""
+    rng = np.random.default_rng(9)
+    cases = [(np.array([[1.5]]), np.array([[-2.25]])), (np.array([[0.0, -0.0]]), np.array([[-0.0, 0.0], [0.0, 3.0]]))]
+    for exp in range(-30, 31, 5):
+        for t_rows, s_rows, dim in ((1, 1, 1), (1, 7, 3), (5, 1, 1), (6, 9, 16), (37, 70, 32)):
+            t = rng.standard_normal((t_rows, dim)) * 10.0**exp
+            s = rng.standard_normal((s_rows, dim)) * 10.0**exp
+            t[rng.random(t.shape) < 0.25] = 0.0
+            s[rng.random(s.shape) < 0.25] = -0.0
+            cases.append((t, s))
+    return cases
+
+
+def test_l2_distances_match_cdist_bit_for_bit():
+    from scipy.spatial.distance import cdist
+
+    from mergemix.baselines import _pairwise
+
+    for i, (t, s) in enumerate(l2_cross_check_sets()):
+        target = EmbeddingSet(t.astype(np.float32), "T")
+        ds = EmbeddingSet(s.astype(np.float32), "D")
+        want = cdist(target.embeddings.astype(np.float64), ds.embeddings.astype(np.float64))
+        for metric in SimilarityMetric:
+            if metric.direction == "minimize":
+                got = _pairwise(target, ds, metric)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (metric, i)
