@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mergemix import Checkpoint, MixtureVector, ModelBank, merge_uniform, merge_weighted
+from mergemix import Checkpoint, ModelBank, merge_uniform, merge_weighted
 from mergemix.merge_engine import gray_code_order, subset_merges
 from mergemix.tensor_store import read_checkpoint, write_checkpoint
 
@@ -37,9 +37,9 @@ bank = ModelBank(
 )
 print("bank:", bank.names, "-", bank.models[0].n_parameters, "parameters each")
 
-# the mixture "11" selects both datasets; its surrogate is the plain average
-both = MixtureVector.from_string("11")
-merged = merge_uniform(bank, both)
+# a mixture is a bit string, one bit per dataset in bank order: "11"
+# selects both datasets, and its surrogate is the plain average
+merged = merge_uniform(bank, "11")
 print("uniform merge of 11:")
 print(merged.tensors["w"])
 

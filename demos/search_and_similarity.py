@@ -9,7 +9,7 @@ evaluating merged-model surrogates and once by embedding similarity.
 import numpy as np
 
 from mergemix import ModelBank
-from mergemix.baselines import SimilarityMetric, similarity_select, similarity_table
+from mergemix.baselines import SimilarityMetric, select_from_table, similarity_table
 from mergemix.evaluator import EvalDataset
 from mergemix.mixture_search import SearchConfig, builtin_eval_fn, run_search
 from mergemix.tensor_store import EmbeddingSet
@@ -43,12 +43,13 @@ report = run_search(bank, builtin_eval_fn, target, SearchConfig())
 print("surrogate accuracy per mixture:")
 for rec in report.records:
     print(f"  {rec.alpha}  acc={rec.merged_score.accuracy:.3f}")
-print("best mixture:", report.best_alpha, "->", [bank.names[i] for i in report.best_alpha.selected])
+chosen = [name for name, bit in zip(bank.names, report.best_alpha) if bit == "1"]
+print("best mixture:", report.best_alpha, "->", chosen)
 
 # the similarity baseline never trains anything, it only compares embeddings
 target_emb = EmbeddingSet(embeddings=target.features, source_name="target")
 dataset_embs = [EmbeddingSet(embeddings=d.features, source_name=d.name) for d in datasets]
 for metric in (SimilarityMetric.AVG_MAX_COS, SimilarityMetric.MIN_MIN_L2):
     table = similarity_table(target_emb, dataset_embs, metric)
-    alpha, score = similarity_select(target_emb, dataset_embs, metric)
+    alpha, score = select_from_table(table, metric.direction)
     print(f"{metric.value}: best {alpha} (score {score:.4f}) out of {len(table)} mixtures")

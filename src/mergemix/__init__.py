@@ -20,9 +20,7 @@ from .analytics import (
 )
 from .baselines import (
     SimilarityMetric,
-    all_datasets_vector,
     similarity_score,
-    similarity_select,
     similarity_table,
 )
 from .errors import (
@@ -43,7 +41,6 @@ from .evaluator import (
     write_eval_dataset,
 )
 from .merge_engine import (
-    MixtureVector,
     ModelBank,
     gray_code_order,
     merge_uniform,
@@ -91,7 +88,6 @@ __all__ = [
     "ExternalEvaluatorError",
     "FormatError",
     "MergeMixError",
-    "MixtureVector",
     "ModelBank",
     "Score",
     "ScoreRecord",
@@ -101,7 +97,6 @@ __all__ = [
     "TrainConfig",
     "Universe",
     "ValidationError",
-    "all_datasets_vector",
     "builtin_eval_fn",
     "checkpoint_equal",
     "correlate_tasks",
@@ -122,7 +117,6 @@ __all__ = [
     "run_benchmark",
     "run_search",
     "similarity_score",
-    "similarity_select",
     "similarity_table",
     "subset_merges",
     "train",

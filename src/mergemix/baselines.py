@@ -1,4 +1,4 @@
-"""Mixture-selection baselines: embedding similarity and all-data.
+"""Mixture-selection baseline by embedding similarity.
 
 Similarity metrics compare a target embedding set against the pooled
 embeddings of a candidate mixture (the multiset union of the selected
@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .merge_engine import MixtureVector, code_bits, gray_codes, gray_rank
+from .merge_engine import bits_code, code_bits, gray_codes, gray_rank
 from .mixture_search import best_of_codes
 from .tensor_store import EmbeddingSet
 
@@ -153,9 +153,10 @@ class SimilarityTable(Mapping[str, float]):
     """A read-only Mapping from the bit strings of all 2^n - 1 non-empty mixtures to scores.
 
     scores[i] belongs to the mixture gray_codes(n)[i], and keys iterate in
-    that order, formatted when read. A lookup parses its key to a code and
-    finds the entry by its Gray rank. Values are Python floats, and
-    copy.deepcopy gives the items as a plain dict, the form to edit.
+    that order, formatted when read. A lookup parses its key with bits_code,
+    so a bad key raises KeyError, and finds the entry by its Gray rank.
+    Values are Python floats, and copy.deepcopy gives the items as a plain
+    dict, the form to edit.
     """
 
     __slots__ = ("n", "scores")
@@ -171,9 +172,11 @@ class SimilarityTable(Mapping[str, float]):
         return (code_bits(self.n, code) for code in gray_codes(self.n).tolist())
 
     def __getitem__(self, key: str) -> float:
-        if not isinstance(key, str) or len(key) != self.n or key.strip("01") or "1" not in key:
-            raise KeyError(key)
-        return self.scores[gray_rank(int(key, 2)) - 1].item()
+        try:
+            code = bits_code(self.n, key)
+        except ValidationError:
+            raise KeyError(key) from None
+        return self.scores[gray_rank(code) - 1].item()
 
     def __repr__(self) -> str:
         return f"SimilarityTable(n={self.n}, {len(self)} mixtures)"
@@ -225,27 +228,12 @@ def similarity_table(
     return SimilarityTable(n, scores)
 
 
-def select_from_table(table: SimilarityTable, direction: str) -> tuple[MixtureVector, float]:
-    """Best mixture in a similarity table under best_of_codes's tie-break.
+def select_from_table(table: SimilarityTable, direction: str) -> tuple[str, float]:
+    """The best (bits, score) in a similarity table under best_of_codes's tie-break.
 
     direction is "maximize" or "minimize".
     """
     if not table:
         raise ValidationError("empty score table")
     bits, value = best_of_codes(table.n, gray_codes(table.n), table.scores, direction)
-    return MixtureVector.from_string(bits), float(value)
-
-
-def similarity_select(
-    target: EmbeddingSet, per_dataset: Sequence[EmbeddingSet], metric: SimilarityMetric
-) -> tuple[MixtureVector, float]:
-    """Best mixture under the metric's direction, search tie-break rule."""
-    table = similarity_table(target, per_dataset, metric)
-    return select_from_table(table, metric.direction)
-
-
-def all_datasets_vector(n: int) -> MixtureVector:
-    """The all-ones mixture selecting every dataset."""
-    if n < 1:
-        raise ValidationError("N must be >= 1")
-    return MixtureVector(tuple([1] * n))
+    return bits, float(value)

@@ -31,7 +31,7 @@ from .analytics import (
     write_csv,
     write_json,
 )
-from .baselines import SimilarityMetric, all_datasets_vector, similarity_table, select_from_table
+from .baselines import SimilarityMetric, similarity_table, select_from_table
 from .errors import ExternalEvaluatorError, MergeMixError, ValidationError
 from .evaluator import evaluate_external, read_eval_dataset
 from .merge_engine import ModelBank, merge_uniform, merge_weighted
@@ -157,7 +157,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
             ) from None
         merged = merge_weighted(bank, weights)
     else:
-        merged = merge_uniform(bank, all_datasets_vector(len(bank)))
+        merged = merge_uniform(bank, "1" * len(bank))
     out = Path(args.out)
     write_checkpoint(merged, out)
     _print_json({"tensors": len(merged.tensors), "parameters": merged.n_parameters, "out": str(out)})
@@ -206,8 +206,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     best = report.best_alpha
     _print_json(
         {
-            "best_alpha": str(best),
-            "datasets": [bank.names[i] for i in best.selected],
+            "best_alpha": best,
+            "datasets": [name for name, bit in zip(bank.names, best) if bit == "1"],
             "objective": report.objective,
             "out": str(out_csv),
         }
@@ -235,7 +235,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     payload = {
         "metric": metric.value,
         "direction": metric.direction,
-        "best_alpha": str(best_alpha),
+        "best_alpha": best_alpha,
         "best_score": best_score,
         "scores": scores,
     }
@@ -243,7 +243,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     inputs = [Path(args.target)] + [Path(p) for p in args.datasets]
     manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
     _manifest(manifest_path, "similarity", vars(args), inputs, started, [out_csv, out_json])
-    _print_json({"best_alpha": str(best_alpha), "metric": metric.value, "score": best_score})
+    _print_json({"best_alpha": best_alpha, "metric": metric.value, "score": best_score})
     return EXIT_OK
 
 

@@ -1,9 +1,13 @@
 """Uniform and weighted checkpoint merging over dataset mixtures.
 
-A mixture is a fixed-length 0/1 vector selecting datasets (and their
-fine-tuned checkpoints) by position. The uniform merge of k selected models
-is, per parameter, float32(s / k), where s is the exact sum of the k float32
-values rounded once to float64 and the division is a float64 division.
+A mixture selects datasets (and their fine-tuned checkpoints) by position.
+Inside the package it is an int code of N bits, dataset 1 the most
+significant. At the edges it is the code's text, e.g. "10110": code_bits
+writes it, and bits_code, the one validator of a mixture's text, reads it.
+
+The uniform merge of k selected models is, per parameter, float32(s / k),
+where s is the exact sum of the k float32 values rounded once to float64
+and the division is a float64 division.
 
 A bank certifies once which parameters sum exactly in float64 whatever the
 order: those whose exponent spread over the N models is at most
@@ -26,65 +30,12 @@ from .tensor_store import Checkpoint, TensorSchema, validate_bank
 # the one limit on N wherever all 2^N - 1 mixtures are enumerated
 MAX_ENUMERATION_N = 20
 
-# bits as bytes 0/1 -> ASCII "0"/"1": the text form of a mixture, and back
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
-_BITS_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
-
 # parameters per column chunk of the exactness check; bounds its temporaries
 _CERTIFY_CHUNK = 1 << 16
 
 # float32 significand bits (24) plus the exponent spread and the carry bits
 # of an N-term sum must fit float64's 53
 _EXACT_SPREAD = 29
-
-
-@dataclass(frozen=True)
-class MixtureVector:
-    """Selection vector over N datasets; bits[k] selects dataset k+1.
-
-    The canonical text form writes index 1 leftmost, e.g. "10110".
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.bits, tuple):
-            object.__setattr__(self, "bits", tuple(self.bits))
-        if len(self.bits) < 1:
-            raise ValidationError("mixture must have length >= 1")
-        if not set(self.bits) <= {0, 1}:
-            raise ValidationError("mixture bits must be 0 or 1")
-
-    @classmethod
-    def from_string(cls, text: str) -> "MixtureVector":
-        if not text or any(c not in "01" for c in text):
-            raise ValidationError(f"invalid mixture string {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> "MixtureVector":
-        """Build from 0-based dataset positions."""
-        bits = [0] * n
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValidationError(f"dataset index {i} out of range for N={n}")
-            bits[i] = 1
-        return cls(tuple(bits))
-
-    def __str__(self) -> str:
-        return bytes(self.bits).translate(_ASCII_BITS).decode()
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @property
-    def n_selected(self) -> int:
-        return sum(self.bits)
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        """0-based positions of selected datasets, ascending."""
-        return tuple(i for i, b in enumerate(self.bits) if b)
 
 
 @dataclass
@@ -167,29 +118,30 @@ def _exact_sums(values: np.ndarray, selected: Sequence[int] | np.ndarray) -> np.
     return np.array([_fsum(rows[:, j]) for j in range(rows.shape[1])], dtype=np.float64)
 
 
-def _check_alpha(bank_size: int, alpha: MixtureVector) -> None:
-    if len(alpha) != bank_size:
-        raise ValidationError(f"mixture length {len(alpha)} does not match bank size {bank_size}")
-    if alpha.n_selected == 0:
-        raise ValidationError("empty mixture: at least one dataset must be selected")
-
-
-def mixture_code(bank_size: int, alpha: MixtureVector) -> int:
-    """A valid mixture as an int: dataset 1 is the most significant of N bits."""
-    _check_alpha(bank_size, alpha)
-    return int(str(alpha), 2)
-
-
 def code_bits(n: int, code: int) -> str:
-    """The text form of the mixture with this code (see mixture_code), e.g. "10110"."""
+    """The text form of the mixture with this code over n datasets, e.g. "10110"."""
     return format(code, f"0{n}b")
 
 
-def code_mixture(n: int, code: int) -> MixtureVector:
-    """The mixture with this code over n datasets; the inverse of mixture_code."""
-    if not 0 < code < 1 << n:
-        raise ValidationError(f"mixture code {code} out of range for N={n}")
-    return MixtureVector(tuple(code_bits(n, code).encode().translate(_BITS_FROM_ASCII)))
+def bits_code(n: int, bits: str) -> int:
+    """The code of a mixture's text form over n datasets; the inverse of code_bits.
+
+    bits must be a str of n characters, each "0" or "1", with at least one
+    "1". The characters are checked here, since int(bits, 2) alone accepts
+    "1_01", "+101", " 101" and non-ASCII digits.
+    """
+    if not isinstance(bits, str) or not bits or bits.strip("01"):
+        raise ValidationError(f"invalid mixture string {bits!r}")
+    if len(bits) != n:
+        raise ValidationError(f"mixture length {len(bits)} does not match bank size {n}")
+    if "1" not in bits:
+        raise ValidationError("empty mixture: at least one dataset must be selected")
+    return int(bits, 2)
+
+
+def _selected(bits: str) -> list[int]:
+    """0-based positions of the datasets a valid mixture text selects, ascending."""
+    return [i for i, bit in enumerate(bits) if bit == "1"]
 
 
 def _sums(bank: ModelBank, selected: Sequence[int]) -> dict[str, np.ndarray]:
@@ -221,16 +173,17 @@ def _merged(bank: ModelBank, sums: dict[str, np.ndarray], selected: Sequence[int
     return Checkpoint(tensors=out)
 
 
-def merge_uniform(bank: ModelBank, alpha: MixtureVector) -> Checkpoint:
-    """Parameter-wise arithmetic mean of the checkpoints selected by alpha."""
-    _check_alpha(len(bank), alpha)
-    return _merged(bank, _sums(bank, alpha.selected), alpha.selected)
+def merge_uniform(bank: ModelBank, bits: str) -> Checkpoint:
+    """Parameter-wise arithmetic mean of the checkpoints a mixture selects, e.g. "101"."""
+    bits_code(len(bank), bits)
+    selected = _selected(bits)
+    return _merged(bank, _sums(bank, selected), selected)
 
 
 def merge_block(bank: ModelBank, codes: Sequence[int]) -> dict[str, np.ndarray]:
     """Uniform merges of many mixtures at once, as [B, *shape] float32 tensors.
 
-    codes are valid mixture codes (see mixture_code). The sums are one BLAS
+    codes are valid mixture codes (see code_bits). The sums are one BLAS
     call, masks @ bank.flat64: the mask entries are 0 or 1, so every product
     is exact, and so is every certified sum, in whatever order it runs. An
     uncertified parameter takes float32(fsum / k), as in merge_uniform.
@@ -268,7 +221,7 @@ def merge_weighted(bank: ModelBank, weights: Sequence[float]) -> Checkpoint:
         raise ValidationError("weights must not be all zero")
     positive = [w for w in ws if w > 0.0]
     if all(w == positive[0] for w in positive):
-        return merge_uniform(bank, MixtureVector(tuple(int(w > 0.0) for w in ws)))
+        return merge_uniform(bank, "".join("1" if w > 0.0 else "0" for w in ws))
     out: dict[str, np.ndarray] = {}
     for name, shape in bank.schema.items():
         acc = np.zeros(shape, dtype=np.float64)
@@ -280,7 +233,7 @@ def merge_weighted(bank: ModelBank, weights: Sequence[float]) -> Checkpoint:
 
 
 def gray_codes(n: int) -> np.ndarray:
-    """The 2^n - 1 non-empty mixture codes (see mixture_code) in Gray-code order.
+    """The 2^n - 1 non-empty mixture codes (see code_bits) in Gray-code order.
 
     The i-th code is the binary-reflected Gray code i ^ (i >> 1), i >= 1:
     consecutive codes differ in exactly one bit, and the first has exactly
@@ -304,16 +257,14 @@ def gray_rank(code: int) -> int:
     return rank
 
 
-def gray_code_order(n: int) -> Iterator[MixtureVector]:
-    """All 2^n - 1 non-empty mixtures in the order of gray_codes(n)."""
+def gray_code_order(n: int) -> Iterator[str]:
+    """The bit strings of gray_codes(n), in that order."""
     for code in gray_codes(n).tolist():
-        yield code_mixture(n, code)
+        yield code_bits(n, code)
 
 
-def subset_merges(
-    bank: ModelBank, order: Iterable[MixtureVector]
-) -> Iterator[tuple[MixtureVector, Checkpoint]]:
-    """Stream (alpha, merged checkpoint) pairs over an arbitrary mixture order.
+def subset_merges(bank: ModelBank, order: Iterable[str]) -> Iterator[tuple[str, Checkpoint]]:
+    """Stream (bits, merged checkpoint) pairs over an arbitrary order of mixture bit strings.
 
     Between consecutive mixtures differing in one bit, a running float64
     parameter sum adds or subtracts a single model; the first item, a repeat
@@ -322,15 +273,16 @@ def subset_merges(
     """
     sums: dict[str, np.ndarray] = {}
     prev_code: int | None = None
-    for alpha in order:
-        code = mixture_code(len(bank), alpha)
+    for bits in order:
+        code = bits_code(len(bank), bits)
+        selected = _selected(bits)
         flipped = 0 if prev_code is None else code ^ prev_code
         if flipped.bit_count() != 1:
-            sums = _sums(bank, alpha.selected)
+            sums = _sums(bank, selected)
         else:
             j = len(bank) - flipped.bit_length()
-            update = np.add if alpha.bits[j] else np.subtract
+            update = np.add if bits[j] == "1" else np.subtract
             for name, total in sums.items():
                 update(total, bank.models[j].tensors[name], out=total)
         prev_code = code
-        yield alpha, _merged(bank, sums, alpha.selected)
+        yield bits, _merged(bank, sums, selected)

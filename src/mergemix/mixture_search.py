@@ -5,7 +5,8 @@ objective is reported. The builtin scorer runs in blocks: _SCORE_BLOCK
 mixtures per merge_block call and per stacked forward pass. Any other
 evaluator gets one merged Checkpoint per mixture from the subset_merges walk.
 Results are ScoreColumns: int mixture codes and float64 score arrays, which
-build a ScoreRecord only when one entry is read.
+build a ScoreRecord only when one entry is read. Mixtures enter and leave as
+bit strings, e.g. "101" (see merge_engine.bits_code).
 best_of_codes holds the tie-break that every selection in the package uses:
 the best value, then the fewest datasets, then the smaller code, so results
 are deterministic.
@@ -31,13 +32,11 @@ from .evaluator import (
 )
 from .merge_engine import (
     MAX_ENUMERATION_N,
-    MixtureVector,
     ModelBank,
+    bits_code,
     code_bits,
-    code_mixture,
     gray_codes,
     merge_block,
-    mixture_code,
     subset_merges,
 )
 from .tensor_store import Checkpoint
@@ -50,10 +49,10 @@ OBJECTIVES = ("max_accuracy", "min_loss")
 # were no faster.
 _SCORE_BLOCK = 32
 
-# eval_fn(merged checkpoint, target, mixture) -> Score; the mixture argument
-# exists for bookkeeping and mock evaluators, the builtin adapter ignores it.
+# eval_fn(merged checkpoint, target, mixture bits) -> Score; the bits, e.g.
+# "101", exist for bookkeeping and mock evaluators, the builtin adapter ignores them.
 TargetRef = Union[EvalDataset, str]
-EvalFn = Callable[[Checkpoint, TargetRef, MixtureVector], Score]
+EvalFn = Callable[[Checkpoint, TargetRef, str], Score]
 
 
 def _dataset(target: TargetRef) -> EvalDataset:
@@ -62,7 +61,7 @@ def _dataset(target: TargetRef) -> EvalDataset:
     return target
 
 
-def builtin_eval_fn(ckpt: Checkpoint, target: TargetRef, alpha: MixtureVector) -> Score:
+def builtin_eval_fn(ckpt: Checkpoint, target: TargetRef, alpha: str) -> Score:
     """Adapter running the builtin toy-MLP scorer.
 
     run_search recognizes this function and scores in blocks instead.
@@ -73,7 +72,8 @@ def builtin_eval_fn(ckpt: Checkpoint, target: TargetRef, alpha: MixtureVector) -
 @dataclass
 class SearchConfig:
     objective: str = "max_accuracy"
-    candidates: Sequence[MixtureVector] | None = None
+    # mixture bit strings of one length, e.g. ["110", "001"]; None enumerates all
+    candidates: Sequence[str] | None = None
     # worker threads for a per-mixture eval_fn; the builtin blocks run in one
     jobs: int = 1
 
@@ -82,18 +82,25 @@ class SearchConfig:
             raise ValidationError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.jobs < 1:
             raise ValidationError("jobs must be positive")
+        if self.candidates is not None:
+            if not len(self.candidates):
+                raise ValidationError("candidate list must not be empty")
+            # one length for all here; run_search checks it against the bank
+            n = len(self.candidates[0]) if isinstance(self.candidates[0], str) else 0
+            for bits in self.candidates:
+                bits_code(n, bits)
 
 
 @dataclass
 class ScoreRecord:
-    alpha: MixtureVector
+    alpha: str
     merged_score: Score
     finetuned_score: Score | None = None
 
     def to_json_obj(self) -> dict:
         return {
-            "mixture_bits": str(self.alpha),
-            "n_selected": self.alpha.n_selected,
+            "mixture_bits": self.alpha,
+            "n_selected": self.alpha.count("1"),
             "merged_score": _score_json(self.merged_score),
             "finetuned_score": _score_json(self.finetuned_score),
         }
@@ -115,7 +122,7 @@ class ScoreColumns(Sequence[ScoreRecord]):
     """Merged scores as columns, a read-only Sequence[ScoreRecord].
 
     Entry i is the ScoreRecord of the mixture with code codes[i] (see
-    mixture_code) over n datasets, scored Score(accuracy[i], mean_loss[i],
+    code_bits) over n datasets, scored Score(accuracy[i], mean_loss[i],
     num_samples[i]). It is built when read and never cached, so the columns
     hold 24 bytes per mixture when num_samples is one shared count.
     """
@@ -134,7 +141,7 @@ class ScoreColumns(Sequence[ScoreRecord]):
         return len(self.codes)
 
     def _record(self, code: int, accuracy: float, mean_loss: float, num_samples: int) -> ScoreRecord:
-        return ScoreRecord(code_mixture(self.n, code), Score(accuracy, mean_loss, num_samples))
+        return ScoreRecord(code_bits(self.n, code), Score(accuracy, mean_loss, num_samples))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -166,7 +173,7 @@ class ScoreColumns(Sequence[ScoreRecord]):
 @dataclass
 class SearchReport:
     records: ScoreColumns
-    best_alpha: MixtureVector
+    best_alpha: str
     objective: str
     target_name: str
 
@@ -185,8 +192,8 @@ class SearchReport:
             fin = "" if rec.finetuned_score is None else repr(rec.finetuned_score.accuracy)
             rows.append(
                 [
-                    str(rec.alpha),
-                    rec.alpha.n_selected,
+                    rec.alpha,
+                    rec.alpha.count("1"),
                     repr(rec.merged_score.accuracy),
                     repr(rec.merged_score.mean_loss),
                     fin,
@@ -198,7 +205,7 @@ class SearchReport:
         return {
             "objective": self.objective,
             "target_name": self.target_name,
-            "best_alpha": str(self.best_alpha),
+            "best_alpha": self.best_alpha,
             "records": [rec.to_json_obj() for rec in self.records],
         }
 
@@ -286,40 +293,41 @@ def checkpoint_scores(
     return _block_scores(n, codes, data, stacked)
 
 
-def _score_chunk(
-    bank: ModelBank, chunk: list[MixtureVector], eval_fn: EvalFn, target: TargetRef
-) -> list[Score]:
-    scores = []
-    for alpha, merged in subset_merges(bank, chunk):
-        try:
-            score = eval_fn(merged, target, alpha)
-        except ExternalEvaluatorError as exc:
-            raise ExternalEvaluatorError(f"mixture {alpha}: {exc}") from exc
-        except Exception as exc:
-            raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
-        if not isinstance(score, Score):
-            raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {type(score).__name__}")
-        scores.append(score)
-    return scores
-
-
 def _per_mixture_scores(
     bank: ModelBank, codes: np.ndarray, eval_fn: EvalFn, target: TargetRef, jobs: int
 ) -> ScoreColumns:
-    """eval_fn's score of each mixture's merged Checkpoint, from up to jobs threads."""
+    """eval_fn's score of each mixture's merged Checkpoint, from up to jobs threads.
+
+    Each thread walks its own slice of codes, formats each mixture's bits as
+    it goes and writes the scores into the shared columns, so no object per
+    mixture outlives its evaluation.
+    """
     n = len(bank)
-    alphas = [code_mixture(n, code) for code in codes.tolist()]
-    if jobs > 1 and len(alphas) > 1:
-        jobs = min(jobs, len(alphas))
-        step = (len(alphas) + jobs - 1) // jobs
-        chunks = [alphas[i : i + step] for i in range(0, len(alphas), step)]
+    accuracy, mean_loss = np.empty(len(codes)), np.empty(len(codes))
+    num_samples = np.empty(len(codes), dtype=np.int64)
+
+    def score_slice(lo: int, hi: int) -> None:
+        order = (code_bits(n, code) for code in codes[lo:hi].tolist())
+        for i, (alpha, merged) in enumerate(subset_merges(bank, order), lo):
+            try:
+                score = eval_fn(merged, target, alpha)
+            except ExternalEvaluatorError as exc:
+                raise ExternalEvaluatorError(f"mixture {alpha}: {exc}") from exc
+            except Exception as exc:
+                raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
+            if not isinstance(score, Score):
+                returned = type(score).__name__
+                raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {returned}")
+            accuracy[i], mean_loss[i], num_samples[i] = score.accuracy, score.mean_loss, score.num_samples
+
+    if jobs > 1 and len(codes) > 1:
+        jobs = min(jobs, len(codes))
+        step = (len(codes) + jobs - 1) // jobs
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda c: _score_chunk(bank, c, eval_fn, target), chunks))
-        scores = [score for part in parts for score in part]
+            list(pool.map(lambda lo: score_slice(lo, lo + step), range(0, len(codes), step)))
     else:
-        scores = _score_chunk(bank, alphas, eval_fn, target)
-    fields = ([s.accuracy for s in scores], [s.mean_loss for s in scores], [s.num_samples for s in scores])
-    return ScoreColumns(n, codes, *fields)
+        score_slice(0, len(codes))
+    return ScoreColumns(n, codes, accuracy, mean_loss, num_samples)
 
 
 def run_search(
@@ -337,9 +345,7 @@ def run_search(
     config = config or SearchConfig()
     n = len(bank)
     if config.candidates is not None:
-        codes = np.array([mixture_code(n, alpha) for alpha in config.candidates], dtype=np.int64)
-        if not len(codes):
-            raise ValidationError("candidate list must not be empty")
+        codes = np.array([bits_code(n, bits) for bits in config.candidates], dtype=np.int64)
     else:
         if n > MAX_ENUMERATION_N:
             raise ValidationError(
@@ -361,7 +367,7 @@ def run_search(
         target_name = str(target)
     return SearchReport(
         records=records,
-        best_alpha=MixtureVector.from_string(best_bits),
+        best_alpha=best_bits,
         objective=config.objective,
         target_name=target_name,
     )

@@ -9,7 +9,8 @@ compared against true mixture fine-tuning on every candidate mixture.
 All randomness flows through Philox (a 64-bit counter-based generator) keyed
 by (seed, stream), so runs are bit-reproducible across platforms. Universe
 generation uses small stream ids; a training run's stream is 2**32 plus its
-mixture code (merge_engine.mixture_code), so the two spaces never collide.
+mixture code (an entry of merge_engine.gray_codes, whose text code_bits
+writes), so the two spaces never collide.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .evaluator import (
     toy_mlp_hidden,
     toy_mlp_logits,
 )
-from .merge_engine import MAX_ENUMERATION_N, ModelBank, code_bits, gray_codes, gray_rank
+from .merge_engine import MAX_ENUMERATION_N, ModelBank, bits_code, code_bits, gray_codes, gray_rank
 from .mixture_search import ScoreColumns, ScoreRecord, best_of_codes, builtin_scores, checkpoint_scores
 from .tensor_store import Checkpoint, EmbeddingSet
 
@@ -482,7 +483,7 @@ class TargetTable:
         self, method: str, bits: str, merged: bool = False, detail: str = ""
     ) -> SelectionOutcome:
         """Selecting one mixture: its fine-tuned (or merged) model's accuracies."""
-        row = gray_rank(int(bits, 2)) - 1
+        row = gray_rank(bits_code(self.merged_val.n, bits)) - 1
         if merged:
             val, test = self.merged_val, self.merged_test
         else:

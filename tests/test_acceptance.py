@@ -18,7 +18,6 @@ import pytest
 from mergemix import (
     BenchConfig,
     Checkpoint,
-    MixtureVector,
     ModelBank,
     TrainConfig,
     merge_uniform,
@@ -91,11 +90,11 @@ def test_criterion_1_merge_algebra(criterion):
             mask = rng.integers(0, 2, size=n)
             if mask.sum() == 0:
                 mask[int(rng.integers(n))] = 1
-            alpha = MixtureVector(tuple(int(x) for x in mask))
+            alpha = "".join(str(int(x)) for x in mask)
             merged = merge_uniform(bank, alpha)
             for key in shapes:
                 stack = np.stack(
-                    [models[i].tensors[key].astype(np.float64) for i in alpha.selected]
+                    [models[i].tensors[key].astype(np.float64) for i in np.flatnonzero(mask)]
                 )
                 got = merged.tensors[key].astype(np.float64)
                 assert rel_close(got, stack.mean(axis=0)), "mean mismatch"
@@ -103,13 +102,13 @@ def test_criterion_1_merge_algebra(criterion):
                 assert np.all(got <= stack.max(axis=0) + 1e-6), "above convex hull"
 
             i = int(rng.integers(n))
-            single = merge_uniform(bank, MixtureVector.from_indices([i], n))
+            single = merge_uniform(bank, "".join("1" if j == i else "0" for j in range(n)))
             for key in shapes:
                 assert single.tensors[key].tobytes() == models[i].tensors[key].tobytes()
 
             perm = [int(p) for p in rng.permutation(n)]
             bank_p = ModelBank(models=[models[p] for p in perm], names=[bank.names[p] for p in perm])
-            alpha_p = MixtureVector(tuple(alpha.bits[p] for p in perm))
+            alpha_p = "".join(alpha[p] for p in perm)
             merged_p = merge_uniform(bank_p, alpha_p)
             assert checkpoint_equal(merged, merged_p), "permutation"
 
@@ -147,7 +146,7 @@ def test_criterion_2_search_oracle_equivalence(criterion):
             )
 
             def eval_fn(ckpt, target, alpha, _t=trial, _q=quantize):
-                v = mock_score(_t, str(alpha), _q)
+                v = mock_score(_t, alpha, _q)
                 return Score(accuracy=v, mean_loss=v, num_samples=1)
 
             report = run_search(bank, eval_fn, None, SearchConfig(objective=objective))
@@ -158,7 +157,7 @@ def test_criterion_2_search_oracle_equivalence(criterion):
                 cands,
                 key=lambda b: (sign * mock_score(trial, b, quantize), b.count("1"), b),
             )
-            assert str(report.best_alpha) == ref, f"trial {trial}: {report.best_alpha} != {ref}"
+            assert report.best_alpha == ref, f"trial {trial}: {report.best_alpha} != {ref}"
 
             best_v = mock_score(trial, ref, quantize)
             if sum(1 for b in cands if mock_score(trial, b, quantize) == best_v) > 1:

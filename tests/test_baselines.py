@@ -1,5 +1,5 @@
-"""Baseline selector tests: the six similarity metrics against a double-loop
-reference, mixture composition, and the all-data selector."""
+"""Similarity baseline tests: the six metrics against a double-loop
+reference, mixture composition, and selection from a table."""
 
 import math
 import struct
@@ -15,14 +15,22 @@ from mergemix import (
     EmbeddingSet,
     SimilarityMetric,
     ValidationError,
-    all_datasets_vector,
     similarity_score,
-    similarity_select,
     similarity_table,
 )
+from mergemix.baselines import select_from_table
 from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, gray_codes
 
 ALL_METRICS = list(SimilarityMetric)
+
+
+def selected(bits):
+    return [i for i, bit in enumerate(bits) if bit == "1"]
+
+
+def select(target, per_dataset, metric):
+    """The best (bits, score) of a metric's table, as the CLI and the bench select it."""
+    return select_from_table(similarity_table(target, per_dataset, metric), metric.direction)
 
 
 def emb(rows, name="E"):
@@ -167,7 +175,7 @@ def test_metric_direction_and_from_name():
 
 
 # ============================================================================
-# similarity_table / similarity_select
+# similarity_table / select_from_table
 # ============================================================================
 
 
@@ -178,13 +186,13 @@ def test_table_matches_pooled_direct():
     per_dataset = [emb(rng.standard_normal((4 + i, 4)), f"D{i}") for i in range(3)]
     for metric in ALL_METRICS:
         table = similarity_table(target, per_dataset, metric)
-        assert set(table) == {str(v) for v in gray_code_order(3)}
+        assert set(table) == set(gray_code_order(3))
         for alpha in gray_code_order(3):
             pooled = np.concatenate(
-                [per_dataset[i].embeddings for i in alpha.selected], axis=0
+                [per_dataset[i].embeddings for i in selected(alpha)], axis=0
             )
             want = similarity_score(target, emb(pooled), metric)
-            assert table[str(alpha)] == pytest.approx(want, abs=1e-9)
+            assert table[alpha] == pytest.approx(want, abs=1e-9)
 
 
 def test_select_matches_brute_force():
@@ -192,20 +200,20 @@ def test_select_matches_brute_force():
     target = emb(rng.standard_normal((5, 3)), "T")
     per_dataset = [emb(rng.standard_normal((6, 3)), f"D{i}") for i in range(3)]
     for metric in ALL_METRICS:
-        best_alpha, best_val = similarity_select(target, per_dataset, metric)
+        best_alpha, best_val = select(target, per_dataset, metric)
         table = similarity_table(target, per_dataset, metric)
         sign = -1.0 if metric.direction == "maximize" else 1.0
         want_bits = min(
             table, key=lambda b: (sign * table[b], b.count("1"), b)
         )
-        assert str(best_alpha) == want_bits
+        assert best_alpha == want_bits
         assert best_val == pytest.approx(table[want_bits], abs=1e-12)
 
 
 def test_select_n1():
     target = emb([[1.0, 0.0]])
-    best_alpha, _ = similarity_select(target, [emb([[0.5, 0.5]])], SimilarityMetric.AVG_MAX_COS)
-    assert str(best_alpha) == "1"
+    best_alpha, _ = select(target, [emb([[0.5, 0.5]])], SimilarityMetric.AVG_MAX_COS)
+    assert best_alpha == "1"
 
 
 def test_duplicate_target_row_wins_singleton():
@@ -217,11 +225,9 @@ def test_duplicate_target_row_wins_singleton():
         emb([[4.0, 0.0], [1.0, 2.0]], "D1"),  # first row parallel to target row 0
         emb([[-1.0, 1.0]], "D2"),
     ]
-    best_alpha, best_val = similarity_select(
-        target, per_dataset, SimilarityMetric.MAX_MAX_COS
-    )
+    best_alpha, best_val = select(target, per_dataset, SimilarityMetric.MAX_MAX_COS)
     assert best_val == pytest.approx(1.0, abs=1e-7)
-    assert str(best_alpha) == "010"
+    assert best_alpha == "010"
 
 
 @settings(max_examples=15, deadline=None)
@@ -232,15 +238,15 @@ def test_select_property_matches_scan(seed):
     target = emb(rng.standard_normal((4, 3)) + 0.1, "T")
     per_dataset = [emb(rng.standard_normal((5, 3)) + 0.1, f"D{i}") for i in range(n)]
     for metric in (SimilarityMetric.AVG_MIN_L2, SimilarityMetric.AVG_MAX_COS):
-        got_alpha, got_val = similarity_select(target, per_dataset, metric)
+        got_alpha, got_val = select(target, per_dataset, metric)
         best = None
         for alpha in gray_code_order(n):
             pooled = np.concatenate(
-                [per_dataset[i].embeddings for i in alpha.selected], axis=0
+                [per_dataset[i].embeddings for i in selected(alpha)], axis=0
             )
             val = reference_score(target, emb(pooled), metric)
             sign = -1.0 if metric.direction == "maximize" else 1.0
-            key = (sign * val, alpha.n_selected, str(alpha))
+            key = (sign * val, alpha.count("1"), alpha)
             if best is None or key < best[0]:
                 best = (key, alpha, val)
         assert got_alpha == best[1]
@@ -379,8 +385,8 @@ def similarity_score_loop(target, per_dataset, metric):
     """Per mixture in Gray order: similarity_score on the pooled rows of its datasets."""
     table = {}
     for alpha in gray_code_order(len(per_dataset)):
-        pooled = np.concatenate([per_dataset[i].embeddings for i in alpha.selected])
-        table[str(alpha)] = similarity_score(target, emb(pooled, "pooled"), metric)
+        pooled = np.concatenate([per_dataset[i].embeddings for i in selected(alpha)])
+        table[alpha] = similarity_score(target, emb(pooled, "pooled"), metric)
     return table
 
 
@@ -404,7 +410,7 @@ def test_table_mapping_reads_back_as_the_similarity_score_loop(metric):
     for bits in want:
         assert bits in table
         assert type(table[bits]) is float and table.get(bits) == table[bits]
-    for key in ("0" * n, "1" * (n - 1), "1" * (n + 1), "10201", "1_011", "+1011", " 1011", 11, all_datasets_vector(n)):
+    for key in ("0" * n, "1" * (n - 1), "1" * (n + 1), "10201", "1_011", "+1011", " 1011", 11, b"1" * n):
         assert key not in table and table.get(key) is None
         with pytest.raises(KeyError):
             table[key]
@@ -414,16 +420,3 @@ def test_table_rejects_n_above_the_enumeration_limit():
     per_dataset = [emb([[1.0, float(i)]], f"D{i}") for i in range(MAX_ENUMERATION_N + 1)]
     with pytest.raises(ValidationError, match=f"N <= {MAX_ENUMERATION_N}"):
         similarity_table(emb([[1.0, 0.0]]), per_dataset, SimilarityMetric.AVG_MAX_COS)
-
-
-# ============================================================================
-# all_datasets_vector
-# ============================================================================
-
-
-def test_all_datasets_vector():
-    assert str(all_datasets_vector(1)) == "1"
-    assert str(all_datasets_vector(3)) == "111"
-    assert all_datasets_vector(6).n_selected == 6
-    with pytest.raises(ValidationError):
-        all_datasets_vector(0)

@@ -849,6 +849,14 @@ BENCH_GOLDEN = {
         "correlations.csv": "beea2fdb3c6124ddabd30b208dbea5eb121c8e6d752c1e7d0c0574a42618272c",
         "plot_data.csv": "09fd0e844b7801c099eac306e81971857bfa3ad2b86b08ed7ddad02622f640a2",
     },
+    # the seed-42 anchor setting, taken before MixtureVector was retired
+    ("--seed", "42", "--num-datasets", "5"): {
+        "report.json": "4c401874ef79096d056099e2356e50201d73be0648937bc410015128c29ee9a7",
+        "selections.csv": "4e4109e5e0199179cebc6ab2750ac7206022dc555fa3b231f9b053c35cf63170",
+        "mixtures.csv": "4b9c09f95e9496f18261c9d18c71861be20ca56a35e6f2bcc9ca03d8d43399b4",
+        "correlations.csv": "d0683ea8e080f7f9c14322693319b05b760ee2d5e09ff713093fc479afd36f7e",
+        "plot_data.csv": "862fb4b78f014fa991d0a865f688d32c59c7e8ab858d474f2d3d7978ac82d295",
+    },
 }
 
 
@@ -856,7 +864,7 @@ def bench_digests(outdir):
     return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in BENCH_FILES}
 
 
-@pytest.mark.parametrize("args", list(BENCH_GOLDEN), ids=["seed3-n2", "seed7-n4-raw"])
+@pytest.mark.parametrize("args", list(BENCH_GOLDEN), ids=["seed3-n2", "seed7-n4-raw", "seed42-n5"])
 def test_bench_files_match_golden_digests(tmp_path, capsys, args):
     outdir = tmp_path / "run"
     assert run_cli(["bench", "--out", str(outdir), "--jobs", "1", *args], capsys)[0] == 0
@@ -927,3 +935,82 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: mergemix")
+
+
+# ============================================================================
+# same bytes: search and similarity reports
+# ============================================================================
+
+PARAM_EVAL = Path(__file__).resolve().parents[1] / "perfbench" / "param_eval.py"
+
+
+def golden_search_argv(tmp_path, case):
+    """A seeded 4-model bank. On its 15-row target, six mixtures tie for the best
+    accuracy, four of them of two datasets, so the tie-break picks by size, then by code."""
+    bank = make_bank_dir(tmp_path, n=4)
+    out = ["--out", str(tmp_path / "report.csv")]
+    if case == "external":
+        template = f"{sys.executable} {PARAM_EVAL} {{checkpoint}} {{data}}"
+        return ["search", "--bank", str(bank), "--target", "w1,b1,w2,b2", "--evaluator", template, *out]
+    target = tmp_path / "target.mtm"
+    write_target_dataset(target, seed=23, n=15)
+    return ["search", "--bank", str(bank), "--target", str(target), "--objective", case, *out]
+
+
+def golden_similarity_argv(tmp_path, metric):
+    rng = np.random.default_rng(21)
+    paths = [tmp_path / f"e{i}.mtm" for i in range(5)]
+    for i, path in enumerate(paths):
+        write_embeddings(EmbeddingSet(rng.standard_normal((i + 3, 4)).astype(np.float32), f"e{i}"), path)
+    return ["similarity", "--target", str(paths[0]), "--datasets", *map(str, paths[1:]),
+            "--metric", metric, "--out", str(tmp_path / "report.csv")]
+
+
+# sha256 of the CSV and JSON that search and similarity write on the inputs
+# above, taken before MixtureVector was retired (numpy 2.4, x86-64)
+REPORT_GOLDEN = {
+    ("search", "accuracy"): (
+        "686e9061e356cd7383796bc2b582b5875d901a9ce3bfc3bb820847dc143a51cf",
+        "1e82d8e1fcf26c9b91c21aefedd9666a23a10da9c65a06f6878db4be7bc20607",
+    ),
+    ("search", "loss"): (
+        "686e9061e356cd7383796bc2b582b5875d901a9ce3bfc3bb820847dc143a51cf",
+        "fc13d028726b38981ba22a94aa030aa60443a54da603fdb8751a31fd972c760a",
+    ),
+    ("search", "external"): (
+        "cc405517667e219148a82b6ef57b41c34085b4c7f38906a610d469364ec20f50",
+        "45f919874c9dce96103d2e8ee0c796025093f1fe0c8ef37856d2719a4b0d8a21",
+    ),
+    ("similarity", "avg_max_cos"): (
+        "9564f3bbba271ab287e3e7bcbfa5f1f37fe4ee7e4eea08adefa58b98323d8fee",
+        "65e89c719a2659895a516fd6e8dfc737d732abba00f9de4b7eda4cfc74d04fa4",
+    ),
+    ("similarity", "avg_min_l2"): (
+        "bd0fb944a5a1d5ec870404af2a435f9f32419bdb03c585a1e76afb7065d1cf39",
+        "8098acced9e3472a76a32be4bb14c9627cc8cf1e98d27e2138040ed788f7718b",
+    ),
+    ("similarity", "avg_avg_cos"): (
+        "2ee9efb32abe42117e286420623291c18acbf02177982000ddcb2e8416aad5c3",
+        "2cc3ba998baec1ba468cf56c696846fb8df2f633c2d039430ab3cd09e60e1f6f",
+    ),
+    ("similarity", "avg_avg_l2"): (
+        "330b08576497a16c763d819ce093c28f1901c70e6777377c200666e9dbdb67ae",
+        "a456441a92f7694937b82a8bd7a1fcd5a5b37cacd43408ee5283bee39780e367",
+    ),
+    ("similarity", "max_max_cos"): (
+        "ae8e706795f21ce0905864abcabf07629e63c4a4ffeb9b9728ca468c0f07d6ae",
+        "96ac6bdd31930e139fc1577e51de5bc1a9a3f6f4f72a616132bc5a2771cb5e83",
+    ),
+    ("similarity", "min_min_l2"): (
+        "60f255401f6dc4a2465c796c590988d9098385996d81920cd6c6cc955c0757d6",
+        "b5bed3a7a473e572339d9f491386b0e719712e132fc06ba5b3fc4aca024e8af4",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, case", list(REPORT_GOLDEN), ids=["-".join(k) for k in REPORT_GOLDEN])
+def test_reports_match_golden_digests(tmp_path, capsys, command, case):
+    argv = (golden_search_argv if command == "search" else golden_similarity_argv)(tmp_path, case)
+    assert run_cli(argv, capsys)[0] == 0
+    digests = (hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("report.csv", "report.json"))
+    assert tuple(digests) == REPORT_GOLDEN[command, case]

@@ -1,5 +1,5 @@
-"""Memory held per mixture by search results and similarity tables, and the
-modules a fresh process loads.
+"""Memory held per mixture by search results and similarity tables, the peak
+of a search with a Python evaluator, and the modules a fresh process loads.
 
 Results are columns indexed by mixture, so their size per mixture is a few
 array entries. Each memory test warms up first (the bank's flat copy and
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import mergemix
-from mergemix import EmbeddingSet, SimilarityMetric, builtin_eval_fn, run_search, similarity_table
+from mergemix import EmbeddingSet, Score, SimilarityMetric, builtin_eval_fn, run_search, similarity_table
 from mergemix.tensor_store import write_checkpoint
 
 from test_mixture_search import toy_bank, toy_target
@@ -47,6 +47,34 @@ def test_builtin_search_retains_at_most_40_bytes_per_mixture():
     retained, report = traced_growth(lambda: run_search(bank, builtin_eval_fn, data))
     assert len(report.records) == 4095
     assert retained / len(report.records) <= 40
+
+
+def traced_peak(fn):
+    """(the most bytes allocated at once while fn() runs, above the start, its result)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_per_mixture_search_peaks_at_most_250_bytes_per_mixture():
+    """A Python evaluator scores one merged Checkpoint at a time, so a search
+    holds its codes, its score columns and one merge. A MixtureVector per
+    mixture and a list of Scores peaked at 375 B."""
+    bank, data = toy_bank(12, seed=2), toy_target(3)
+    score = Score(0.5, 1.0, 40)
+
+    def constant(ckpt, target, alpha):
+        return score
+
+    run_search(bank, constant, data)
+    peak, report = traced_peak(lambda: run_search(bank, constant, data))
+    assert len(report.records) == 4095
+    assert peak / len(report.records) <= 250
 
 
 def test_similarity_table_retains_at_most_16_bytes_per_mixture_and_no_cache():

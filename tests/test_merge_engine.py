@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mergemix import (
     Checkpoint,
-    MixtureVector,
     ModelBank,
     ValidationError,
     checkpoint_equal,
@@ -19,15 +18,16 @@ from mergemix import (
     merge_weighted,
     subset_merges,
 )
+from mergemix.baselines import SimilarityTable
 from mergemix.merge_engine import (
     MAX_ENUMERATION_N,
+    bits_code,
     code_bits,
-    code_mixture,
     gray_codes,
     gray_rank,
     merge_block,
-    mixture_code,
 )
+from mergemix.mixture_search import SearchConfig
 from mergemix.tensor_store import tensor
 
 
@@ -46,27 +46,55 @@ def make_bank(n, shapes=None, seed=0, scale=1.0):
     return ModelBank(models=models)
 
 
+def selected(bits):
+    """0-based positions of the datasets a mixture's bits select."""
+    return [i for i, bit in enumerate(bits) if bit == "1"]
+
+
 # ============================================================================
-# MixtureVector
+# a mixture's text: code_bits and bits_code
 # ============================================================================
 
 
-def test_mixture_vector_text_form():
-    v = MixtureVector.from_string("10110")
-    assert str(v) == "10110"
-    assert v.n_selected == 3
-    assert v.selected == (0, 2, 3)
+def test_bits_code_inverts_code_bits():
+    assert bits_code(5, "10110") == 0b10110
+    assert code_bits(5, 0b10110) == "10110"
+    assert code_bits(3, 1) == "001"
 
 
-def test_mixture_vector_from_indices():
-    assert str(MixtureVector.from_indices([0, 2], 3)) == "101"
+# each bad text with the message every edge raises for it, at n = 3
+BAD_MIXTURES = [
+    ("", "invalid mixture string"),
+    ("1", "length"),
+    ("000", "empty mixture"),
+    ("012", "invalid mixture string"),
+    ("1_01", "invalid mixture string"),
+    ("+101", "invalid mixture string"),
+    (" 101", "invalid mixture string"),
+    ("\u0661\u0660\u0661", "invalid mixture string"),  # Arabic-Indic digits: int(s, 2) reads 5
+    (101, "invalid mixture string"),
+]
+BAD_IDS = ["empty", "short", "zeros", "digit-2", "underscore", "plus", "space", "arabic-indic", "int"]
 
 
-def test_mixture_vector_rejects_junk():
-    with pytest.raises(ValidationError):
-        MixtureVector.from_string("10a")
-    with pytest.raises(ValidationError):
-        MixtureVector.from_string("")
+@pytest.mark.parametrize("bits, message", BAD_MIXTURES, ids=BAD_IDS)
+def test_bad_mixture_text_is_rejected_at_every_edge(bits, message):
+    """bits_code is the one validator: merge_uniform, subset_merges and
+    SearchConfig raise its ValidationError, and a similarity table's lookup
+    its KeyError."""
+    bank = make_bank(3)
+    with pytest.raises(ValidationError, match=message):
+        bits_code(3, bits)
+    with pytest.raises(ValidationError, match=message):
+        merge_uniform(bank, bits)
+    with pytest.raises(ValidationError, match=message):
+        list(subset_merges(bank, ["101", bits]))
+    with pytest.raises(ValidationError, match=message):
+        SearchConfig(candidates=["101", bits])
+    table = SimilarityTable(3, np.arange(7.0))
+    with pytest.raises(KeyError):
+        table[bits]
+    assert bits not in table
 
 
 # ============================================================================
@@ -77,8 +105,7 @@ def test_mixture_vector_rejects_junk():
 def test_singleton_identity_bitwise():
     bank = make_bank(3)
     for i in range(3):
-        alpha = MixtureVector.from_indices([i], 3)
-        merged = merge_uniform(bank, alpha)
+        merged = merge_uniform(bank, code_bits(3, 1 << (2 - i)))
         assert checkpoint_equal(merged, bank.models[i])
 
 
@@ -87,40 +114,37 @@ def test_pair_mean_example():
     a = Checkpoint(tensors={"w": tensor([1.0, 3.0])})
     b = Checkpoint(tensors={"w": tensor([3.0, 5.0])})
     bank = ModelBank(models=[a, b])
-    merged = merge_uniform(bank, MixtureVector.from_string("11"))
+    merged = merge_uniform(bank, "11")
     assert np.array_equal(merged.tensors["w"], np.array([2.0, 4.0], dtype=np.float32))
 
 
 def test_permutation_invariance():
     bank = make_bank(4, seed=3)
-    alpha = MixtureVector.from_string("1011")
+    alpha = "1011"
     direct = merge_uniform(bank, alpha)
     perm = [2, 0, 3, 1]
     bank_p = ModelBank(models=[bank.models[p] for p in perm])
-    bits_p = [0] * 4
-    for new_pos, old_pos in enumerate(perm):
-        bits_p[new_pos] = alpha.bits[old_pos]
-    merged_p = merge_uniform(bank_p, MixtureVector(bits=tuple(bits_p)))
+    merged_p = merge_uniform(bank_p, "".join(alpha[p] for p in perm))
     assert checkpoint_equal(direct, merged_p)
 
 
 def test_merge_rejects_empty_mixture():
     bank = make_bank(2)
-    with pytest.raises(ValidationError):
-        merge_uniform(bank, MixtureVector(bits=(0, 0)))
+    with pytest.raises(ValidationError, match="empty mixture"):
+        merge_uniform(bank, "00")
 
 
 def test_merge_rejects_length_mismatch():
     bank = make_bank(2)
     with pytest.raises(ValidationError, match="length"):
-        merge_uniform(bank, MixtureVector.from_string("111"))
+        merge_uniform(bank, "111")
 
 
 def test_convexity_elementwise():
     bank = make_bank(5, seed=11, scale=100.0)
-    alpha = MixtureVector.from_string("11101")
+    alpha = "11101"
     merged = merge_uniform(bank, alpha)
-    sel = [bank.models[i] for i in alpha.selected]
+    sel = [bank.models[i] for i in selected(alpha)]
     for name in merged.tensors:
         stack = np.stack([m.tensors[name] for m in sel]).astype(np.float64)
         lo, hi = stack.min(axis=0), stack.max(axis=0)
@@ -159,7 +183,7 @@ def test_weighted_uniform_support_equals_merge_uniform():
     ]
     for weights, bits in cases:
         merged_w = merge_weighted(bank, weights)
-        merged_u = merge_uniform(bank, MixtureVector.from_string(bits))
+        merged_u = merge_uniform(bank, bits)
         assert checkpoint_equal(merged_w, merged_u)
 
 
@@ -195,15 +219,15 @@ def reference_gray(n):
 
 
 def test_gray_n1():
-    assert [str(v) for v in gray_code_order(1)] == ["1"]
+    assert list(gray_code_order(1)) == ["1"]
 
 
 def test_gray_n2_pinned():
-    assert [str(v) for v in gray_code_order(2)] == ["01", "11", "10"]
+    assert list(gray_code_order(2)) == ["01", "11", "10"]
 
 
 def test_gray_n3_pinned():
-    assert [str(v) for v in gray_code_order(3)] == [
+    assert list(gray_code_order(3)) == [
         "001",
         "011",
         "010",
@@ -217,22 +241,21 @@ def test_gray_n3_pinned():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_gray_matches_reference(n):
     seq = list(gray_code_order(n))
-    assert [str(v) for v in seq] == reference_gray(n)
-    assert seq == [MixtureVector.from_string(bits) for bits in reference_gray(n)]
-    assert all(type(b) is int for v in seq for b in v.bits)
+    assert seq == reference_gray(n)
+    assert all(type(bits) is str for bits in seq)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9])
 def test_gray_properties(n):
     seq = list(gray_code_order(n))
     assert len(seq) == 2**n - 1
-    assert len({str(v) for v in seq}) == len(seq)
-    assert seq[0].n_selected == 1
+    assert len(set(seq)) == len(seq)
+    assert seq[0].count("1") == 1
     for a, b in zip(seq, seq[1:]):
-        diff = sum(x != y for x, y in zip(a.bits, b.bits))
+        diff = sum(x != y for x, y in zip(a, b))
         assert diff == 1
     for v in seq:
-        assert v.n_selected >= 1
+        assert v.count("1") >= 1
 
 
 def test_gray_codes_pinned():
@@ -241,7 +264,7 @@ def test_gray_codes_pinned():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_gray_code_order_follows_gray_codes(n):
-    assert [mixture_code(n, a) for a in gray_code_order(n)] == gray_codes(n).tolist()
+    assert [bits_code(n, bits) for bits in gray_code_order(n)] == gray_codes(n).tolist()
 
 
 def test_gray_codes_out_of_range():
@@ -253,16 +276,13 @@ def test_gray_codes_out_of_range():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_codes_round_trip_through_mixtures(n):
-    """code_mixture inverts mixture_code, code_bits is the text form, and
-    gray_rank gives each code's 1-based position in gray_codes."""
+    """bits_code inverts code_bits, the text form, and gray_rank gives each
+    code's 1-based position in gray_codes."""
     for rank, code in enumerate(gray_codes(n).tolist(), start=1):
-        alpha = code_mixture(n, code)
-        assert mixture_code(n, alpha) == code
-        assert code_bits(n, code) == str(alpha) == format(code, f"0{n}b")
+        bits = code_bits(n, code)
+        assert bits == format(code, f"0{n}b")
+        assert bits_code(n, bits) == code
         assert gray_rank(code) == rank
-    for code in (0, 1 << n, -1):
-        with pytest.raises(ValidationError, match="out of range"):
-            code_mixture(n, code)
 
 
 def test_gray_out_of_range():
@@ -286,8 +306,7 @@ def test_subset_merges_matches_direct_n3():
 def test_subset_merges_singleton_emissions_bitwise():
     """Length-1 orders must reproduce merge_uniform exactly."""
     bank = make_bank(4, seed=2)
-    alpha = MixtureVector.from_string("0100")
-    items = list(subset_merges(bank, [alpha]))
+    items = list(subset_merges(bank, ["0100"]))
     assert len(items) == 1
     assert checkpoint_equal(items[0][1], bank.models[1])
 
@@ -295,12 +314,7 @@ def test_subset_merges_singleton_emissions_bitwise():
 def test_subset_merges_handles_jumps():
     """Two-bit jumps force the recompute path; results stay correct."""
     bank = make_bank(4, seed=8)
-    order = [
-        MixtureVector.from_string("1000"),
-        MixtureVector.from_string("0011"),
-        MixtureVector.from_string("1111"),
-        MixtureVector.from_string("0100"),
-    ]
+    order = ["1000", "0011", "1111", "0100"]
     for alpha, merged in subset_merges(bank, order):
         assert checkpoint_equal(merged, merge_uniform(bank, alpha))
 
@@ -310,7 +324,7 @@ def test_subset_merges_recomputes_unless_one_bit_flips():
     flip updates the running sum (dataset 1 leaves, dataset 3 joins). Every
     emission is the direct merge, bit for bit."""
     bank = make_bank(4, seed=5)
-    order = [MixtureVector.from_string(b) for b in ("0110", "0110", "1010", "1011", "1001")]
+    order = ["0110", "0110", "1010", "1011", "1001"]
     items = list(subset_merges(bank, order))
     assert [a for a, _ in items] == order
     for alpha, merged in items:
@@ -335,14 +349,14 @@ def fsum_merge(bank, alpha):
     """Reference: per parameter, float32(math.fsum of the selected values / k)."""
     out = {}
     for name, shape in bank.schema.items():
-        rows = np.stack([bank.models[i].tensors[name].reshape(-1) for i in alpha.selected])
-        means = [math.fsum(col) / alpha.n_selected for col in rows.T.astype(np.float64).tolist()]
+        rows = np.stack([bank.models[i].tensors[name].reshape(-1) for i in selected(alpha)])
+        means = [math.fsum(col) / alpha.count("1") for col in rows.T.astype(np.float64).tolist()]
         out[name] = np.array(means).astype(np.float32).reshape(shape)
     return Checkpoint(tensors=out)
 
 
 def block_checkpoints(bank, alphas):
-    merged = merge_block(bank, [mixture_code(len(bank), a) for a in alphas])
+    merged = merge_block(bank, [bits_code(len(bank), a) for a in alphas])
     return [Checkpoint(tensors={name: t[r] for name, t in merged.items()}) for r in range(len(alphas))]
 
 
@@ -376,17 +390,17 @@ def test_every_merge_path_is_the_fsum_merge(bank, rnd):
     for order in (gray, shuffled):
         for alpha, merged in subset_merges(bank, order):
             ref = fsum_merge(bank, alpha)
-            assert checkpoint_equal(merged, ref), str(alpha)
-            assert checkpoint_equal(merge_uniform(bank, alpha), ref), str(alpha)
+            assert checkpoint_equal(merged, ref), alpha
+            assert checkpoint_equal(merge_uniform(bank, alpha), ref), alpha
     for alpha, merged in zip(shuffled, blocks):
-        assert checkpoint_equal(merged, fsum_merge(bank, alpha)), str(alpha)
+        assert checkpoint_equal(merged, fsum_merge(bank, alpha)), alpha
     # a certified parameter's float64 sums are exact in any order
     for name in bank.schema:
         idx, _ = bank.inexact[name]
         cols = np.stack([m.tensors[name].reshape(-1) for m in bank.models]).astype(np.float64)
         certified = np.setdiff1d(np.arange(cols.shape[1]), idx)
         for alpha in gray:
-            rows = cols[list(alpha.selected)][:, certified]
+            rows = cols[selected(alpha)][:, certified]
             exact = [math.fsum(col) for col in rows.T.tolist()]
             assert rows.sum(axis=0).tolist() == exact
             assert rows[::-1].cumsum(axis=0)[-1].tolist() == exact
@@ -435,9 +449,9 @@ def test_non_finite_parameters_are_never_certified():
     bank = ModelBank(models=models)
     assert bank.inexact["w"][0].tolist() == [1]
     with np.errstate(invalid="ignore"):
-        merged = merge_uniform(bank, MixtureVector.from_string("11")).tensors["w"]
+        merged = merge_uniform(bank, "11").tensors["w"]
     assert merged[0] == 1.0 and np.isnan(merged[1])
-    assert merge_uniform(bank, MixtureVector.from_string("10")).tensors["w"][1] == np.inf
+    assert merge_uniform(bank, "10").tensors["w"][1] == np.inf
 
 
 def test_bank_names_default_and_custom():

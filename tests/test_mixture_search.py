@@ -3,6 +3,7 @@ every selection, and parity between serial and threaded scoring."""
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mergemix import (
     Checkpoint,
     EvalDataset,
     EvaluatorError,
-    MixtureVector,
     ModelBank,
     Score,
     SearchConfig,
@@ -60,7 +60,7 @@ def brute_force_best(n, fn, maximize=True):
     best = None
     for alpha in gray_code_order(n):
         value = fn(alpha)
-        key = (-value if maximize else value, alpha.n_selected, str(alpha))
+        key = (-value if maximize else value, alpha.count("1"), alpha)
         if best is None or key < best[0]:
             best = (key, alpha)
     return best[1]
@@ -73,7 +73,7 @@ def brute_force_best(n, fn, maximize=True):
 
 def test_single_candidate_n1():
     report = run_search(tiny_bank(1), accuracy_fn(lambda a: 0.123), target=None)
-    assert str(report.best_alpha) == "1"
+    assert report.best_alpha == "1"
     assert len(report.records) == 1
 
 
@@ -86,60 +86,60 @@ def test_spec_mock_best_101():
     """
 
     def acc(alpha):
-        raw = 0.2 * alpha.bits[0] + 0.5 * alpha.bits[2] - 0.1 * alpha.n_selected
+        raw = 0.2 * int(alpha[0]) + 0.5 * int(alpha[2]) - 0.1 * alpha.count("1")
         return max(0.0, raw)
 
     report = run_search(tiny_bank(3), accuracy_fn(acc), target=None)
-    assert str(report.best_alpha) == "101"
+    assert report.best_alpha == "101"
     best_rec = [r for r in report.records if r.alpha == report.best_alpha][0]
     assert best_rec.merged_score.accuracy == pytest.approx(0.5)
-    assert str(brute_force_best(3, acc)) == "101"
+    assert brute_force_best(3, acc) == "101"
 
 
 def test_all_ties_yield_smallest_then_lex():
     """Constant scores: the tie-break picks |S|=1, then lexicographic "001"."""
     report = run_search(tiny_bank(3), accuracy_fn(lambda a: 0.5), target=None)
-    assert str(report.best_alpha) == "001"
+    assert report.best_alpha == "001"
 
 
 def test_min_loss_objective():
     losses = {"001": 0.5, "010": 0.2, "100": 0.9, "011": 0.2, "101": 0.7, "110": 0.9, "111": 0.8}
 
     def eval_fn(ckpt, target, alpha):
-        return Score(accuracy=0.0, mean_loss=losses[str(alpha)], num_samples=0)
+        return Score(accuracy=0.0, mean_loss=losses[alpha], num_samples=0)
 
     report = run_search(
         tiny_bank(3), eval_fn, target=None, config=SearchConfig(objective="min_loss")
     )
     # two records at 0.2; the singleton "010" beats "011" on size
-    assert str(report.best_alpha) == "010"
+    assert report.best_alpha == "010"
 
 
 def test_record_count_and_gray_order():
     report = run_search(tiny_bank(4), accuracy_fn(lambda a: 0.5), target=None)
     assert len(report.records) == 2**4 - 1
-    assert [str(r.alpha) for r in report.records] == [str(v) for v in gray_code_order(4)]
+    assert [r.alpha for r in report.records] == list(gray_code_order(4))
 
 
 def test_explicit_candidates_only():
-    cands = [MixtureVector.from_string("110"), MixtureVector.from_string("001")]
+    cands = ["110", "001"]
     report = run_search(
         tiny_bank(3),
-        accuracy_fn(lambda a: a.n_selected / 3),
+        accuracy_fn(lambda a: a.count("1") / 3),
         target=None,
         config=SearchConfig(candidates=cands),
     )
-    assert [str(r.alpha) for r in report.records] == ["110", "001"]
-    assert str(report.best_alpha) == "110"
+    assert [r.alpha for r in report.records] == ["110", "001"]
+    assert report.best_alpha == "110"
 
 
 def test_large_n_requires_candidates():
     n = MAX_ENUMERATION_N + 1
     bank = tiny_bank(n)
-    score = accuracy_fn(lambda a: a.n_selected / n)
+    score = accuracy_fn(lambda a: a.count("1") / n)
     with pytest.raises(ValidationError, match="candidate"):
         run_search(bank, score, target=None)
-    cands = [MixtureVector.from_indices([0], n), MixtureVector.from_indices([1, n - 1], n)]
+    cands = ["1" + "0" * (n - 1), "01" + "0" * (n - 3) + "1"]
     report = run_search(bank, score, target=None, config=SearchConfig(candidates=cands))
     assert [r.alpha for r in report.records] == cands
     assert report.best_alpha == cands[1]
@@ -147,7 +147,7 @@ def test_large_n_requires_candidates():
 
 def test_evaluator_failure_names_mixture():
     def eval_fn(ckpt, target, alpha):
-        if str(alpha) == "011":
+        if alpha == "011":
             raise RuntimeError("boom")
         return Score(accuracy=0.5, mean_loss=0.0, num_samples=0)
 
@@ -157,12 +157,12 @@ def test_evaluator_failure_names_mixture():
 
 def test_jobs_parity():
     rng = np.random.default_rng(7)
-    table = {str(a): float(rng.uniform()) for a in gray_code_order(5)}
-    fn = accuracy_fn(lambda a: table[str(a)])
+    table = {a: float(rng.uniform()) for a in gray_code_order(5)}
+    fn = accuracy_fn(lambda a: table[a])
     serial = run_search(tiny_bank(5), fn, target=None, config=SearchConfig(jobs=1))
     threaded = run_search(tiny_bank(5), fn, target=None, config=SearchConfig(jobs=3))
     assert serial.best_alpha == threaded.best_alpha
-    assert [str(r.alpha) for r in serial.records] == [str(r.alpha) for r in threaded.records]
+    assert [r.alpha for r in serial.records] == [r.alpha for r in threaded.records]
     for a, b in zip(serial.records, threaded.records):
         assert a.merged_score.accuracy == b.merged_score.accuracy
 
@@ -171,10 +171,10 @@ def test_jobs_parity():
 @given(st.integers(2, 5), st.integers(0, 2**31 - 1))
 def test_search_matches_brute_force_property(n, seed):
     rng = np.random.default_rng(seed)
-    table = {str(a): float(rng.uniform()) for a in gray_code_order(n)}
-    fn = accuracy_fn(lambda a: table[str(a)])
+    table = {a: float(rng.uniform()) for a in gray_code_order(n)}
+    fn = accuracy_fn(lambda a: table[a])
     report = run_search(tiny_bank(n), fn, target=None)
-    assert report.best_alpha == brute_force_best(n, lambda a: table[str(a)])
+    assert report.best_alpha == brute_force_best(n, lambda a: table[a])
 
 
 @settings(max_examples=20, deadline=None)
@@ -182,11 +182,11 @@ def test_search_matches_brute_force_property(n, seed):
 def test_monotone_transform_invariance(n, seed):
     """A strictly increasing remap of accuracies never changes the winner."""
     rng = np.random.default_rng(seed)
-    table = {str(a): float(rng.uniform(0.05, 0.95)) for a in gray_code_order(n)}
-    base = run_search(tiny_bank(n), accuracy_fn(lambda a: table[str(a)]), target=None)
+    table = {a: float(rng.uniform(0.05, 0.95)) for a in gray_code_order(n)}
+    base = run_search(tiny_bank(n), accuracy_fn(lambda a: table[a]), target=None)
     warped = run_search(
         tiny_bank(n),
-        accuracy_fn(lambda a: table[str(a)] ** 3),
+        accuracy_fn(lambda a: table[a] ** 3),
         target=None,
     )
     assert base.best_alpha == warped.best_alpha
@@ -211,13 +211,13 @@ def test_builtin_eval_fn_scores_real_models():
         split="val",
     )
     report = run_search(bank, builtin_eval_fn, target=target)
-    assert str(report.best_alpha) == "10"
+    assert report.best_alpha == "10"
     assert report.records[0].merged_score.num_samples == 2
 
 
 def test_builtin_eval_fn_requires_dataset():
     with pytest.raises(ValidationError, match="EvalDataset"):
-        builtin_eval_fn(tiny_bank(1).models[0], "not-a-dataset", MixtureVector.from_string("1"))
+        builtin_eval_fn(tiny_bank(1).models[0], "not-a-dataset", "1")
 
 
 # ============================================================================
@@ -245,7 +245,7 @@ def tied_tables(draw):
     set so ties abound, and a shuffle of the mixtures."""
     n = draw(st.integers(1, 4))
     values = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
-    table = {str(a): draw(values) for a in gray_code_order(n)}
+    table = {a: draw(values) for a in gray_code_order(n)}
     return n, table, draw(st.permutations(range(len(table))))
 
 
@@ -266,16 +266,16 @@ def test_every_selector_shares_the_tie_break(n_table_order):
 
     gray_table = SimilarityTable(n, values)
     assert gray_table == table
-    assert str(select_from_table(gray_table, "maximize")[0]) == want_max
-    assert str(select_from_table(gray_table, "minimize")[0]) == want_min
-    report = run_search(tiny_bank(n), accuracy_fn(lambda a: table[str(a)]), target=None)
-    assert str(report.best_alpha) == want_max
+    assert select_from_table(gray_table, "maximize")[0] == want_max
+    assert select_from_table(gray_table, "minimize")[0] == want_min
+    report = run_search(tiny_bank(n), accuracy_fn(lambda a: table[a]), target=None)
+    assert report.best_alpha == want_max
 
     def loss_fn(ckpt, target, alpha):
-        return Score(accuracy=0.5, mean_loss=table[str(alpha)], num_samples=0)
+        return Score(accuracy=0.5, mean_loss=table[alpha], num_samples=0)
 
     loss_report = run_search(tiny_bank(n), loss_fn, None, SearchConfig(objective="min_loss"))
-    assert str(loss_report.best_alpha) == want_min
+    assert loss_report.best_alpha == want_min
 
 
 def test_best_of_codes_rejects_unknown_direction():
@@ -352,11 +352,11 @@ def old_evaluate_builtin(ckpt, data):
 
 def per_mixture_loop(bank, candidates, data):
     """Today's per-mixture loop: the subset_merges walk, one forward pass per mixture."""
-    return [(str(a), *old_evaluate_builtin(merged, data)) for a, merged in subset_merges(bank, candidates)]
+    return [(a, *old_evaluate_builtin(merged, data)) for a, merged in subset_merges(bank, candidates)]
 
 
 def record_bits(report):
-    return [(str(r.alpha), r.merged_score.accuracy, r.merged_score.mean_loss) for r in report.records]
+    return [(r.alpha, r.merged_score.accuracy, r.merged_score.mean_loss) for r in report.records]
 
 
 def test_builtin_blocks_equal_the_per_mixture_loop(monkeypatch):
@@ -396,7 +396,7 @@ def test_builtin_block_errors_name_the_first_mixture():
     with pytest.raises(EvaluatorError, match="mixture 1: checkpoint must hold exactly"):
         run_search(tiny_bank(1), builtin_eval_fn, toy_target(2))
     with pytest.raises(ValidationError, match="length"):
-        config = SearchConfig(candidates=[MixtureVector.from_string("11")])
+        config = SearchConfig(candidates=["11"])
         run_search(bank, builtin_eval_fn, toy_target(2), config)
 
 
@@ -450,12 +450,31 @@ def test_per_mixture_columns_hold_each_score_as_returned():
     returned = {}
 
     def eval_fn(ckpt, target, alpha):
-        returned[alpha] = Score(accuracy=1 / (1 + int(str(alpha), 2)), mean_loss=0.25, num_samples=alpha.n_selected)
+        returned[alpha] = Score(accuracy=1 / (1 + int(alpha, 2)), mean_loss=0.25, num_samples=alpha.count("1"))
         return returned[alpha]
 
     records = run_search(tiny_bank(4), eval_fn, target=None, config=SearchConfig(jobs=2)).records
     assert isinstance(records, ScoreColumns)
     assert records == [ScoreRecord(alpha, returned[alpha]) for alpha in gray_code_order(4)]
+
+
+def test_threaded_scores_land_in_their_own_rows():
+    """Threads write disjoint slices of shared columns: with more threads than
+    cores and a short switch interval, every row holds its own mixture's score."""
+
+    def eval_fn(ckpt, target, alpha):
+        code = int(alpha, 2)
+        return Score(accuracy=code / 256, mean_loss=float(code), num_samples=code)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = run_search(tiny_bank(8), eval_fn, target=None, config=SearchConfig(jobs=8)).records
+    finally:
+        sys.setswitchinterval(interval)
+    assert records.accuracy.tolist() == (records.codes / 256).tolist()
+    assert records.mean_loss.tolist() == records.codes.astype(np.float64).tolist()
+    assert records.num_samples.tolist() == records.codes.tolist()
 
 
 def digest_eval_fn(ckpt, target, alpha):

@@ -22,7 +22,7 @@ from mergemix import (
     train,
 )
 from mergemix.evaluator import EvalDataset
-from mergemix.merge_engine import code_bits, code_mixture, gray_codes
+from mergemix.merge_engine import code_bits, gray_codes
 from mergemix.toy_bench import (
     MAX_BENCH_N,
     _finetune_mixtures,
@@ -369,7 +369,7 @@ def test_micro_benchmark_structure():
         assert set(table.selections) == set(report.SELECTION_METHODS)
         # singleton surrogate and ground truth are the same checkpoint
         for rec_v in table.records_val:
-            if rec_v.alpha.n_selected == 1:
+            if rec_v.alpha.count("1") == 1:
                 assert rec_v.merged_score.accuracy == rec_v.finetuned_score.accuracy
                 assert rec_v.merged_score.mean_loss == rec_v.finetuned_score.mean_loss
         oracle_val = table.selections["oracle"].val_accuracy
@@ -383,8 +383,8 @@ def test_target_table_outcome_reads_the_mixtures_row():
     report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
     for table in report.per_target:
         for val, test in zip(table.records_val, table.records_test):
-            bits = str(val.alpha)
-            assert str(test.alpha) == bits
+            bits = val.alpha
+            assert test.alpha == bits
             tuned = table.outcome("oracle", bits)
             assert (tuned.val_accuracy, tuned.test_accuracy) == (
                 val.finetuned_score.accuracy,
@@ -408,7 +408,8 @@ def test_finetune_mixtures_returns_each_codes_own_run():
     models = _finetune_mixtures(base, parts, codes, MICRO_TRAIN)
     assert len(models) == len(codes)
     for code, model in zip(codes.tolist(), models):
-        alone = train_many(base, parts, [code_mixture(n, code).selected], MICRO_TRAIN, [code])[0]
+        selected = [i for i, bit in enumerate(code_bits(n, code)) if bit == "1"]
+        alone = train_many(base, parts, [selected], MICRO_TRAIN, [code])[0]
         assert checkpoint_equal(model, alone), code_bits(n, code)
 
 
