@@ -168,9 +168,14 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write obj as sorted, indented JSON plus a newline, atomically."""
+    """Write obj as sorted, indented JSON plus a newline, atomically.
+
+    Each chunk of the encoder is written as it is made, so the text is never
+    held whole. json.dumps joins these same chunks, so the bytes are its bytes.
+    """
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        fh.writelines(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj))
+        fh.write("\n")
 
 
 def write_plot_csv(path: str | Path, per_task: Mapping[str, Sequence[tuple]]) -> None:

@@ -193,13 +193,39 @@ def similarity_table(
     Per-dataset statistics are precomputed once and composed over the
     subset lattice, so each mixture's pooled score costs no pooled-row scan.
     """
+    return similarity_tables(target, per_dataset, [metric])[0]
+
+
+def similarity_tables(
+    target: EmbeddingSet, per_dataset: Sequence[EmbeddingSet], metrics: Sequence[SimilarityMetric]
+) -> list[SimilarityTable]:
+    """similarity_table of each of metrics, in their order, from one distance matrix per dataset and kind.
+
+    The cosine metrics share one matrix per dataset and the L2 metrics
+    another, and only one kind's matrices are held at a time.
+    """
     if not per_dataset:
         raise ValidationError("need at least one dataset embedding set")
     n = len(per_dataset)
     codes = gray_codes(n)
     # a code holds dataset 0 as its most significant bit; a lattice mask holds dataset b in bit b
     masks = sum(((codes >> (n - 1 - b)) & 1) << b for b in range(n))
-    pairs = [_pairwise(target, ds, metric) for ds in per_dataset]
+    tables = {}
+    for direction in ("maximize", "minimize"):
+        kind = [metric for metric in metrics if metric.direction == direction]
+        if not kind:
+            continue
+        pairs = [_pairwise(target, ds, kind[0]) for ds in per_dataset]
+        for metric in kind:
+            scores = _mask_scores(pairs, metric)[masks]
+            scores.setflags(write=False)
+            tables[metric] = SimilarityTable(n, scores)
+        del pairs  # freed before the other kind's matrices are built
+    return [tables[metric] for metric in metrics]
+
+
+def _mask_scores(pairs: list[np.ndarray], metric: SimilarityMetric) -> np.ndarray:
+    """metric's score of every non-empty mixture, indexed by lattice mask, from its kind's matrices."""
     op = np.maximum if metric.direction == "maximize" else np.minimum
     reduce = np.max if metric.direction == "maximize" else np.min
     if metric in (SimilarityMetric.AVG_MAX_COS, SimilarityMetric.AVG_MIN_L2):
@@ -223,9 +249,7 @@ def similarity_table(
         def finish(block, first):
             return block[:, 0]
 
-    scores = _mask_values(rows, op, finish)[masks]
-    scores.setflags(write=False)
-    return SimilarityTable(n, scores)
+    return _mask_values(rows, op, finish)
 
 
 def select_from_table(table: SimilarityTable, direction: str) -> tuple[str, float]:

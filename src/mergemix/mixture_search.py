@@ -14,6 +14,7 @@ are deterministic.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -97,21 +98,6 @@ class ScoreRecord:
     merged_score: Score
     finetuned_score: Score | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "mixture_bits": self.alpha,
-            "n_selected": self.alpha.count("1"),
-            "merged_score": _score_json(self.merged_score),
-            "finetuned_score": _score_json(self.finetuned_score),
-        }
-
-
-def _score_json(score: Score | None) -> dict | None:
-    # a literal dict: dataclasses.asdict is about 40 times slower per Score
-    if score is None:
-        return None
-    return {"accuracy": score.accuracy, "mean_loss": score.mean_loss, "num_samples": score.num_samples}
-
 
 def _column(values, dtype, size: int) -> np.ndarray:
     """values as a read-only [size] view; a scalar is shared by every row and costs no memory per row."""
@@ -186,28 +172,44 @@ class SearchReport:
             "finetuned_accuracy",
         ]
 
-    def csv_rows(self) -> list[list]:
-        rows = []
-        for rec in self.records:
-            fin = "" if rec.finetuned_score is None else repr(rec.finetuned_score.accuracy)
-            rows.append(
-                [
-                    rec.alpha,
-                    rec.alpha.count("1"),
-                    repr(rec.merged_score.accuracy),
-                    repr(rec.merged_score.mean_loss),
-                    fin,
-                ]
-            )
-        return rows
+    def csv_rows(self) -> Iterator[list]:
+        """One row per mixture, made from the columns as it is written; a search has no fine-tuned score."""
+        records = self.records
+        for code, accuracy, mean_loss in zip(
+            records.codes.tolist(), records.accuracy.tolist(), records.mean_loss.tolist()
+        ):
+            yield [code_bits(records.n, code), code.bit_count(), repr(accuracy), repr(mean_loss), ""]
 
     def to_json_obj(self) -> dict:
         return {
             "objective": self.objective,
             "target_name": self.target_name,
             "best_alpha": self.best_alpha,
-            "records": [rec.to_json_obj() for rec in self.records],
+            "records": records_json(self.records),
         }
+
+
+def _score_dicts(columns: ScoreColumns) -> Iterator[dict]:
+    rows = zip(columns.accuracy.tolist(), columns.mean_loss.tolist(), columns.num_samples.tolist())
+    return ({"accuracy": a, "mean_loss": loss, "num_samples": k} for a, loss, k in rows)
+
+
+def records_json(merged: ScoreColumns, finetuned: ScoreColumns | None = None) -> list[dict]:
+    """The JSON records of a report, one per row of merged, built from the columns.
+
+    finetuned, when given, holds the fine-tuned scores of the same mixtures
+    in the same rows; without it every "finetuned_score" is null.
+    """
+    tuned = _score_dicts(finetuned) if finetuned is not None else itertools.repeat(None)
+    return [
+        {
+            "mixture_bits": code_bits(merged.n, code),
+            "n_selected": code.bit_count(),
+            "merged_score": score,
+            "finetuned_score": tuned_score,
+        }
+        for code, score, tuned_score in zip(merged.codes.tolist(), _score_dicts(merged), tuned)
+    ]
 
 
 def best_of_codes(n: int, codes: np.ndarray, values: np.ndarray, direction: str) -> tuple[str, float]:

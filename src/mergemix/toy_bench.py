@@ -32,7 +32,7 @@ from .analytics import (
     write_csv,
     write_plot_csv,
 )
-from .baselines import SimilarityMetric, similarity_table
+from .baselines import SimilarityMetric, similarity_tables
 from .errors import MergeMixError, ValidationError
 from .evaluator import (
     TOY_TENSORS,
@@ -46,7 +46,7 @@ from .evaluator import (
     toy_mlp_logits,
 )
 from .merge_engine import MAX_ENUMERATION_N, ModelBank, bits_code, code_bits, gray_codes, gray_rank
-from .mixture_search import ScoreColumns, ScoreRecord, best_of_codes, builtin_scores, checkpoint_scores
+from .mixture_search import ScoreColumns, best_of_codes, builtin_scores, checkpoint_scores, records_json
 from .tensor_store import Checkpoint, EmbeddingSet
 
 # Philox stream ids for universe generation (train streams live at >= 1 << 32)
@@ -469,16 +469,6 @@ class TargetTable:
     finetuned_test: ScoreColumns
     selections: dict[str, SelectionOutcome] = field(default_factory=dict)
 
-    @property
-    def records_val(self) -> list[ScoreRecord]:
-        pairs = zip(self.merged_val, self.finetuned_val)
-        return [ScoreRecord(m.alpha, m.merged_score, f.merged_score) for m, f in pairs]
-
-    @property
-    def records_test(self) -> list[ScoreRecord]:
-        pairs = zip(self.merged_test, self.finetuned_test)
-        return [ScoreRecord(m.alpha, m.merged_score, f.merged_score) for m, f in pairs]
-
     def outcome(
         self, method: str, bits: str, merged: bool = False, detail: str = ""
     ) -> SelectionOutcome:
@@ -553,8 +543,8 @@ class BenchReport:
                     "target_name": t.target_name,
                     "base_val_accuracy": t.base_val_accuracy,
                     "base_test_accuracy": t.base_test_accuracy,
-                    "records_val": [r.to_json_obj() for r in t.records_val],
-                    "records_test": [r.to_json_obj() for r in t.records_test],
+                    "records_val": records_json(t.merged_val, t.finetuned_val),
+                    "records_test": records_json(t.merged_test, t.finetuned_test),
                     "selections": {
                         m: dataclasses.asdict(t.selections[m]) for m in self.SELECTION_METHODS
                     },
@@ -731,19 +721,19 @@ def _similarity_baseline(
 
     Each metric picks one mixture per target; the metric whose picks have the
     best mean fine-tuned test accuracy sets every target's "similarity" selection.
-    similarity_table's scores, like the tables' columns, follow codes.
+    The similarity tables' scores, like the target tables' columns, follow codes.
     """
     n = len(ds_embs)
     sizes = [code.bit_count() for code in codes.tolist()]
     corr_inputs: dict[str, list[CorrelationInput]] = {m.value: [] for m in SimilarityMetric}
     picks: dict[str, list[str]] = {m.value: [] for m in SimilarityMetric}
+    metrics = list(SimilarityMetric)
     for table, tg_emb in zip(per_target, tg_embs):
         ft_test = table.finetuned_test.accuracy.tolist()
-        for metric in SimilarityMetric:
-            scores = similarity_table(tg_emb, ds_embs, metric).scores
-            pairs = list(zip(scores.tolist(), ft_test, sizes))
+        for metric, sim in zip(metrics, similarity_tables(tg_emb, ds_embs, metrics)):
+            pairs = list(zip(sim.scores.tolist(), ft_test, sizes))
             corr_inputs[metric.value].append(CorrelationInput(table.target_name, pairs))
-            picks[metric.value].append(best_of_codes(n, codes, scores, metric.direction)[0])
+            picks[metric.value].append(best_of_codes(n, codes, sim.scores, metric.direction)[0])
     mean_acc = {}
     for name, bits in picks.items():
         accs = [t.outcome("similarity", b).test_accuracy for t, b in zip(per_target, bits)]

@@ -16,7 +16,7 @@ from mergemix import (
     logit_improvement,
     pearson,
 )
-from mergemix.analytics import write_plot_csv
+from mergemix.analytics import write_json, write_plot_csv
 from mergemix.merge_engine import gray_codes
 from mergemix.mixture_search import ScoreColumns
 from mergemix.toy_bench import TargetTable
@@ -267,3 +267,42 @@ def test_failed_emit_leaves_old_report_untouched(tmp_path):
         emit_report(Broken(), "csv", path)
     assert path.read_bytes() == b"task,n_pairs,r\nA,3,1.0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
+# ============================================================================
+# write_json
+# ============================================================================
+
+JSON_VALUES = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], [{}]]},
+    {"zeta": [1, {"y": [2, 3], "x": None}], "alpha": {"nested": {"deep": [True, False]}}},
+    "caf\u00e9 \u2603 \U0001f600 \"quoted\" \\ \n\t",
+    {"\u00fcber": "\u65e5\u672c", "ascii": "plain"},
+    [0.1, 1e-300, -0.0, 0.0, 1.5e300, 5e-324, 123456789.123456789],
+    [2**64 + 1, -(2**100), 0, -1],
+    [True, False, None],
+    None,
+    "top-level string",
+    3.0,
+]
+
+
+@pytest.mark.parametrize("obj", JSON_VALUES, ids=range(len(JSON_VALUES)))
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, obj):
+    path = tmp_path / "r.json"
+    write_json(path, obj)
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == want.encode("ascii")
+
+
+def test_write_json_failure_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_bytes(b'{"old": 1}\n')
+    # the encoder has written the first records before it reaches the bad value
+    obj = {"a": list(range(10000)), "b": object()}
+    with pytest.raises(TypeError):
+        write_json(path, obj)
+    assert path.read_bytes() == b'{"old": 1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]

@@ -3,6 +3,7 @@ reference, mixture composition, and selection from a table."""
 
 import math
 import struct
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from mergemix import (
     similarity_score,
     similarity_table,
 )
-from mergemix.baselines import select_from_table
+from mergemix.baselines import select_from_table, similarity_tables
 from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, gray_codes
 
 ALL_METRICS = list(SimilarityMetric)
@@ -420,3 +421,43 @@ def test_table_rejects_n_above_the_enumeration_limit():
     per_dataset = [emb([[1.0, float(i)]], f"D{i}") for i in range(MAX_ENUMERATION_N + 1)]
     with pytest.raises(ValidationError, match=f"N <= {MAX_ENUMERATION_N}"):
         similarity_table(emb([[1.0, 0.0]]), per_dataset, SimilarityMetric.AVG_MAX_COS)
+
+
+@pytest.mark.parametrize(
+    "metrics",
+    [
+        ALL_METRICS,
+        ALL_METRICS[::-1],
+        [SimilarityMetric.MIN_MIN_L2],
+        [SimilarityMetric.AVG_AVG_COS, SimilarityMetric.AVG_AVG_COS, SimilarityMetric.AVG_MIN_L2],
+        [],
+    ],
+    ids=["all", "reversed", "one-l2", "repeat", "none"],
+)
+def test_tables_share_one_matrix_per_dataset_and_kind(metrics):
+    """similarity_tables gives, in the order asked, the tables similarity_table
+    builds one at a time, bit for bit. It builds each (dataset, kind) distance
+    matrix once, and no matrix of one kind is alive while the other kind's are
+    built."""
+    rng = np.random.default_rng(8)
+    n = 5
+    target = emb(rng.standard_normal((4, 3)), "T")
+    per_dataset = [emb(rng.standard_normal((1 + i % 3, 3)), f"D{i}") for i in range(n)]
+    made = []
+    real = baselines._pairwise
+
+    def tracked(t, ds, metric):
+        assert all(ref() is None for kind, ref in made if kind != metric.direction)
+        pair = real(t, ds, metric)
+        made.append((metric.direction, weakref.ref(pair)))
+        return pair
+
+    with mock.patch.object(baselines, "_pairwise", tracked):
+        tables = similarity_tables(target, per_dataset, metrics)
+    assert len(made) == n * len({metric.direction for metric in metrics})
+    assert len(tables) == len(metrics)
+    for metric, table in zip(metrics, tables):
+        want = similarity_table(target, per_dataset, metric)
+        assert list(table) == list(want)
+        assert float_bits(table) == float_bits(want), metric
+        assert not table.scores.flags.writeable

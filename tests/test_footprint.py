@@ -1,5 +1,6 @@
 """Memory held per mixture by search results and similarity tables, the peak
-of a search with a Python evaluator, and the modules a fresh process loads.
+of a search with a Python evaluator and of writing its reports, and the
+modules a fresh process loads.
 
 Results are columns indexed by mixture, so their size per mixture is a few
 array entries. Each memory test warms up first (the bank's flat copy and
@@ -18,9 +19,18 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mergemix
-from mergemix import EmbeddingSet, Score, SimilarityMetric, builtin_eval_fn, run_search, similarity_table
+from mergemix import (
+    EmbeddingSet,
+    Score,
+    SimilarityMetric,
+    builtin_eval_fn,
+    emit_report,
+    run_search,
+    similarity_table,
+)
 from mergemix.tensor_store import write_checkpoint
 
 from test_mixture_search import toy_bank, toy_target
@@ -75,6 +85,21 @@ def test_per_mixture_search_peaks_at_most_250_bytes_per_mixture():
     peak, report = traced_peak(lambda: run_search(bank, constant, data))
     assert len(report.records) == 4095
     assert peak / len(report.records) <= 250
+
+
+@pytest.mark.parametrize("fmt, limit", [("json", 700), ("csv", 200)])
+def test_search_report_writes_peak_per_mixture(tmp_path, fmt, limit):
+    """A report is written as it is encoded, its rows drawn from the score
+    columns: the JSON holds its record dicts but never its text, and the CSV
+    holds one row at a time. With the text joined in memory and a ScoreRecord
+    per row, the JSON peaked at 2,083 B per mixture and the CSV at 409 B."""
+    bank, data = toy_bank(12, seed=2), toy_target(3)
+    report = run_search(bank, builtin_eval_fn, data)
+    path = tmp_path / f"report.{fmt}"
+    emit_report(report, fmt, path)
+    peak, _ = traced_peak(lambda: emit_report(report, fmt, path))
+    assert len(report.records) == 4095
+    assert peak / len(report.records) <= limit
 
 
 def test_similarity_table_retains_at_most_16_bytes_per_mixture_and_no_cache():

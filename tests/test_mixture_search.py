@@ -291,7 +291,7 @@ def test_best_of_codes_rejects_unknown_direction():
 
 def test_csv_shape():
     report = run_search(tiny_bank(3), accuracy_fn(lambda a: 0.25), target=None)
-    rows = report.csv_rows()
+    rows = list(report.csv_rows())
     assert len(rows) == 7
     assert report.csv_header() == [
         "mixture_bits",

@@ -1,0 +1,41 @@
+"""tools/same_bytes.py: two trees that write the same reports compare clean,
+and a tree whose reports differ is named file by file."""
+
+import shutil
+import sys
+from pathlib import Path
+from unittest import mock
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import same_bytes  # noqa: E402
+
+
+def test_this_tree_writes_its_own_bytes_at_the_smallest_setting(tmp_path):
+    lines, compared = same_bytes.compare(ROOT, ROOT, tmp_path, same_bytes.BENCH_SETTINGS[-1:])
+    assert lines == []
+    assert compared == len(same_bytes.BENCH_SETTINGS[-1:]) * 5 + len(same_bytes.REPORT_GOLDEN) * 2
+
+
+def test_a_tree_with_other_json_is_named_file_by_file(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    analytics = other / "src" / "mergemix" / "analytics.py"
+    text = analytics.read_text()
+    assert text.count("indent=2") == 1
+    analytics.write_text(text.replace("indent=2", "indent=3"))
+    golden = {("search", "accuracy"): None, ("similarity", "min_min_l2"): None}
+    with mock.patch.object(same_bytes, "REPORT_GOLDEN", golden):
+        lines, compared = same_bytes.compare(ROOT, other, tmp_path / "work", same_bytes.BENCH_SETTINGS[-1:])
+    assert compared == 5 + 2 * 2
+    assert lines == [
+        "bench --seed 3 --num-datasets 2: report.json differs",
+        "search accuracy: report.json differs",
+        "similarity min_min_l2: report.json differs",
+    ]
+
+
+def test_main_rejects_a_directory_without_the_package(tmp_path, capsys):
+    assert same_bytes.main([str(tmp_path)]) == 2
+    assert "usage:" in capsys.readouterr().err

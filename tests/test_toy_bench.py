@@ -2,11 +2,14 @@
 the end-to-end run_benchmark structure at micro scale."""
 
 
+import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mergemix import baselines
 from mergemix import (
     BenchConfig,
     Checkpoint,
@@ -364,36 +367,54 @@ def test_micro_benchmark_structure():
     n_mixtures = 2**MICRO_BENCH.num_datasets - 1
     assert len(report.per_target) == MICRO_BENCH.num_targets
     for table in report.per_target:
-        assert len(table.records_val) == n_mixtures
-        assert len(table.records_test) == n_mixtures
+        for columns in (table.merged_val, table.merged_test, table.finetuned_val, table.finetuned_test):
+            assert len(columns) == n_mixtures
         assert set(table.selections) == set(report.SELECTION_METHODS)
         # singleton surrogate and ground truth are the same checkpoint
-        for rec_v in table.records_val:
-            if rec_v.alpha.count("1") == 1:
-                assert rec_v.merged_score.accuracy == rec_v.finetuned_score.accuracy
-                assert rec_v.merged_score.mean_loss == rec_v.finetuned_score.mean_loss
+        for merged, tuned in zip(table.merged_val, table.finetuned_val):
+            assert merged.alpha == tuned.alpha
+            if merged.alpha.count("1") == 1:
+                assert merged.merged_score == tuned.merged_score
         oracle_val = table.selections["oracle"].val_accuracy
         for method in report.SELECTION_METHODS:
             if method != "oracle":
                 assert table.selections[method].val_accuracy <= oracle_val + 1e-12
 
 
+def test_bench_builds_one_distance_matrix_per_target_dataset_and_kind():
+    """An N=3 bench over 4 targets needs a cosine and an L2 matrix for each of
+    its 12 (target, dataset) pairs: 24 _pairwise calls. One table per metric,
+    each building its own matrices, made 72."""
+    kinds = []
+    real = baselines._pairwise
+
+    def counted(target, ds, metric):
+        kinds.append(metric.direction)
+        return real(target, ds, metric)
+
+    with mock.patch.object(baselines, "_pairwise", counted):
+        run_benchmark(dataclasses.replace(MICRO_BENCH, num_targets=4), MICRO_TRAIN)
+    assert len(kinds) == 24
+    assert kinds.count("maximize") == kinds.count("minimize") == 12
+
+
 def test_target_table_outcome_reads_the_mixtures_row():
     """outcome(bits) finds the row of bits in Gray order, for the fine-tuned and the merged columns."""
     report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
     for table in report.per_target:
-        for val, test in zip(table.records_val, table.records_test):
-            bits = val.alpha
-            assert test.alpha == bits
+        columns = (table.merged_val, table.merged_test, table.finetuned_val, table.finetuned_test)
+        for merged_val, merged_test, tuned_val, tuned_test in zip(*columns):
+            bits = merged_val.alpha
+            assert merged_test.alpha == tuned_val.alpha == tuned_test.alpha == bits
             tuned = table.outcome("oracle", bits)
             assert (tuned.val_accuracy, tuned.test_accuracy) == (
-                val.finetuned_score.accuracy,
-                test.finetuned_score.accuracy,
+                tuned_val.merged_score.accuracy,
+                tuned_test.merged_score.accuracy,
             ), bits
             merged = table.outcome("merge_to_mix_merged", bits, merged=True)
             assert (merged.val_accuracy, merged.test_accuracy) == (
-                val.merged_score.accuracy,
-                test.merged_score.accuracy,
+                merged_val.merged_score.accuracy,
+                merged_test.merged_score.accuracy,
             ), bits
             assert merged.mixture_bits == tuned.mixture_bits == bits
 
