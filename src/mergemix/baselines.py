@@ -155,8 +155,8 @@ class SimilarityTable(Mapping[str, float]):
     scores[i] belongs to the mixture gray_codes(n)[i], and keys iterate in
     that order, formatted when read. A lookup parses its key with bits_code,
     so a bad key raises KeyError, and finds the entry by its Gray rank.
-    Values are Python floats, and copy.deepcopy gives the items as a plain
-    dict, the form to edit.
+    Values are Python floats, and dict(table), like copy.deepcopy, gives the
+    items as a plain dict, the form to edit.
     """
 
     __slots__ = ("n", "scores")

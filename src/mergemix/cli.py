@@ -19,7 +19,6 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -82,19 +81,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to each command's outputs."""
-
-    command: str
-    config: dict
-    input_digests: dict[str, str]
-    tool_version: str
-    started_at: str
-    finished_at: str
-    outputs: list[str] = field(default_factory=list)
-
-
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
@@ -102,19 +88,19 @@ def _now() -> str:
 def _manifest(
     path: Path, command: str, args_dict: dict, inputs: list[Path], started: str, outputs: list[Path]
 ) -> None:
-    """Write the command's RunManifest to path, atomically."""
+    """Write the command's record of config, input digests, version, times and outputs to path, atomically."""
     # args_dict is vars(namespace); "func" is the dispatch callable, not config
     config = {k: (str(v) if isinstance(v, Path) else v) for k, v in args_dict.items() if k != "func"}
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        input_digests={str(p): _sha256(p) for p in inputs if p.is_file()},
-        tool_version=__version__,
-        started_at=started,
-        finished_at=_now(),
-        outputs=[str(p) for p in outputs],
-    )
-    write_json(path, dataclasses.asdict(manifest))
+    manifest = {
+        "command": command,
+        "config": config,
+        "input_digests": {str(p): _sha256(p) for p in inputs if p.is_file()},
+        "tool_version": __version__,
+        "started_at": started,
+        "finished_at": _now(),
+        "outputs": [str(p) for p in outputs],
+    }
+    write_json(path, manifest)
 
 
 def _print_json(obj: dict) -> None:

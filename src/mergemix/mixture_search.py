@@ -5,7 +5,7 @@ objective is reported. The builtin scorer runs in blocks: _SCORE_BLOCK
 mixtures per merge_block call and per stacked forward pass. Any other
 evaluator gets one merged Checkpoint per mixture from the subset_merges walk.
 Results are ScoreColumns: int mixture codes and float64 score arrays, which
-build a ScoreRecord only when one entry is read. Mixtures enter and leave as
+build ScoreRecords only as they are iterated. Mixtures enter and leave as
 bit strings, e.g. "101" (see merge_engine.bits_code).
 best_of_codes holds the tie-break that every selection in the package uses:
 the best value, then the fewest datasets, then the smaller code, so results
@@ -15,10 +15,9 @@ are deterministic.
 from __future__ import annotations
 
 import itertools
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -96,7 +95,6 @@ class SearchConfig:
 class ScoreRecord:
     alpha: str
     merged_score: Score
-    finetuned_score: Score | None = None
 
 
 def _column(values, dtype, size: int) -> np.ndarray:
@@ -104,13 +102,13 @@ def _column(values, dtype, size: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=dtype), (size,))
 
 
-class ScoreColumns(Sequence[ScoreRecord]):
-    """Merged scores as columns, a read-only Sequence[ScoreRecord].
+class ScoreColumns:
+    """Merged scores as columns, which iterate as ScoreRecords.
 
-    Entry i is the ScoreRecord of the mixture with code codes[i] (see
-    code_bits) over n datasets, scored Score(accuracy[i], mean_loss[i],
-    num_samples[i]). It is built when read and never cached, so the columns
-    hold 24 bytes per mixture when num_samples is one shared count.
+    Row i is the mixture with code codes[i] (see code_bits) over n datasets,
+    scored Score(accuracy[i], mean_loss[i], num_samples[i]). Its ScoreRecord
+    is built as iteration reaches it and never cached, so the columns hold
+    24 bytes per mixture when num_samples is one shared count.
     """
 
     __slots__ = ("n", "codes", "accuracy", "mean_loss", "num_samples")
@@ -126,31 +124,10 @@ class ScoreColumns(Sequence[ScoreRecord]):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def _record(self, code: int, accuracy: float, mean_loss: float, num_samples: int) -> ScoreRecord:
-        return ScoreRecord(code_bits(self.n, code), Score(accuracy, mean_loss, num_samples))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ScoreColumns(
-                self.n, self.codes[index], self.accuracy[index], self.mean_loss[index], self.num_samples[index]
-            )
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"score index {index} out of range for {len(self)} mixtures")
-        columns = (self.codes, self.accuracy, self.mean_loss, self.num_samples)
-        return self._record(*(column[i].item() for column in columns))
-
     def __iter__(self) -> Iterator[ScoreRecord]:
         columns = (self.codes, self.accuracy, self.mean_loss, self.num_samples)
-        for row in zip(*(column.tolist() for column in columns)):
-            yield self._record(*row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        for code, accuracy, mean_loss, num_samples in zip(*(column.tolist() for column in columns)):
+            yield ScoreRecord(code_bits(self.n, code), Score(accuracy, mean_loss, num_samples))
 
     def __repr__(self) -> str:
         return f"ScoreColumns(n={self.n}, {len(self)} mixtures)"
@@ -280,17 +257,19 @@ def builtin_scores(bank: ModelBank, codes: np.ndarray, target: TargetRef) -> Sco
 
 
 def checkpoint_scores(
-    ckpts: Sequence[Checkpoint], n: int, codes: np.ndarray, target: TargetRef
+    models: Mapping[str, np.ndarray], n: int, codes: np.ndarray, target: TargetRef
 ) -> ScoreColumns:
-    """Builtin scores of same-schema toy checkpoints, one per mixture code over n datasets.
+    """Builtin scores of toy models stacked as {tensor: float32 [len(codes), ...]}.
 
-    Bit for bit the scores of evaluate_builtin on each checkpoint, stacked
-    _SCORE_BLOCK at a time; the first checkpoint and the target are checked once.
+    Row i of each tensor belongs to mixture code codes[i] over n datasets.
+    Bit for bit the scores of evaluate_builtin on each row's Checkpoint,
+    _SCORE_BLOCK rows at a time; the first row and the target are checked once.
     """
-    data = _checked(code_bits(n, int(codes[0])), ckpts[0], target)
+    first = Checkpoint(tensors={name: arr[0] for name, arr in models.items()})
+    data = _checked(code_bits(n, int(codes[0])), first, target)
 
     def stacked(lo: int, hi: int) -> Iterable[np.ndarray]:
-        return (np.stack([c.tensors[name] for c in ckpts[lo:hi]]) for name in TOY_TENSORS)
+        return (models[name][lo:hi] for name in TOY_TENSORS)
 
     return _block_scores(n, codes, data, stacked)
 

@@ -297,10 +297,6 @@ def _params_from_ckpt(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     return {name: arr.astype(np.float64) for name, arr in ckpt.tensors.items()}
 
 
-def _ckpt_from_params(params: dict[str, np.ndarray]) -> Checkpoint:
-    return Checkpoint(tensors={name: arr.astype(np.float32) for name, arr in params.items()})
-
-
 def _backward(
     params: dict[str, np.ndarray],
     x: np.ndarray,
@@ -353,14 +349,15 @@ def train_many(
     selections: list[tuple[int, ...]],
     cfg: TrainConfig,
     run_keys: list[int],
-) -> list[Checkpoint]:
+) -> dict[str, np.ndarray]:
     """Run one SGD fine-tune per selection, all in lockstep.
 
     Run r trains from init on the concatenation of parts[i] for i in
     selections[r], in that order, with the Philox stream of run_keys[r].
     Every run must see the same number of rows, so all runs share batch
     boundaries and step counts. Each run's result is bit-identical to
-    training it alone.
+    training it alone. Returns {tensor: float32 [runs, ...]}, row r
+    holding run r's parameters.
     """
     if len(selections) != len(run_keys):
         raise ValidationError(f"{len(selections)} selections but {len(run_keys)} run keys")
@@ -368,7 +365,7 @@ def train_many(
     for part in parts:
         check_toy_target(init, part)
     if not selections:
-        return []
+        return {name: np.empty((0, *arr.shape), dtype=np.float32) for name, arr in params.items()}
     sizes = [len(part) for part in parts]
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -400,7 +397,7 @@ def train_many(
             grads = _backward(stacked, xb, y[sel], hidden, exp)
             for name in stacked:
                 stacked[name] -= cfg.learning_rate * grads[name]
-    return [_ckpt_from_params({name: arr[r] for name, arr in stacked.items()}) for r in range(runs)]
+    return {name: arr.astype(np.float32) for name, arr in stacked.items()}
 
 
 def train(init: Checkpoint, data: EvalDataset, cfg: TrainConfig, run_key: int = 0) -> Checkpoint:
@@ -410,7 +407,8 @@ def train(init: Checkpoint, data: EvalDataset, cfg: TrainConfig, run_key: int = 
     reshuffled every epoch from the run generator, so results are
     deterministic given (init, data, cfg, run_key).
     """
-    return train_many(init, [data], [(0,)], cfg, [run_key])[0]
+    stacked = train_many(init, [data], [(0,)], cfg, [run_key])
+    return Checkpoint(tensors={name: arr[0] for name, arr in stacked.items()})
 
 
 def init_checkpoint(rng: np.random.Generator, input_dim: int, hidden: int, classes: int) -> Checkpoint:
@@ -423,7 +421,7 @@ def init_checkpoint(rng: np.random.Generator, input_dim: int, hidden: int, class
         "w2": rng.uniform(-bound2, bound2, (classes, hidden)),
         "b2": rng.uniform(-bound2, bound2, classes),
     }
-    return _ckpt_from_params(params)
+    return Checkpoint(tensors={name: arr.astype(np.float32) for name, arr in params.items()})
 
 
 def pretrain_base(universe: Universe, cfg: TrainConfig) -> Checkpoint:
@@ -622,7 +620,8 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     codes = gray_codes(n)
     finetuned = _finetune_mixtures(base, [t.train for t in universe.datasets], codes, train_cfg)
     # a single-dataset mixture's merged surrogate is its own fine-tune; dataset i is bit n - 1 - i
-    singles = [finetuned[gray_rank(1 << (n - 1 - i)) - 1] for i in range(n)]
+    rows = [gray_rank(1 << (n - 1 - i)) - 1 for i in range(n)]
+    singles = [Checkpoint(tensors={name: arr[r] for name, arr in finetuned.items()}) for r in rows]
     bank = ModelBank(models=singles, names=[t.name for t in universe.datasets])
     per_target = [_score_target(t, base, bank, finetuned, codes) for t in universe.targets]
 
@@ -662,13 +661,13 @@ def _score_target(
     target: TargetPair,
     base: Checkpoint,
     bank: ModelBank,
-    finetuned: list[Checkpoint],
+    finetuned: dict[str, np.ndarray],
     codes: np.ndarray,
 ) -> TargetTable:
     """Score every mixture's merged and fine-tuned model on one target, in stacked blocks.
 
-    finetuned[i] is the model of codes[i]. Every selection but the
-    similarity baseline is made here, on validation.
+    Row i of each finetuned tensor is the model of codes[i]. Every selection
+    but the similarity baseline is made here, on validation.
     """
     n = len(bank)
     table = TargetTable(
@@ -758,23 +757,26 @@ def _check_oracle(per_target: list[TargetTable]) -> None:
 
 def _finetune_mixtures(
     base: Checkpoint, parts: list[EvalDataset], codes: np.ndarray, cfg: TrainConfig
-) -> list[Checkpoint]:
-    """Fine-tune base on every mixture code; the models come back in the order of codes.
+) -> dict[str, np.ndarray]:
+    """Fine-tune base on every mixture code, as {tensor: float32 [len(codes), ...]}.
 
-    Mixtures of one size have equal row counts, so they train in lockstep,
-    _LOCKSTEP_CHUNK runs at a time. Run keys are the mixtures' codes.
+    Row i of each tensor is the model of codes[i]. Mixtures of one size have
+    equal row counts, so they train in lockstep, _LOCKSTEP_CHUNK runs at a
+    time. Run keys are the mixtures' codes.
     """
     n = len(parts)
     by_size: dict[int, list[int]] = {}
-    for code in codes.tolist():
-        by_size.setdefault(code.bit_count(), []).append(code)
-    finetuned: dict[int, Checkpoint] = {}
+    for row, code in enumerate(codes.tolist()):
+        by_size.setdefault(code.bit_count(), []).append(row)
+    finetuned = {name: np.empty((len(codes), *a.shape), dtype=np.float32) for name, a in base.tensors.items()}
     for group in by_size.values():
         for lo in range(0, len(group), _LOCKSTEP_CHUNK):
             chunk = group[lo : lo + _LOCKSTEP_CHUNK]
-            selections = [tuple(i for i in range(n) if code >> (n - 1 - i) & 1) for code in chunk]
-            finetuned.update(zip(chunk, train_many(base, parts, selections, cfg, chunk)))
-    return [finetuned[code] for code in codes.tolist()]
+            keys = codes[chunk].tolist()
+            selections = [tuple(i for i in range(n) if code >> (n - 1 - i) & 1) for code in keys]
+            for name, runs in train_many(base, parts, selections, cfg, keys).items():
+                finetuned[name][chunk] = runs
+    return finetuned
 
 
 def _correlate_or_empty(inputs: list[CorrelationInput]) -> CorrelationReport:

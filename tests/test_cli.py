@@ -1014,3 +1014,27 @@ def test_reports_match_golden_digests(tmp_path, capsys, command, case):
     assert run_cli(argv, capsys)[0] == 0
     digests = (hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("report.csv", "report.json"))
     assert tuple(digests) == REPORT_GOLDEN[command, case]
+
+
+def golden_merge_argv(tmp_path, case):
+    """Merges of the seeded 4-model bank of golden_search_argv. Equal positive
+    weights, with one zero, take merge_uniform's path over their support."""
+    bank = make_bank_dir(tmp_path, n=4)
+    models = [str(p) for p in sorted(bank.glob("*.mtm"))]
+    weights = {"uniform": [], "unequal": ["--weights", "0.1,0.2,0.3,0.4"], "equal": ["--weights", "2,0,2,2"]}
+    return ["merge", "--models", *models, *weights[case], "--out", str(tmp_path / "merged.mtm")]
+
+
+# sha256 of the checkpoint container that merge writes on the inputs above,
+# taken before the bench kept its fine-tunes as stacked arrays (numpy 2.4, x86-64)
+MERGE_GOLDEN = {
+    "uniform": "fae1e7d8bc197bd9d310b22e961809c4da41ae31fd6e3283e5bb904e8f3a4a3f",
+    "unequal": "e31924642bfe5928c064237b4bc9d78fdf8b1bcef1eac78d7c523cad5dbaeecd",
+    "equal": "d79bbc8a7090972b0589762329c9fddb280bcf413fba791a4b4d8e71df9516ee",
+}
+
+
+@pytest.mark.parametrize("case", list(MERGE_GOLDEN))
+def test_merge_matches_golden_digest(tmp_path, capsys, case):
+    assert run_cli(golden_merge_argv(tmp_path, case), capsys)[0] == 0
+    assert hashlib.sha256((tmp_path / "merged.mtm").read_bytes()).hexdigest() == MERGE_GOLDEN[case]

@@ -15,7 +15,8 @@ import same_bytes  # noqa: E402
 def test_this_tree_writes_its_own_bytes_at_the_smallest_setting(tmp_path):
     lines, compared = same_bytes.compare(ROOT, ROOT, tmp_path, same_bytes.BENCH_SETTINGS[-1:])
     assert lines == []
-    assert compared == len(same_bytes.BENCH_SETTINGS[-1:]) * 5 + len(same_bytes.REPORT_GOLDEN) * 2
+    reports = len(same_bytes.REPORT_GOLDEN) * 2 + len(same_bytes.MERGE_GOLDEN)
+    assert compared == len(same_bytes.BENCH_SETTINGS[-1:]) * 5 + reports
 
 
 def test_a_tree_with_other_json_is_named_file_by_file(tmp_path):
@@ -28,12 +29,25 @@ def test_a_tree_with_other_json_is_named_file_by_file(tmp_path):
     golden = {("search", "accuracy"): None, ("similarity", "min_min_l2"): None}
     with mock.patch.object(same_bytes, "REPORT_GOLDEN", golden):
         lines, compared = same_bytes.compare(ROOT, other, tmp_path / "work", same_bytes.BENCH_SETTINGS[-1:])
-    assert compared == 5 + 2 * 2
+    assert compared == 5 + 2 * 2 + len(same_bytes.MERGE_GOLDEN)
     assert lines == [
         "bench --seed 3 --num-datasets 2: report.json differs",
         "search accuracy: report.json differs",
         "similarity min_min_l2: report.json differs",
     ]
+
+
+def test_a_tree_with_other_weighted_merges_is_named_file_by_file(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    merge_engine = other / "src" / "mergemix" / "merge_engine.py"
+    text = merge_engine.read_text()
+    assert text.count("acc.astype(np.float32)") == 1
+    merge_engine.write_text(text.replace("acc.astype(np.float32)", "(acc * (1 + 1e-6)).astype(np.float32)"))
+    with mock.patch.object(same_bytes, "REPORT_GOLDEN", {}):
+        lines, compared = same_bytes.compare(ROOT, other, tmp_path / "work", ())
+    assert compared == len(same_bytes.MERGE_GOLDEN)
+    assert lines == ["merge unequal: merged.mtm differs"]
 
 
 def test_main_rejects_a_directory_without_the_package(tmp_path, capsys):

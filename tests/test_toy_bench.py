@@ -282,8 +282,12 @@ def test_train_many_matches_train_for_every_size(samples, batch_size):
         selections = list(itertools.combinations(range(4), k))
         keys = [sum(1 << (3 - i) for i in sel) for sel in selections]
         lockstep = train_many(base, parts, selections, cfg, keys)
-        assert len(lockstep) == len(selections)
-        for sel, key, got in zip(selections, keys, lockstep):
+        assert list(lockstep) == list(base.tensors)
+        for name, runs in lockstep.items():
+            assert runs.dtype == np.float32 and runs.flags.c_contiguous
+            assert runs.shape == (len(selections), *base.tensors[name].shape)
+        for r, (sel, key) in enumerate(zip(selections, keys)):
+            got = Checkpoint(tensors={name: runs[r] for name, runs in lockstep.items()})
             mix = concat_datasets([parts[i] for i in sel], "mix")
             want = reference_train(base, mix, cfg, key)
             assert checkpoint_equal(got, want), (k, sel)
@@ -420,17 +424,21 @@ def test_target_table_outcome_reads_the_mixtures_row():
 
 
 def test_finetune_mixtures_returns_each_codes_own_run():
-    """Model i is a lone train_many run of codes[i]'s selection, keyed by codes[i]."""
+    """Row r of each stacked tensor is a lone train of codes[r]'s selection, keyed by codes[r]."""
     universe = generate_universe(MICRO_BENCH)
     base = pretrain_base(universe, MICRO_TRAIN)
     parts = [d.train for d in universe.datasets]
     n = MICRO_BENCH.num_datasets
     codes = gray_codes(n)
     models = _finetune_mixtures(base, parts, codes, MICRO_TRAIN)
-    assert len(models) == len(codes)
-    for code, model in zip(codes.tolist(), models):
-        selected = [i for i, bit in enumerate(code_bits(n, code)) if bit == "1"]
-        alone = train_many(base, parts, [selected], MICRO_TRAIN, [code])[0]
+    assert list(models) == list(base.tensors)
+    for name, rows in models.items():
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous
+        assert rows.shape == (len(codes), *base.tensors[name].shape)
+    for r, code in enumerate(codes.tolist()):
+        mix = concat_datasets([parts[i] for i, bit in enumerate(code_bits(n, code)) if bit == "1"], "mix")
+        alone = train(base, mix, MICRO_TRAIN, run_key=code)
+        model = Checkpoint(tensors={name: rows[r] for name, rows in models.items()})
         assert checkpoint_equal(model, alone), code_bits(n, code)
 
 

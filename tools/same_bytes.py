@@ -13,7 +13,9 @@ PYTHONPATH:
   bench files;
 - the REPORT_GOLDEN cases of tests/test_cli.py: `search` (builtin under both
   objectives, and external through perfbench/param_eval.py) and `similarity`
-  (all six metrics), comparing report.csv and report.json.
+  (all six metrics), comparing report.csv and report.json;
+- the MERGE_GOLDEN cases of tests/test_cli.py: `merge` uniform, with unequal
+  weights and with equal weights, comparing the checkpoint it writes.
 
 The inputs are built once, by this tree, and both trees read them. The
 script prints one line per file that differs, or that a tree failed to
@@ -35,7 +37,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from mergemix.toy_bench import BENCH_FILES  # noqa: E402
-from test_cli import REPORT_GOLDEN, golden_search_argv, golden_similarity_argv  # noqa: E402
+from test_cli import (  # noqa: E402
+    MERGE_GOLDEN,
+    REPORT_GOLDEN,
+    golden_merge_argv,
+    golden_search_argv,
+    golden_similarity_argv,
+)
 
 BENCH_SETTINGS = (
     ("--seed", "42", "--num-datasets", "8"),
@@ -44,25 +52,27 @@ BENCH_SETTINGS = (
     ("--seed", "3", "--num-datasets", "2"),
 )
 REPORT_FILES = ("report.csv", "report.json")
+MERGE_FILES = ("merged.mtm",)
 
 
 def cases(inputs: Path, bench_settings) -> list[tuple[str, list[str], tuple[str, ...]]]:
     """(name, argv without --out, files the command writes), with the inputs built under inputs."""
     out = [(" ".join(("bench", *s)), ["bench", "--jobs", "1", *s], BENCH_FILES) for s in bench_settings]
-    for command, case in REPORT_GOLDEN:
+    builds = {"search": golden_search_argv, "similarity": golden_similarity_argv, "merge": golden_merge_argv}
+    for command, case in [*REPORT_GOLDEN, *(("merge", case) for case in MERGE_GOLDEN)]:
         where = inputs / f"{command}-{case}"
         where.mkdir(parents=True)
-        build = golden_search_argv if command == "search" else golden_similarity_argv
-        argv = build(where, case)
+        argv = builds[command](where, case)
         i = argv.index("--out")
-        out.append((f"{command} {case}", argv[:i] + argv[i + 2 :], REPORT_FILES))
+        files = MERGE_FILES if command == "merge" else REPORT_FILES
+        out.append((f"{command} {case}", argv[:i] + argv[i + 2 :], files))
     return out
 
 
-def run(tree: Path, argv: list[str], out: Path) -> str:
-    """Run a mergemix command from tree's src/, writing into out; stderr's last line if it fails."""
+def run(tree: Path, argv: list[str], out: Path, files: tuple[str, ...]) -> str:
+    """Run a mergemix command from tree's src/, writing files into out; stderr's last line if it fails."""
     out.mkdir(parents=True)
-    target = out if argv[0] == "bench" else out / REPORT_FILES[0]
+    target = out if argv[0] == "bench" else out / files[0]
     proc = subprocess.run(
         [sys.executable, "-m", "mergemix.cli", *argv, "--out", str(target)],
         capture_output=True,
@@ -82,7 +92,7 @@ def compare(this: Path, parent: Path, work: Path, bench_settings=BENCH_SETTINGS)
         outs = []
         for side, tree in (("this", this), ("parent", parent)):
             out = work / side / str(k)
-            failure = run(tree, argv, out)
+            failure = run(tree, argv, out, files)
             if failure:
                 lines.append(f"{name}: {side} tree failed, {failure}")
             outs.append(out)
