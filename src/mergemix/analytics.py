@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,21 +65,28 @@ def finite_or_none(r: float) -> float | None:
     return r if math.isfinite(r) else None
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelationInput:
-    """One task's (x, y, n_selected) triples, one per scored mixture."""
+    """One task's columns, one row per scored mixture: x, y and the mixture's size n_selected."""
 
     task_name: str
-    pairs: list[tuple[float, float, int]]
+    x: np.ndarray
+    y: np.ndarray
+    n_selected: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.task_name:
             raise ValidationError("task_name must be non-empty")
-        for triple in self.pairs:
-            if len(triple) != 3:
-                raise ValidationError("each pair must be (x, y, n_selected)")
-            if int(triple[2]) < 1:
-                raise ValidationError("n_selected must be >= 1")
+        self.x = np.asarray(self.x, dtype=np.float64)
+        self.y = np.asarray(self.y, dtype=np.float64)
+        try:
+            self.n_selected = np.asarray(self.n_selected, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("n_selected must fit in int64") from None
+        if self.x.ndim != 1 or len({self.x.shape, self.y.shape, self.n_selected.shape}) != 1:
+            raise ValidationError("x, y and n_selected must be 1-D columns of one length")
+        if (self.n_selected < 1).any():
+            raise ValidationError("n_selected must be >= 1")
 
 
 @dataclass
@@ -128,25 +135,23 @@ def correlate_tasks(
     for item in inputs:
         if item.task_name in per_task or item.task_name in skipped:
             raise ValidationError(f"duplicate task {item.task_name!r}")
-        pairs = item.pairs
+        x, y = item.x, item.y
         if exclude_singletons:
-            kept = [p for p in pairs if int(p[2]) != 1]
-            excluded += len(pairs) - len(kept)
-            pairs = kept
-        if len(pairs) < MIN_PAIRS_PER_TASK:
-            log.warning("task %s skipped: %d pairs after exclusion", item.task_name, len(pairs))
+            keep = item.n_selected != 1
+            x, y = x[keep], y[keep]
+            excluded += len(item.x) - len(x)
+        if len(x) < MIN_PAIRS_PER_TASK:
+            log.warning("task %s skipped: %d pairs after exclusion", item.task_name, len(x))
             skipped.append(item.task_name)
             continue
-        xs = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
         try:
-            r = pearson(xs, ys)
+            r = pearson(x, y)
         except ValidationError as exc:
             log.warning("task %s skipped: %s", item.task_name, exc)
             skipped.append(item.task_name)
             continue
         per_task[item.task_name] = r
-        n_pairs[item.task_name] = len(pairs)
+        n_pairs[item.task_name] = len(x)
     if not per_task:
         raise ValidationError("no task has enough usable pairs for a correlation")
     average = math.fsum(per_task.values()) / len(per_task)
@@ -178,18 +183,19 @@ def write_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
-def write_plot_csv(path: str | Path, per_task: Mapping[str, Sequence[tuple]]) -> None:
+def write_plot_csv(path: str | Path, bits: Sequence[str], inputs: Iterable[CorrelationInput]) -> None:
     """Write plot data rows: task, mixture_bits, n_selected, x, y, is_singleton.
 
-    per_task maps a task name to rows of (mixture_bits, x, y, n_selected).
+    Every input holds one row per mixture of bits, in that order; tasks are
+    written sorted by name.
     """
     write_csv(
         path,
         ["task", "mixture_bits", "n_selected", "x", "y", "is_singleton"],
         (
-            [task, bits, n_selected, repr(float(x)), repr(float(y)), int(n_selected == 1)]
-            for task in sorted(per_task)
-            for bits, x, y, n_selected in per_task[task]
+            [item.task_name, b, k, repr(x), repr(y), int(k == 1)]
+            for item in sorted(inputs, key=lambda item: item.task_name)
+            for b, x, y, k in zip(bits, item.x.tolist(), item.y.tolist(), item.n_selected.tolist(), strict=True)
         ),
     )
 

@@ -235,8 +235,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 def _read_pairs_csv(path: Path) -> list[CorrelationInput]:
     """Rows: task,x,y,n_selected (header required), in UTF-8."""
-    by_task: dict[str, list[tuple[float, float, int]]] = {}
-    order: list[str] = []
+    columns: dict[str, tuple[list[float], list[float], list[int]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -244,25 +243,22 @@ def _read_pairs_csv(path: Path) -> list[CorrelationInput]:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValidationError(f"pairs CSV must have columns {sorted(required)}")
             for row in reader:
-                task = row["task"]
-                if task not in by_task:
-                    by_task[task] = []
-                    order.append(task)
                 try:
-                    pair = (float(row["x"]), float(row["y"]), int(row["n_selected"]))
+                    cells = (float(row["x"]), float(row["y"]), int(row["n_selected"]))
                 except (TypeError, ValueError):
                     raise ValidationError(
                         f"{path} line {reader.line_num}: x, y and n_selected must be numbers"
                     ) from None
-                by_task[task].append(pair)
+                for column, cell in zip(columns.setdefault(row["task"], ([], [], [])), cells):
+                    column.append(cell)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             # DictReader counts a line only once its row parses; its inner reader counts it on read
             raise ValidationError(f"{path} line {reader.reader.line_num}: {exc}") from None
-    if not by_task:
+    if not columns:
         raise ValidationError("pairs CSV holds no rows")
-    return [CorrelationInput(task_name=t, pairs=by_task[t]) for t in order]
+    return [CorrelationInput(task, *cells) for task, cells in columns.items()]
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:

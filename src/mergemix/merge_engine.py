@@ -9,11 +9,13 @@ The uniform merge of k selected models is, per parameter, float32(s / k),
 where s is the exact sum of the k float32 values rounded once to float64
 and the division is a float64 division.
 
-A bank certifies once which parameters sum exactly in float64 whatever the
-order: those whose exponent spread over the N models is at most
-29 - ceil(log2 N). The other parameters take math.fsum. merge_uniform, the
-subset_merges walk and the merge_block kernel therefore agree bit for bit,
-however a mixture was reached.
+A bank certifies once which parameters sum exactly in float64 over any
+subset of its models, in any order: those whose exponent spread over the N
+models is at most 29 - ceil(log2 N). The other parameters take math.fsum.
+One walk, subset_merges, keeps a running float64 sum from the empty mixture
+to each mixture in turn; merge_uniform is its one step from the empty
+mixture, and the merge_block kernel sums by BLAS. All three agree bit for
+bit, however a mixture was reached.
 """
 
 from __future__ import annotations
@@ -144,17 +146,6 @@ def _selected(bits: str) -> list[int]:
     return [i for i, bit in enumerate(bits) if bit == "1"]
 
 
-def _sums(bank: ModelBank, selected: Sequence[int]) -> dict[str, np.ndarray]:
-    """Per tensor, the float64 sum of the selected models in ascending dataset order."""
-    sums = {}
-    for name, shape in bank.schema.items():
-        acc = np.zeros(shape, dtype=np.float64)
-        for i in selected:
-            np.add(acc, bank.models[i].tensors[name], out=acc)
-        sums[name] = acc
-    return sums
-
-
 def _mean32(total: np.ndarray, k) -> np.ndarray:
     """float32(total / k): a float64 division rounded once to float32, with no float64 temporary."""
     return np.divide(total, k, out=np.empty(np.shape(total), dtype=np.float32), casting="same_kind")
@@ -174,10 +165,11 @@ def _merged(bank: ModelBank, sums: dict[str, np.ndarray], selected: Sequence[int
 
 
 def merge_uniform(bank: ModelBank, bits: str) -> Checkpoint:
-    """Parameter-wise arithmetic mean of the checkpoints a mixture selects, e.g. "101"."""
-    bits_code(len(bank), bits)
-    selected = _selected(bits)
-    return _merged(bank, _sums(bank, selected), selected)
+    """Parameter-wise arithmetic mean of the checkpoints a mixture selects, e.g. "101".
+
+    It is the subset_merges walk's one step from the empty mixture.
+    """
+    return next(subset_merges(bank, [bits]))[1]
 
 
 def merge_block(bank: ModelBank, codes: Sequence[int]) -> dict[str, np.ndarray]:
@@ -266,23 +258,23 @@ def gray_code_order(n: int) -> Iterator[str]:
 def subset_merges(bank: ModelBank, order: Iterable[str]) -> Iterator[tuple[str, Checkpoint]]:
     """Stream (bits, merged checkpoint) pairs over an arbitrary order of mixture bit strings.
 
-    Between consecutive mixtures differing in one bit, a running float64
-    parameter sum adds or subtracts a single model; the first item, a repeat
-    and any multi-bit jump sum the selected models afresh. Each emission is
+    A running float64 sum per tensor starts at zero, the empty mixture. At
+    each mixture it first subtracts the models that leave, then adds the
+    models that join, each in dataset order: one model on a one-bit flip,
+    none on a repeat, several on a jump. Every intermediate is a sum over a
+    subset of the bank, which is exact for a certified parameter, so the
+    running sum is the mixture's exact sum however it was reached; _merged
+    overwrites the uncertified parameters with their fsum. Each emission is
     the merge_uniform of its mixture, bit for bit.
     """
-    sums: dict[str, np.ndarray] = {}
-    prev_code: int | None = None
+    n = len(bank)
+    sums = {name: np.zeros(shape, dtype=np.float64) for name, shape in bank.schema.items()}
+    prev_code = 0
     for bits in order:
-        code = bits_code(len(bank), bits)
-        selected = _selected(bits)
-        flipped = 0 if prev_code is None else code ^ prev_code
-        if flipped.bit_count() != 1:
-            sums = _sums(bank, selected)
-        else:
-            j = len(bank) - flipped.bit_length()
-            update = np.add if bits[j] == "1" else np.subtract
-            for name, total in sums.items():
-                update(total, bank.models[j].tensors[name], out=total)
+        code = bits_code(n, bits)
+        for moved, update in ((prev_code & ~code, np.subtract), (code & ~prev_code, np.add)):
+            for j in _selected(code_bits(n, moved)):
+                for name, total in sums.items():
+                    update(total, bank.models[j].tensors[name], out=total)
         prev_code = code
-        yield bits, _merged(bank, sums, selected)
+        yield bits, _merged(bank, sums, _selected(bits))

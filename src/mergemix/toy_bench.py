@@ -479,12 +479,15 @@ class TargetTable:
         return SelectionOutcome(method, bits, val.accuracy[row].item(), test.accuracy[row].item(), detail)
 
     def surrogate_pairs(self, link: Callable[[float, float], float]) -> CorrelationInput:
-        """Per mixture: link(acc, base acc) of its merged and fine-tuned test accuracy, and n_selected."""
+        """One row per mixture: link(acc, base acc) of its merged and fine-tuned test accuracy, and its size.
+
+        link is called per element, since np.log may round otherwise than math.log.
+        """
         base = self.base_test_accuracy
-        merged, tuned = self.merged_test.accuracy.tolist(), self.finetuned_test.accuracy.tolist()
-        sizes = (code.bit_count() for code in self.merged_test.codes.tolist())
-        pairs = [(link(m, base), link(f, base), k) for m, f, k in zip(merged, tuned, sizes)]
-        return CorrelationInput(self.target_name, pairs)
+        merged = [link(m, base) for m in self.merged_test.accuracy.tolist()]
+        tuned = [link(f, base) for f in self.finetuned_test.accuracy.tolist()]
+        sizes = [code.bit_count() for code in self.merged_test.codes.tolist()]
+        return CorrelationInput(self.target_name, merged, tuned, sizes)
 
 
 @dataclass
@@ -597,11 +600,8 @@ class BenchReport:
             ["target", "series", "n_pairs", "r"],
             ([task, name, *cells] for name, rep in series for task, *cells in rep.csv_rows()),
         )
-        plot_rows = {}
-        for t in self.per_target:
-            codes, points = t.merged_test.codes.tolist(), t.surrogate_pairs(logit_improvement).pairs
-            plot_rows[t.target_name] = [(code_bits(n, c), *p) for c, p in zip(codes, points)]
-        write_plot_csv(plot_csv, plot_rows)
+        bits = [code_bits(n, code) for code in gray_codes(n).tolist()]
+        write_plot_csv(plot_csv, bits, [t.surrogate_pairs(logit_improvement) for t in self.per_target])
         return paths
 
 
@@ -728,10 +728,9 @@ def _similarity_baseline(
     picks: dict[str, list[str]] = {m.value: [] for m in SimilarityMetric}
     metrics = list(SimilarityMetric)
     for table, tg_emb in zip(per_target, tg_embs):
-        ft_test = table.finetuned_test.accuracy.tolist()
+        ft_test = table.finetuned_test.accuracy
         for metric, sim in zip(metrics, similarity_tables(tg_emb, ds_embs, metrics)):
-            pairs = list(zip(sim.scores.tolist(), ft_test, sizes))
-            corr_inputs[metric.value].append(CorrelationInput(table.target_name, pairs))
+            corr_inputs[metric.value].append(CorrelationInput(table.target_name, sim.scores, ft_test, sizes))
             picks[metric.value].append(best_of_codes(n, codes, sim.scores, metric.direction)[0])
     mean_acc = {}
     for name, bits in picks.items():
@@ -792,9 +791,7 @@ def _correlate_or_empty(inputs: list[CorrelationInput]) -> CorrelationReport:
         return CorrelationReport(
             per_task={},
             average_r=float("nan"),
-            excluded_count=sum(
-                1 for item in inputs for p in item.pairs if int(p[2]) == 1
-            ),
+            excluded_count=int(sum(np.count_nonzero(item.n_selected == 1) for item in inputs)),
             skipped_tasks=[item.task_name for item in inputs],
             n_pairs={},
         )

@@ -89,10 +89,16 @@ def test_pearson_clamped_to_unit_interval():
 # ============================================================================
 
 
+def task(name, triples):
+    """A CorrelationInput from (x, y, n_selected) triples, one per mixture."""
+    x, y, n_selected = zip(*triples)
+    return CorrelationInput(name, x, y, n_selected)
+
+
 def test_two_linear_tasks_average_one():
     inputs = [
-        CorrelationInput("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
-        CorrelationInput("B", [(0.5, 0.1, 2), (0.6, 0.2, 2), (0.7, 0.3, 4)]),
+        task("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
+        task("B", [(0.5, 0.1, 2), (0.6, 0.2, 2), (0.7, 0.3, 4)]),
     ]
     report = correlate_tasks(inputs)
     assert report.per_task == {"A": pytest.approx(1.0), "B": pytest.approx(1.0)}
@@ -114,8 +120,8 @@ def test_singleton_inflation_guard():
         (0.5, 0.62, 2),
         (0.5, 0.45, 3),
     ]
-    good = CorrelationInput("good", [(0.1, 0.1, 2), (0.2, 0.25, 2), (0.3, 0.31, 3)])
-    inflated = CorrelationInput("inflated", pairs)
+    good = task("good", [(0.1, 0.1, 2), (0.2, 0.25, 2), (0.3, 0.31, 3)])
+    inflated = task("inflated", pairs)
 
     with_exclusion = correlate_tasks([good, inflated], exclude_singletons=True)
     assert "inflated" in with_exclusion.skipped_tasks
@@ -128,8 +134,8 @@ def test_singleton_inflation_guard():
 
 def test_short_task_skipped_with_warning():
     inputs = [
-        CorrelationInput("ok", [(0.1, 0.1, 2), (0.2, 0.3, 2), (0.3, 0.2, 3)]),
-        CorrelationInput("short", [(0.1, 0.2, 2), (0.2, 0.3, 2)]),
+        task("ok", [(0.1, 0.1, 2), (0.2, 0.3, 2), (0.3, 0.2, 3)]),
+        task("short", [(0.1, 0.2, 2), (0.2, 0.3, 2)]),
     ]
     report = correlate_tasks(inputs)
     assert report.skipped_tasks == ["short"]
@@ -137,21 +143,21 @@ def test_short_task_skipped_with_warning():
 
 
 def test_all_tasks_skipped_is_error():
-    inputs = [CorrelationInput("only", [(0.1, 0.2, 1), (0.2, 0.3, 1)])]
+    inputs = [task("only", [(0.1, 0.2, 1), (0.2, 0.3, 1)])]
     with pytest.raises(ValidationError, match="no task has enough usable pairs"):
         correlate_tasks(inputs)
 
 
 def test_duplicate_task_rejected():
-    item = CorrelationInput("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)])
+    item = task("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)])
     with pytest.raises(ValidationError, match="duplicate task"):
         correlate_tasks([item, item])
 
 
 def test_average_is_unweighted_mean():
     inputs = [
-        CorrelationInput("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
-        CorrelationInput("B", [(0.5, 0.3, 2), (0.6, 0.2, 2), (0.7, 0.1, 4)]),
+        task("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
+        task("B", [(0.5, 0.3, 2), (0.6, 0.2, 2), (0.7, 0.1, 4)]),
     ]
     report = correlate_tasks(inputs)
     want = (report.per_task["A"] + report.per_task["B"]) / 2
@@ -171,13 +177,18 @@ def pair_table(bits, merged_acc, ft_acc, base_acc=0.5):
     return TargetTable("T", base_acc, base_acc, merged, merged, tuned, tuned)
 
 
+def rows(item):
+    """A CorrelationInput's columns as (x, y, n_selected) triples, one per mixture."""
+    return list(zip(item.x.tolist(), item.y.tolist(), item.n_selected.tolist()))
+
+
 def test_plot_origin_when_nothing_improves():
     pairs = pair_table(["11"], [0.5], [0.5]).surrogate_pairs(logit_improvement)
-    assert (pairs.task_name, pairs.pairs) == ("T", [(0.0, 0.0, 2)])
+    assert (pairs.task_name, rows(pairs)) == ("T", [(0.0, 0.0, 2)])
 
 
 def test_plot_ln3_point():
-    ((x, y, n),) = pair_table(["11"], [0.75], [0.75]).surrogate_pairs(logit_improvement).pairs
+    ((x, y, n),) = rows(pair_table(["11"], [0.75], [0.75]).surrogate_pairs(logit_improvement))
     assert x == pytest.approx(LN3, abs=1e-12)
     assert y == pytest.approx(LN3, abs=1e-12)
     assert n == 2
@@ -185,7 +196,7 @@ def test_plot_ln3_point():
 
 def test_plot_singletons_on_diagonal():
     table = pair_table(["10", "01", "11"], [0.62, 0.43, 0.9], [0.62, 0.43, 0.7])
-    pts = table.surrogate_pairs(logit_improvement).pairs
+    pts = rows(table.surrogate_pairs(logit_improvement))
     assert [(x == y, n) for x, y, n in pts] == [(True, 1), (True, 1), (False, 2)]
 
 
@@ -193,7 +204,7 @@ def test_surrogate_pairs_n_selected_is_the_bit_count():
     codes = gray_codes(4).tolist()
     acc = [0.1 + 0.05 * i for i in range(len(codes))]
     table = pair_table([format(code, "04b") for code in codes], acc, acc[::-1])
-    pts = table.surrogate_pairs(lambda acc, base_acc: acc).pairs
+    pts = rows(table.surrogate_pairs(lambda acc, base_acc: acc))
     assert pts == [(m, f, code.bit_count()) for m, f, code in zip(acc, acc[::-1], codes)]
 
 
@@ -204,7 +215,7 @@ def test_surrogate_pairs_n_selected_is_the_bit_count():
 
 def test_emit_json_roundtrip_and_determinism(tmp_path):
     inputs = [
-        CorrelationInput("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
+        task("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
     ]
     report = correlate_tasks(inputs)
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -218,8 +229,8 @@ def test_emit_json_roundtrip_and_determinism(tmp_path):
 
 def test_emit_csv_row_count(tmp_path):
     inputs = [
-        CorrelationInput("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
-        CorrelationInput("B", [(0.5, 0.3, 2), (0.6, 0.2, 2), (0.7, 0.1, 4)]),
+        task("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)]),
+        task("B", [(0.5, 0.3, 2), (0.6, 0.2, 2), (0.7, 0.1, 4)]),
     ]
     report = correlate_tasks(inputs)
     path = tmp_path / "r.csv"
@@ -231,25 +242,55 @@ def test_emit_csv_row_count(tmp_path):
 
 def test_emit_rejects_unknown_format(tmp_path):
     report = correlate_tasks(
-        [CorrelationInput("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)])]
+        [task("A", [(0.1, 0.2, 2), (0.2, 0.4, 2), (0.3, 0.6, 3)])]
     )
     with pytest.raises(ValidationError, match="format"):
         emit_report(report, "yaml", tmp_path / "r.yaml")
 
 
 def test_write_plot_csv_shape(tmp_path):
-    per_task = {
-        "T1": [("01", 0.1, 0.2, 1), ("11", 0.3, 0.4, 2)],
-        "T0": [("10", 0.5, 0.6, 1)],
-    }
+    bits = ["10", "11"]
+    inputs = [task("T1", [(0.1, 0.2, 1), (0.3, 0.4, 2)]), task("T0", [(0.5, 0.6, 1), (0.7, 0.8, 2)])]
     path = tmp_path / "plot.csv"
-    write_plot_csv(path, per_task)
+    write_plot_csv(path, bits, inputs)
     lines = path.read_text().splitlines()
     assert lines[0] == "task,mixture_bits,n_selected,x,y,is_singleton"
-    # tasks sorted, singleton flag set from n_selected
+    # tasks sorted, one row per mixture of bits, singleton flag set from n_selected
     assert lines[1].startswith("T0,10,1,") and lines[1].endswith(",1")
-    assert lines[3].startswith("T1,11,2,") and lines[3].endswith(",0")
-    assert len(lines) == 4
+    assert lines[4] == "T1,11,2,0.3,0.4,0"
+    assert len(lines) == 5
+
+
+def test_write_plot_csv_needs_a_row_per_mixture(tmp_path):
+    with pytest.raises(ValueError):
+        write_plot_csv(tmp_path / "plot.csv", ["10", "11"], [task("T", [(0.1, 0.2, 1)])])
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (([0.1, 0.2], [0.1], [2, 2]), "one length"),
+        (([0.1, 0.2], [0.1, 0.2], [2]), "one length"),
+        (([[0.1, 0.2]], [[0.1, 0.2]], [[2, 2]]), "1-D"),
+        (([0.1, 0.2], [0.1, 0.2], [2, 0]), "n_selected must be >= 1"),
+        (([0.1], [0.1], [-3]), "n_selected must be >= 1"),
+        (([0.1], [0.1], [2**70]), "int64"),
+    ],
+)
+def test_correlation_input_rejects_bad_columns(columns, message):
+    with pytest.raises(ValidationError, match=message):
+        CorrelationInput("T", *columns)
+
+
+def test_correlation_input_rejects_an_empty_task_name():
+    with pytest.raises(ValidationError, match="task_name"):
+        CorrelationInput("", [0.1], [0.2], [2])
+
+
+def test_correlation_input_holds_float64_and_int64_columns():
+    item = CorrelationInput("T", [1, 2], (0.5, 0.25), np.array([2, 3], dtype=np.uint8))
+    assert (item.x.dtype, item.y.dtype, item.n_selected.dtype) == (np.float64, np.float64, np.int64)
+    assert rows(item) == [(1.0, 0.5, 2), (2.0, 0.25, 3)]
 
 
 def test_failed_emit_leaves_old_report_untouched(tmp_path):

@@ -966,8 +966,32 @@ def golden_similarity_argv(tmp_path, metric):
             "--metric", metric, "--out", str(tmp_path / "report.csv")]
 
 
-# sha256 of the CSV and JSON that search and similarity write on the inputs
-# above, taken before MixtureVector was retired (numpy 2.4, x86-64)
+def golden_correlate_argv(tmp_path, case):
+    """Seeded pairs of three tasks, their rows shuffled together. "alpha" and
+    "beta" hold singletons; "short" keeps two pairs once its singleton is
+    excluded, so only the "include" case correlates it."""
+    rng = np.random.default_rng(29)
+    rows = []
+    tasks = {"beta": [1, 2, 3, 2, 4, 1, 3, 2], "short": [2, 1, 3], "alpha": [3, 1, 2, 2, 1, 4, 3]}
+    for name, sizes in tasks.items():
+        x = rng.random(len(sizes))
+        y = x + 0.3 * rng.standard_normal(len(sizes))
+        rows += zip([name] * len(sizes), x.tolist(), y.tolist(), sizes)
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [rows[i] for i in rng.permutation(len(rows))])
+    include = ["--include-singletons"] if case == "include" else []
+    return ["correlate", "--pairs", str(pairs), *include, "--out", str(tmp_path / "report.csv")]
+
+
+REPORT_ARGV = {
+    "search": golden_search_argv,
+    "similarity": golden_similarity_argv,
+    "correlate": golden_correlate_argv,
+}
+
+# sha256 of the CSV and JSON that search, similarity and correlate write on
+# the inputs above (numpy 2.4, x86-64); search and similarity taken before
+# MixtureVector was retired, correlate before CorrelationInput held columns
 REPORT_GOLDEN = {
     ("search", "accuracy"): (
         "686e9061e356cd7383796bc2b582b5875d901a9ce3bfc3bb820847dc143a51cf",
@@ -1005,12 +1029,20 @@ REPORT_GOLDEN = {
         "60f255401f6dc4a2465c796c590988d9098385996d81920cd6c6cc955c0757d6",
         "b5bed3a7a473e572339d9f491386b0e719712e132fc06ba5b3fc4aca024e8af4",
     ),
+    ("correlate", "exclude"): (
+        "14a8dfe2bdcb268dc4aec2c3d62b45801a5a323cb2c317f267c1be42130028e1",
+        "7e95e750b58ea9460e914c43a1b68946ca2055acfcb7023e41d3514b4ff87e47",
+    ),
+    ("correlate", "include"): (
+        "f4001da822e8d286d34a0701a3d9bfaf31a17047dc118e0d1a3b6534fc338ec9",
+        "94c0d8886d67a92f4e920d0644b083ea6aa291ce70378f7e9e5683ab9ceef93f",
+    ),
 }
 
 
 @pytest.mark.parametrize("command, case", list(REPORT_GOLDEN), ids=["-".join(k) for k in REPORT_GOLDEN])
 def test_reports_match_golden_digests(tmp_path, capsys, command, case):
-    argv = (golden_search_argv if command == "search" else golden_similarity_argv)(tmp_path, case)
+    argv = REPORT_ARGV[command](tmp_path, case)
     assert run_cli(argv, capsys)[0] == 0
     digests = (hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("report.csv", "report.json"))
     assert tuple(digests) == REPORT_GOLDEN[command, case]

@@ -312,7 +312,8 @@ def test_subset_merges_singleton_emissions_bitwise():
 
 
 def test_subset_merges_handles_jumps():
-    """Two-bit jumps force the recompute path; results stay correct."""
+    """Multi-bit jumps subtract the models that leave and add the ones that
+    join the running sum; every emission is still the direct merge."""
     bank = make_bank(4, seed=8)
     order = ["1000", "0011", "1111", "0100"]
     for alpha, merged in subset_merges(bank, order):
@@ -320,15 +321,30 @@ def test_subset_merges_handles_jumps():
 
 
 def test_subset_merges_recomputes_unless_one_bit_flips():
-    """The first item, a repeat and a two-bit jump are full merges; a one-bit
-    flip updates the running sum (dataset 1 leaves, dataset 3 joins). Every
-    emission is the direct merge, bit for bit."""
+    """The first item adds its models to the zero sum, a repeat changes
+    nothing, a two-bit jump moves two models (dataset 1 joins, dataset 2
+    leaves) and a one-bit flip moves one. The running sum is never
+    recomputed, and every emission is the direct merge, bit for bit."""
     bank = make_bank(4, seed=5)
     order = ["0110", "0110", "1010", "1011", "1001"]
     items = list(subset_merges(bank, order))
     assert [a for a, _ in items] == order
     for alpha, merged in items:
         assert checkpoint_equal(merged, merge_uniform(bank, alpha))
+
+
+def test_walk_in_and_out_of_a_nan_model_is_the_fsum_merge():
+    """Dataset 3 holds a NaN. Jumps bring it into the running sum and take it
+    out again, and the sum is never reset, so that parameter's running sum
+    stays NaN; it is uncertified, so every emission overwrites it with its
+    fsum and stays the fsum merge."""
+    models = make_bank(4, seed=13).models
+    models[2].tensors["w"][1, 0] = np.nan
+    bank = ModelBank(models=models)
+    order = ["1100", "0111", "1001", "1111", "0011", "1100", "0100"]
+    for alpha, merged in subset_merges(bank, order):
+        assert checkpoint_equal(merged, fsum_merge(bank, alpha)), alpha
+        assert np.isnan(merged.tensors["w"][1, 0]) == (alpha[2] == "1"), alpha
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,8 +12,9 @@ PYTHONPATH:
 - `mergemix bench --jobs 1` at the four BENCH_SETTINGS, comparing the five
   bench files;
 - the REPORT_GOLDEN cases of tests/test_cli.py: `search` (builtin under both
-  objectives, and external through perfbench/param_eval.py) and `similarity`
-  (all six metrics), comparing report.csv and report.json;
+  objectives, and external through perfbench/param_eval.py), `similarity`
+  (all six metrics) and `correlate` (singletons excluded and included),
+  comparing report.csv and report.json;
 - the MERGE_GOLDEN cases of tests/test_cli.py: `merge` uniform, with unequal
   weights and with equal weights, comparing the checkpoint it writes.
 
@@ -37,13 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from mergemix.toy_bench import BENCH_FILES  # noqa: E402
-from test_cli import (  # noqa: E402
-    MERGE_GOLDEN,
-    REPORT_GOLDEN,
-    golden_merge_argv,
-    golden_search_argv,
-    golden_similarity_argv,
-)
+from test_cli import MERGE_GOLDEN, REPORT_ARGV, REPORT_GOLDEN, golden_merge_argv  # noqa: E402
 
 BENCH_SETTINGS = (
     ("--seed", "42", "--num-datasets", "8"),
@@ -58,7 +53,7 @@ MERGE_FILES = ("merged.mtm",)
 def cases(inputs: Path, bench_settings) -> list[tuple[str, list[str], tuple[str, ...]]]:
     """(name, argv without --out, files the command writes), with the inputs built under inputs."""
     out = [(" ".join(("bench", *s)), ["bench", "--jobs", "1", *s], BENCH_FILES) for s in bench_settings]
-    builds = {"search": golden_search_argv, "similarity": golden_similarity_argv, "merge": golden_merge_argv}
+    builds = {**REPORT_ARGV, "merge": golden_merge_argv}
     for command, case in [*REPORT_GOLDEN, *(("merge", case) for case in MERGE_GOLDEN)]:
         where = inputs / f"{command}-{case}"
         where.mkdir(parents=True)
