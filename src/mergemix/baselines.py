@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .merge_engine import bits_code, code_bits, gray_codes, gray_rank
-from .mixture_search import best_of_codes
+from .mixture_search import best_row
 from .tensor_store import EmbeddingSet
 
 
@@ -253,11 +253,13 @@ def _mask_scores(pairs: list[np.ndarray], metric: SimilarityMetric) -> np.ndarra
 
 
 def select_from_table(table: SimilarityTable, direction: str) -> tuple[str, float]:
-    """The best (bits, score) in a similarity table under best_of_codes's tie-break.
+    """The bits and the score of the best mixture in a similarity table, by best_row's tie-break.
 
-    direction is "maximize" or "minimize".
+    direction is "maximize" or "minimize". The score is the winner's own
+    entry, so a -0.0 keeps its sign.
     """
     if not table:
         raise ValidationError("empty score table")
-    bits, value = best_of_codes(table.n, gray_codes(table.n), table.scores, direction)
-    return bits, float(value)
+    codes = gray_codes(table.n)
+    row = best_row(codes, table.scores, direction)
+    return code_bits(table.n, int(codes[row])), table.scores[row].item()

@@ -31,7 +31,7 @@ STDERR_TAIL_LINES = 5
 STDERR_TAIL_CHARS = 500
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalDataset:
     """Labeled samples: features [n, d] float32, integer labels in [0, num_classes)."""
 
@@ -181,11 +181,6 @@ def toy_mlp_hidden(ckpt: Checkpoint, features: np.ndarray) -> np.ndarray:
     return _hidden(x, ckpt.tensors["w1"][None], ckpt.tensors["b1"][None])[0].astype(np.float32)
 
 
-def builtin_score(correct: int, mean_loss: float, data: EvalDataset) -> Score:
-    """The Score of correct predictions and a mean loss over data."""
-    return Score(accuracy=correct / len(data), mean_loss=mean_loss, num_samples=len(data))
-
-
 def evaluate_builtin(ckpt: Checkpoint, data: EvalDataset) -> Score:
     """Score a toy MLP checkpoint: argmax accuracy, mean softmax cross-entropy.
 
@@ -193,7 +188,7 @@ def evaluate_builtin(ckpt: Checkpoint, data: EvalDataset) -> Score:
     """
     check_toy_target(ckpt, data)
     correct, loss = toy_mlp_scores(*(ckpt.tensors[name][None] for name in TOY_TENSORS), data)
-    return builtin_score(int(correct[0]), float(loss[0]), data)
+    return Score(accuracy=int(correct[0]) / len(data), mean_loss=float(loss[0]), num_samples=len(data))
 
 
 def _final_json_line(stdout: str) -> dict:

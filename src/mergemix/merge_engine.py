@@ -40,17 +40,15 @@ _CERTIFY_CHUNK = 1 << 16
 _EXACT_SPREAD = 29
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelBank:
-    """N same-schema checkpoints, one per dataset, in dataset order."""
+    """N same-schema checkpoints, one per dataset, in dataset order; the schema is read from them."""
 
     models: list[Checkpoint]
     names: list[str] = field(default_factory=list)
-    schema: TensorSchema = field(default_factory=dict)
-    _inexact: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _flat64: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    schema: TensorSchema = field(init=False)
+    _inexact: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(default=None, init=False, repr=False)
+    _flat64: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.schema = validate_bank(self.models)
@@ -141,9 +139,9 @@ def bits_code(n: int, bits: str) -> int:
     return int(bits, 2)
 
 
-def _selected(bits: str) -> list[int]:
-    """0-based positions of the datasets a valid mixture text selects, ascending."""
-    return [i for i, bit in enumerate(bits) if bit == "1"]
+def code_datasets(n: int, code: int) -> list[int]:
+    """0-based positions of the datasets a mixture code over n datasets selects, ascending."""
+    return [i for i in range(n) if code >> (n - 1 - i) & 1]
 
 
 def _mean32(total: np.ndarray, k) -> np.ndarray:
@@ -273,8 +271,8 @@ def subset_merges(bank: ModelBank, order: Iterable[str]) -> Iterator[tuple[str, 
     for bits in order:
         code = bits_code(n, bits)
         for moved, update in ((prev_code & ~code, np.subtract), (code & ~prev_code, np.add)):
-            for j in _selected(code_bits(n, moved)):
+            for j in code_datasets(n, moved):
                 for name, total in sums.items():
                     update(total, bank.models[j].tensors[name], out=total)
         prev_code = code
-        yield bits, _merged(bank, sums, _selected(bits))
+        yield bits, _merged(bank, sums, code_datasets(n, code))

@@ -7,9 +7,10 @@ evaluator gets one merged Checkpoint per mixture from the subset_merges walk.
 Results are ScoreColumns: int mixture codes and float64 score arrays, which
 build ScoreRecords only as they are iterated. Mixtures enter and leave as
 bit strings, e.g. "101" (see merge_engine.bits_code).
-best_of_codes holds the tie-break that every selection in the package uses:
-the best value, then the fewest datasets, then the smaller code, so results
-are deterministic.
+best_row holds the tie-break that every selection in the package uses: the
+best value, then the fewest datasets, then the smaller code, so results are
+deterministic. It returns the winner's row, and each caller reads the code
+and the value from that row.
 """
 
 from __future__ import annotations
@@ -189,20 +190,18 @@ def records_json(merged: ScoreColumns, finetuned: ScoreColumns | None = None) ->
     ]
 
 
-def best_of_codes(n: int, codes: np.ndarray, values: np.ndarray, direction: str) -> tuple[str, float]:
-    """The winning (bits, value) of mixture codes over n datasets and their finite values, as arrays.
+def best_row(codes: np.ndarray, values: np.ndarray, direction: str) -> int:
+    """The row of the winning mixture among mixture codes and their finite values, as arrays.
 
     direction is "maximize" or "minimize". Ties on the value resolve to the
     fewest datasets (code.bit_count()), then to the smaller code, which for
-    bit strings of one length is the lexicographically smaller string. Only
-    the winner's bits are formatted.
+    bit strings of one length is the lexicographically smaller string.
     """
     if direction not in ("maximize", "minimize"):
         raise ValidationError(f"direction must be 'maximize' or 'minimize', got {direction!r}")
     rows = np.flatnonzero(values == (values.max() if direction == "maximize" else values.min()))
-    tied = zip(codes[rows].tolist(), values[rows].tolist())
-    code, value = min(tied, key=lambda item: (item[0].bit_count(), item[0]))
-    return code_bits(n, code), value
+    tied = zip(codes[rows].tolist(), rows.tolist())
+    return min(tied, key=lambda item: (item[0].bit_count(), item[0]))[1]
 
 
 def _checked(first: str, ckpt: Checkpoint, target: TargetRef) -> EvalDataset:
@@ -341,14 +340,14 @@ def run_search(
         records = _per_mixture_scores(bank, codes, eval_fn, target, config.jobs)
 
     field, direction = ("accuracy", "maximize") if config.objective == "max_accuracy" else ("mean_loss", "minimize")
-    best_bits, _ = best_of_codes(n, codes, getattr(records, field), direction)
+    best = best_row(codes, getattr(records, field), direction)
     if isinstance(target, EvalDataset):
         target_name = target.name
     else:
         target_name = str(target)
     return SearchReport(
         records=records,
-        best_alpha=best_bits,
+        best_alpha=code_bits(n, int(codes[best])),
         objective=config.objective,
         target_name=target_name,
     )

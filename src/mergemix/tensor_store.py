@@ -63,9 +63,13 @@ def _check_metadata(metadata) -> None:
         raise ValidationError("metadata must map strings to strings")
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
-    """An ordered map of named float32 tensors plus optional string metadata."""
+    """An ordered map of named float32 tensors plus optional string metadata.
+
+    == is identity; checkpoint_equal compares contents. The checkpoint holds
+    its own dict, so the caller's dict is never rewritten.
+    """
 
     tensors: dict[str, np.ndarray]
     metadata: dict[str, str] | None = None
@@ -73,13 +77,14 @@ class Checkpoint:
     def __post_init__(self) -> None:
         if not isinstance(self.tensors, dict) or not self.tensors:
             raise ValidationError("checkpoint must hold at least one tensor")
+        tensors = {}
         for name, arr in self.tensors.items():
             if not isinstance(name, str) or not name:
                 raise ValidationError("tensor names must be non-empty strings")
             _check_tensor(name, arr)
-            if not arr.flags.c_contiguous:
-                self.tensors[name] = np.ascontiguousarray(arr)
+            tensors[name] = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         _check_metadata(self.metadata)
+        self.tensors = tensors
 
     @property
     def schema(self) -> TensorSchema:
@@ -101,7 +106,7 @@ def checkpoint_equal(a: Checkpoint, b: Checkpoint) -> bool:
     return (a.metadata or {}) == (b.metadata or {})
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingSet:
     """A [num_samples, dim] float32 matrix of embeddings from one source."""
 

@@ -45,8 +45,8 @@ from .evaluator import (
     toy_mlp_hidden,
     toy_mlp_logits,
 )
-from .merge_engine import MAX_ENUMERATION_N, ModelBank, bits_code, code_bits, gray_codes, gray_rank
-from .mixture_search import ScoreColumns, best_of_codes, builtin_scores, checkpoint_scores, records_json
+from .merge_engine import MAX_ENUMERATION_N, ModelBank, code_bits, code_datasets, gray_codes, gray_rank
+from .mixture_search import ScoreColumns, best_row, builtin_scores, checkpoint_scores, records_json
 from .tensor_store import Checkpoint, EmbeddingSet
 
 # Philox stream ids for universe generation (train streams live at >= 1 << 32)
@@ -158,12 +158,10 @@ class TargetPair:
     source_datasets: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class Universe:
     datasets: list[DatasetTriple]
     targets: list[TargetPair]
-    dataset_embeddings: list[EmbeddingSet]
-    target_embeddings: list[EmbeddingSet]
     base_pool: EvalDataset
     centers: np.ndarray
     config: BenchConfig
@@ -217,18 +215,15 @@ def _make_dataset(x, y, num_classes, name, split) -> EvalDataset:
 
 
 def generate_universe(cfg: BenchConfig) -> Universe:
-    """Synthesize datasets, targets, and raw-feature embeddings.
+    """Synthesize datasets, targets and the base model's pretraining pool.
 
     Targets draw their clusters from the union of 2-3 datasets' clusters, so
-    every target overlaps some datasets and ignores others. The returned
-    embeddings are raw feature rows of the validation splits; run_benchmark
-    swaps in base-model hidden activations unless configured otherwise.
+    every target overlaps some datasets and ignores others.
     """
     c, d, n = cfg.num_clusters, cfg.input_dim, cfg.num_datasets
     centers = 2.0 * _rng(cfg.seed, _STREAM_CENTERS).standard_normal((c, d))
 
     datasets: list[DatasetTriple] = []
-    dataset_embeddings: list[EmbeddingSet] = []
     for i in range(n):
         clusters = _dataset_clusters(cfg, i)
         rng = _rng(cfg.seed, _STREAM_DATASET_BASE + i)
@@ -244,10 +239,8 @@ def generate_universe(cfg: BenchConfig) -> Universe:
             cluster_ids=clusters,
         )
         datasets.append(triple)
-        dataset_embeddings.append(EmbeddingSet(embeddings=triple.val.features, source_name=name))
 
     targets: list[TargetPair] = []
-    target_embeddings: list[EmbeddingSet] = []
     per_split = max(1, cfg.samples_per_dataset // 10)
     for t in range(cfg.num_targets):
         pick = _rng(cfg.seed, _STREAM_TARGET_PICK_BASE + t)
@@ -269,7 +262,6 @@ def generate_universe(cfg: BenchConfig) -> Universe:
             source_datasets=sources,
         )
         targets.append(pair)
-        target_embeddings.append(EmbeddingSet(embeddings=pair.val.features, source_name=name))
 
     pool_rng = _rng(cfg.seed, _STREAM_BASE_POOL)
     pool_x, pool_y = _sample_clusters(
@@ -277,24 +269,11 @@ def generate_universe(cfg: BenchConfig) -> Universe:
     )
     base_pool = _make_dataset(pool_x, pool_y, c, "base_pool", "train")
 
-    return Universe(
-        datasets=datasets,
-        targets=targets,
-        dataset_embeddings=dataset_embeddings,
-        target_embeddings=target_embeddings,
-        base_pool=base_pool,
-        centers=centers,
-        config=cfg,
-    )
+    return Universe(datasets=datasets, targets=targets, base_pool=base_pool, centers=centers, config=cfg)
 
 
 # ---------------------------------------------------------------------------
 # toy MLP training
-
-
-def _params_from_ckpt(ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    toy_mlp_dims(ckpt)
-    return {name: arr.astype(np.float64) for name, arr in ckpt.tensors.items()}
 
 
 def _backward(
@@ -361,7 +340,8 @@ def train_many(
     """
     if len(selections) != len(run_keys):
         raise ValidationError(f"{len(selections)} selections but {len(run_keys)} run keys")
-    params = _params_from_ckpt(init)
+    toy_mlp_dims(init)
+    params = {name: arr.astype(np.float64) for name, arr in init.tensors.items()}
     for part in parts:
         check_toy_target(init, part)
     if not selections:
@@ -467,15 +447,13 @@ class TargetTable:
     finetuned_test: ScoreColumns
     selections: dict[str, SelectionOutcome] = field(default_factory=dict)
 
-    def outcome(
-        self, method: str, bits: str, merged: bool = False, detail: str = ""
-    ) -> SelectionOutcome:
-        """Selecting one mixture: its fine-tuned (or merged) model's accuracies."""
-        row = gray_rank(bits_code(self.merged_val.n, bits)) - 1
+    def outcome(self, method: str, row: int, merged: bool = False, detail: str = "") -> SelectionOutcome:
+        """Selecting the mixture of one row: its fine-tuned (or merged) model's accuracies."""
         if merged:
             val, test = self.merged_val, self.merged_test
         else:
             val, test = self.finetuned_val, self.finetuned_test
+        bits = code_bits(val.n, int(val.codes[row]))
         return SelectionOutcome(method, bits, val.accuracy[row].item(), test.accuracy[row].item(), detail)
 
     def surrogate_pairs(self, link: Callable[[float, float], float]) -> CorrelationInput:
@@ -679,18 +657,18 @@ def _score_target(
         finetuned_val=checkpoint_scores(finetuned, n, codes, target.val),
         finetuned_test=checkpoint_scores(finetuned, n, codes, target.test),
     )
-    mtm_bits, _ = best_of_codes(n, codes, table.merged_val.accuracy, "maximize")
-    oracle_bits, _ = best_of_codes(n, codes, table.finetuned_val.accuracy, "maximize")
+    mtm = best_row(codes, table.merged_val.accuracy, "maximize")
+    oracle = best_row(codes, table.finetuned_val.accuracy, "maximize")
     ft_val, ft_test = table.finetuned_val.accuracy.tolist(), table.finetuned_test.accuracy.tolist()
     table.selections = {
-        "merge_to_mix_merged": table.outcome("merge_to_mix_merged", mtm_bits, merged=True),
-        "merge_to_mix_finetuned": table.outcome("merge_to_mix_finetuned", mtm_bits),
-        "all_datasets": table.outcome("all_datasets", "1" * n),
+        "merge_to_mix_merged": table.outcome("merge_to_mix_merged", mtm, merged=True),
+        "merge_to_mix_finetuned": table.outcome("merge_to_mix_finetuned", mtm),
+        "all_datasets": table.outcome("all_datasets", gray_rank((1 << n) - 1) - 1),
         # the expected accuracy of a uniformly random non-empty mixture, exactly rounded
         "random_mean": SelectionOutcome(
             "random_mean", "", math.fsum(ft_val) / len(ft_val), math.fsum(ft_test) / len(ft_test)
         ),
-        "oracle": table.outcome("oracle", oracle_bits),
+        "oracle": table.outcome("oracle", oracle),
     }
     return table
 
@@ -698,16 +676,13 @@ def _score_target(
 def _embeddings(
     universe: Universe, base: Checkpoint, source: str
 ) -> tuple[list[EmbeddingSet], list[EmbeddingSet]]:
-    """Per-dataset and per-target embeddings: base hidden features or the raw ones."""
-    if source != "hidden":
-        return universe.dataset_embeddings, universe.target_embeddings
+    """Per-dataset and per-target embeddings of the validation features: base hidden activations or the raw rows."""
 
-    def hidden(tasks) -> list[EmbeddingSet]:
-        return [
-            EmbeddingSet(toy_mlp_hidden(base, t.val.features), source_name=t.name) for t in tasks
-        ]
+    def embed(task: DatasetTriple | TargetPair) -> EmbeddingSet:
+        features = task.val.features
+        return EmbeddingSet(toy_mlp_hidden(base, features) if source == "hidden" else features, task.name)
 
-    return hidden(universe.datasets), hidden(universe.targets)
+    return [embed(t) for t in universe.datasets], [embed(t) for t in universe.targets]
 
 
 def _similarity_baseline(
@@ -722,23 +697,22 @@ def _similarity_baseline(
     best mean fine-tuned test accuracy sets every target's "similarity" selection.
     The similarity tables' scores, like the target tables' columns, follow codes.
     """
-    n = len(ds_embs)
     sizes = [code.bit_count() for code in codes.tolist()]
     corr_inputs: dict[str, list[CorrelationInput]] = {m.value: [] for m in SimilarityMetric}
-    picks: dict[str, list[str]] = {m.value: [] for m in SimilarityMetric}
+    picks: dict[str, list[int]] = {m.value: [] for m in SimilarityMetric}  # one row per target
     metrics = list(SimilarityMetric)
     for table, tg_emb in zip(per_target, tg_embs):
         ft_test = table.finetuned_test.accuracy
         for metric, sim in zip(metrics, similarity_tables(tg_emb, ds_embs, metrics)):
             corr_inputs[metric.value].append(CorrelationInput(table.target_name, sim.scores, ft_test, sizes))
-            picks[metric.value].append(best_of_codes(n, codes, sim.scores, metric.direction)[0])
-    mean_acc = {}
-    for name, bits in picks.items():
-        accs = [t.outcome("similarity", b).test_accuracy for t, b in zip(per_target, bits)]
-        mean_acc[name] = math.fsum(accs) / len(accs)
+            picks[metric.value].append(best_row(codes, sim.scores, metric.direction))
+    mean_acc = {
+        name: math.fsum(t.finetuned_test.accuracy[row].item() for t, row in zip(per_target, rows)) / len(rows)
+        for name, rows in picks.items()
+    }
     table_metric = _best_by_metric_value(mean_acc)
-    for table, bits in zip(per_target, picks[table_metric]):
-        table.selections["similarity"] = table.outcome("similarity", bits, detail=table_metric)
+    for table, row in zip(per_target, picks[table_metric]):
+        table.selections["similarity"] = table.outcome("similarity", row, detail=table_metric)
     return corr_inputs, table_metric
 
 
@@ -772,7 +746,7 @@ def _finetune_mixtures(
         for lo in range(0, len(group), _LOCKSTEP_CHUNK):
             chunk = group[lo : lo + _LOCKSTEP_CHUNK]
             keys = codes[chunk].tolist()
-            selections = [tuple(i for i in range(n) if code >> (n - 1 - i) & 1) for code in keys]
+            selections = [tuple(code_datasets(n, code)) for code in keys]
             for name, runs in train_many(base, parts, selections, cfg, keys).items():
                 finetuned[name][chunk] = runs
     return finetuned

@@ -23,6 +23,7 @@ from mergemix.merge_engine import (
     MAX_ENUMERATION_N,
     bits_code,
     code_bits,
+    code_datasets,
     gray_codes,
     gray_rank,
     merge_block,
@@ -477,3 +478,19 @@ def test_bank_names_default_and_custom():
     assert named.names == ["a", "b"]
     with pytest.raises(ValidationError):
         ModelBank(models=bank.models, names=["only_one"])
+
+
+def test_bank_schema_is_read_from_its_models():
+    """The schema is no argument, so a bank never carries one its models do not have."""
+    bank = make_bank(2)
+    assert bank.schema == bank.models[0].schema == {"w": (3, 2), "b": (3,)}
+    with pytest.raises(TypeError, match="schema"):
+        ModelBank(models=bank.models, schema={"w": (99,)})
+
+
+def test_code_datasets_lists_the_selected_positions():
+    """A code's datasets are the positions of the 1s in its text, dataset 1 first."""
+    for n in range(1, 6):
+        for code in gray_codes(n).tolist():
+            assert code_datasets(n, code) == selected(code_bits(n, code)), (n, code)
+    assert code_datasets(3, 0) == []

@@ -33,7 +33,7 @@ from mergemix.merge_engine import (
     merge_uniform,
     subset_merges,
 )
-from mergemix.mixture_search import ScoreColumns, ScoreRecord, best_of_codes
+from mergemix.mixture_search import ScoreColumns, ScoreRecord, best_row
 
 
 def tiny_bank(n, seed=0):
@@ -221,15 +221,16 @@ def test_builtin_eval_fn_requires_dataset():
 
 
 # ============================================================================
-# best_of_codes: the one tie-break behind every selection
+# best_row: the one tie-break behind every selection
 # ============================================================================
 
 
 def test_oracle_select_examples():
-    """The oracle is best_of_codes over fine-tuned validation accuracy."""
+    """The oracle is best_row over fine-tuned validation accuracy."""
     codes = np.array([0b01, 0b10, 0b11])
-    assert best_of_codes(2, codes, np.array([0.4, 0.6, 0.8]), "maximize") == ("11", 0.8)
-    assert best_of_codes(2, codes[:2], np.array([0.7, 0.7]), "maximize") == ("01", 0.7)
+    assert best_row(codes, np.array([0.4, 0.6, 0.8]), "maximize") == 2
+    assert best_row(codes[:2], np.array([0.7, 0.7]), "maximize") == 0
+    assert best_row(codes[::-1], np.array([0.7, 0.7, 0.7]), "maximize") == 2
 
 
 def sorted_reference(table, maximize):
@@ -260,14 +261,17 @@ def test_every_selector_shares_the_tie_break(n_table_order):
     assert [code_bits(n, code) for code in codes.tolist()] == list(table)
     for rows in (np.arange(len(codes)), np.array(order)):
         for direction, want in (("maximize", want_max), ("minimize", want_min)):
-            bits, value = best_of_codes(n, codes[rows], values[rows], direction)
+            row = best_row(codes[rows], values[rows], direction)
+            assert isinstance(row, int)
+            bits, value = code_bits(n, int(codes[rows][row])), values[rows][row].item()
             # the winner's own value, so a -0.0 keeps its sign
             assert (bits, value, math.copysign(1.0, value)) == (want, table[want], math.copysign(1.0, table[want]))
 
     gray_table = SimilarityTable(n, values)
     assert gray_table == table
-    assert select_from_table(gray_table, "maximize")[0] == want_max
-    assert select_from_table(gray_table, "minimize")[0] == want_min
+    for direction, want in (("maximize", want_max), ("minimize", want_min)):
+        bits, value = select_from_table(gray_table, direction)
+        assert (bits, value, math.copysign(1.0, value)) == (want, table[want], math.copysign(1.0, table[want]))
     report = run_search(tiny_bank(n), accuracy_fn(lambda a: table[a]), target=None)
     assert report.best_alpha == want_max
 
@@ -278,10 +282,10 @@ def test_every_selector_shares_the_tie_break(n_table_order):
     assert loss_report.best_alpha == want_min
 
 
-def test_best_of_codes_rejects_unknown_direction():
+def test_best_row_rejects_unknown_direction():
     """The direction is checked before any reduction, so even empty arrays name it."""
     with pytest.raises(ValidationError, match="direction"):
-        best_of_codes(1, np.array([], dtype=np.int64), np.array([]), "upward")
+        best_row(np.array([], dtype=np.int64), np.array([]), "upward")
 
 
 # ============================================================================

@@ -13,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergemix import (
+    BenchConfig,
     Checkpoint,
     EmbeddingSet,
+    EvalDataset,
     FormatError,
+    ModelBank,
     ValidationError,
     checkpoint_equal,
+    generate_universe,
     read_checkpoint,
     read_embeddings,
     validate_bank,
@@ -339,6 +343,44 @@ def test_checkpoint_equal_is_bitwise():
     c = Checkpoint(tensors={"w": tensor([1.0 + 1e-7])})
     assert checkpoint_equal(a, b)
     assert not checkpoint_equal(a, c)
+
+
+def test_checkpoint_leaves_the_callers_dict_as_it_was():
+    """A strided tensor is stored as a contiguous copy in the checkpoint's own dict, not the caller's."""
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+    strided = arr.T
+    d = {"w": strided, "b": arr}
+    ckpt = Checkpoint(tensors=d)
+    assert d["w"] is strided and not d["w"].flags.c_contiguous
+    assert ckpt.tensors is not d and list(ckpt.tensors) == ["w", "b"]
+    assert ckpt.tensors["w"].flags.c_contiguous and np.array_equal(ckpt.tensors["w"], strided)
+    assert ckpt.tensors["b"] is arr  # a contiguous tensor is not copied
+
+
+_SHARED = np.arange(6, dtype=np.float32).reshape(3, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Checkpoint(tensors={"w": _SHARED}),
+        lambda: EmbeddingSet(embeddings=_SHARED, source_name="e"),
+        lambda: EvalDataset(features=_SHARED, labels=np.arange(3), num_classes=3, name="d", split="val"),
+        lambda: ModelBank(models=[Checkpoint(tensors={"w": _SHARED})]),
+        lambda: generate_universe(
+            BenchConfig(
+                num_datasets=2, num_clusters=2, clusters_per_dataset=1, samples_per_dataset=10,
+                num_targets=1, clusters_per_target=1,
+            )
+        ),
+    ],
+    ids=["Checkpoint", "EmbeddingSet", "EvalDataset", "ModelBank", "Universe"],
+)
+def test_array_holders_compare_by_identity(build):
+    """== and in never ask an array for its truth value: two holders of the same arrays are still two."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
 
 
 def test_embeddings_roundtrip(tmp_path):

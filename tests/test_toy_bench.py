@@ -4,6 +4,7 @@ the end-to-end run_benchmark structure at micro scale."""
 
 import dataclasses
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from mergemix.evaluator import EvalDataset
 from mergemix.merge_engine import code_bits, gray_codes
 from mergemix.toy_bench import (
     MAX_BENCH_N,
+    _embeddings,
     _finetune_mixtures,
     init_checkpoint,
     loss_and_grads,
@@ -149,10 +151,15 @@ def test_zero_noise_puts_samples_on_centers():
 
 def test_embeddings_cover_datasets_and_targets():
     u = generate_universe(MICRO_BENCH)
-    assert len(u.dataset_embeddings) == MICRO_BENCH.num_datasets
-    assert len(u.target_embeddings) == MICRO_BENCH.num_targets
-    for e in u.dataset_embeddings + u.target_embeddings:
+    base = pretrain_base(u, MICRO_TRAIN)
+    dataset_embs, target_embs = _embeddings(u, base, "raw")
+    assert len(dataset_embs) == MICRO_BENCH.num_datasets
+    assert len(target_embs) == MICRO_BENCH.num_targets
+    for e in dataset_embs + target_embs:
         assert e.embeddings.shape[1] == MICRO_BENCH.input_dim
+    for e, task in zip(dataset_embs + target_embs, u.datasets + u.targets):
+        assert e.source_name == task.name
+        assert np.array_equal(e.embeddings, task.val.features)
 
 
 # ============================================================================
@@ -403,24 +410,42 @@ def test_bench_builds_one_distance_matrix_per_target_dataset_and_kind():
 
 
 def test_target_table_outcome_reads_the_mixtures_row():
-    """outcome(bits) finds the row of bits in Gray order, for the fine-tuned and the merged columns."""
+    """outcome(row) reads the mixture of that row in Gray order, from the fine-tuned and the merged columns."""
     report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
+    n = MICRO_BENCH.num_datasets
     for table in report.per_target:
         columns = (table.merged_val, table.merged_test, table.finetuned_val, table.finetuned_test)
-        for merged_val, merged_test, tuned_val, tuned_test in zip(*columns):
+        for row, (merged_val, merged_test, tuned_val, tuned_test) in enumerate(zip(*columns)):
             bits = merged_val.alpha
             assert merged_test.alpha == tuned_val.alpha == tuned_test.alpha == bits
-            tuned = table.outcome("oracle", bits)
+            assert bits == code_bits(n, int(gray_codes(n)[row]))
+            tuned = table.outcome("oracle", row)
             assert (tuned.val_accuracy, tuned.test_accuracy) == (
                 tuned_val.merged_score.accuracy,
                 tuned_test.merged_score.accuracy,
             ), bits
-            merged = table.outcome("merge_to_mix_merged", bits, merged=True)
+            merged = table.outcome("merge_to_mix_merged", row, merged=True)
             assert (merged.val_accuracy, merged.test_accuracy) == (
                 merged_val.merged_score.accuracy,
                 merged_test.merged_score.accuracy,
             ), bits
             assert merged.mixture_bits == tuned.mixture_bits == bits
+
+
+def test_bench_parses_no_mixture_text(monkeypatch, tmp_path):
+    """Every selection is a row, so no bit string is read back between the search and the files."""
+
+    def refuse(n, bits):
+        raise AssertionError(f"bits_code({n}, {bits!r}) called")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "mergemix" or name.startswith("mergemix.")) and hasattr(module, "bits_code"):
+            monkeypatch.setattr(module, "bits_code", refuse)
+    report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
+    report.write_files(tmp_path)
+    for table in report.per_target:
+        assert set(table.selections) == set(report.SELECTION_METHODS)
+        assert table.selections["all_datasets"].mixture_bits == "1" * MICRO_BENCH.num_datasets
 
 
 def test_finetune_mixtures_returns_each_codes_own_run():
