@@ -12,16 +12,19 @@ and the division is a float64 division.
 A bank certifies once which parameters sum exactly in float64 over any
 subset of its models, in any order: those whose exponent spread over the N
 models is at most 29 - ceil(log2 N). The other parameters take math.fsum.
-One walk, subset_merges, keeps a running float64 sum from the empty mixture
+Every merge lays the P parameters out flat, tensors in schema order. One
+walk, subset_merges, keeps a running float64 [P] sum from the empty mixture
 to each mixture in turn; merge_uniform is its one step from the empty
-mixture, and the merge_block kernel sums by BLAS. All three agree bit for
-bit, however a mixture was reached.
+mixture, and the merge_block kernel sums by BLAS. All three share one
+exact-sum fix-up and agree bit for bit, however a mixture was reached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,13 +47,12 @@ _EXACT_SPREAD = 29
 class ModelBank:
     """N same-schema checkpoints, one per dataset, in dataset order; the schema is read from them."""
 
-    models: list[Checkpoint]
+    models: tuple[Checkpoint, ...]
     names: list[str] = field(default_factory=list)
     schema: TensorSchema = field(init=False)
-    _inexact: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(default=None, init=False, repr=False)
-    _flat64: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.models = tuple(self.models)  # frozen, so the caches below cannot go stale
         self.schema = validate_bank(self.models)
         if not self.names:
             self.names = [f"dataset_{i + 1}" for i in range(len(self.models))]
@@ -60,28 +62,36 @@ class ModelBank:
     def __len__(self) -> int:
         return len(self.models)
 
-    @property
-    def inexact(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per tensor: the flat indices whose float64 sums may round, and their [N, u] values.
+    @cached_property
+    def inexact(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat indices whose float64 sums may round, and their [N, u] values.
 
-        Computed once, in column chunks, so a large bank needs no full-size
-        temporaries; usually every index array is empty.
+        Computed once, per tensor in column chunks, so a large bank needs no
+        full-size temporaries; usually there are none.
         """
-        if self._inexact is None:
-            self._inexact = {name: _certify(self.models, name) for name in self.schema}
-        return self._inexact
+        idx, values = zip(*(_certify(self.models, name, lo) for name, lo in zip(self.schema, _bounds(self.schema))))
+        return np.concatenate(idx), np.concatenate(values, axis=1)
 
-    @property
+    @cached_property
     def flat64(self) -> np.ndarray:
-        """The bank as one [N, P] float64 array, tensors in schema order (built on first use)."""
-        if self._flat64 is None:
-            rows = [np.concatenate([m.tensors[name].reshape(-1) for name in self.schema]) for m in self.models]
-            self._flat64 = np.stack(rows).astype(np.float64)
-        return self._flat64
+        """The bank as one [N, P] float64 array (built on first use)."""
+        rows = [np.concatenate([m.tensors[name].reshape(-1) for name in self.schema]) for m in self.models]
+        return np.stack(rows).astype(np.float64)
 
 
-def _certify(models: list[Checkpoint], name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of one tensor that fail the exact-sum bound, and their values.
+def _bounds(schema: TensorSchema) -> list[int]:
+    """The flat index where each tensor starts, in schema order, then the parameter count."""
+    return [0, *accumulate(math.prod(shape) for shape in schema.values())]
+
+
+def _split(schema: TensorSchema, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """A [..., P] array as {name: [..., *shape]} views, in schema order."""
+    b, lead = _bounds(schema), flat.shape[:-1]
+    return {name: flat[..., lo:hi].reshape(*lead, *schema[name]) for name, lo, hi in zip(schema, b, b[1:])}
+
+
+def _certify(models: Sequence[Checkpoint], name: str, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """One tensor's parameters that fail the exact-sum bound: their flat indices from offset, and values.
 
     A nonzero float32 with biased exponent e (1 for subnormals) is a multiple
     of 2^(e - 150) below 2^(e - 126), so a sum of N of them is exact in
@@ -101,7 +111,7 @@ def _certify(models: list[Checkpoint], name: str) -> tuple[np.ndarray, np.ndarra
             low = e_low if low is None else np.minimum(low, e_low, out=low)
         bad.append(np.flatnonzero((top == 255) | (top - low > limit)) + lo)
     idx = np.concatenate(bad)
-    return idx, np.stack([flat[idx] for flat in flats]).astype(np.float64)
+    return idx + offset, np.stack([flat[idx] for flat in flats]).astype(np.float64)
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -149,17 +159,10 @@ def _mean32(total: np.ndarray, k) -> np.ndarray:
     return np.divide(total, k, out=np.empty(np.shape(total), dtype=np.float32), casting="same_kind")
 
 
-def _merged(bank: ModelBank, sums: dict[str, np.ndarray], selected: Sequence[int]) -> Checkpoint:
-    """float32(sum / k) per tensor, with the uncertified parameters summed by fsum."""
-    k = len(selected)
-    out = {}
-    for name, total in sums.items():
-        mean = _mean32(total, k)
-        idx, values = bank.inexact[name]
-        if idx.size:
-            mean.reshape(-1)[idx] = _mean32(_exact_sums(values, selected), k)
-        out[name] = mean
-    return Checkpoint(tensors=out)
+def _fix_inexact(bank: ModelBank, mean: np.ndarray, selected: Sequence[int] | np.ndarray) -> None:
+    """Write float32(fsum / k) of the k selected models into a flat [P] mean's uncertified parameters."""
+    idx, values = bank.inexact
+    mean[idx] = _mean32(_exact_sums(values, selected), len(selected))
 
 
 def merge_uniform(bank: ModelBank, bits: str) -> Checkpoint:
@@ -171,28 +174,21 @@ def merge_uniform(bank: ModelBank, bits: str) -> Checkpoint:
 
 
 def merge_block(bank: ModelBank, codes: Sequence[int]) -> dict[str, np.ndarray]:
-    """Uniform merges of many mixtures at once, as [B, *shape] float32 tensors.
+    """Uniform merges of many mixtures at once, as [B, *shape] float32 views of one [B, P] block.
 
     codes are valid mixture codes (see code_bits). The sums are one BLAS
     call, masks @ bank.flat64: the mask entries are 0 or 1, so every product
-    is exact, and so is every certified sum, in whatever order it runs. An
-    uncertified parameter takes float32(fsum / k), as in merge_uniform.
+    is exact, and so is every certified sum, in whatever order it runs. Each
+    row's uncertified parameters, if any, take merge_uniform's fix-up.
     """
     n = len(bank)
     masks = (np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     counts = masks.sum(axis=1)
     merged = _mean32(masks.astype(np.float64) @ bank.flat64, counts[:, None])
-    out, offset = {}, 0
-    for name, shape in bank.schema.items():
-        size = math.prod(shape)
-        part = merged[:, offset : offset + size]
-        idx, values = bank.inexact[name]
-        if idx.size:
-            for row, mask, k in zip(part, masks, counts):
-                row[idx] = _mean32(_exact_sums(values, np.flatnonzero(mask)), k)
-        out[name] = part.reshape(len(masks), *shape)
-        offset += size
-    return out
+    if bank.inexact[0].size:
+        for row, mask in zip(merged, masks):
+            _fix_inexact(bank, row, np.flatnonzero(mask))
+    return _split(bank.schema, merged)
 
 
 def merge_weighted(bank: ModelBank, weights: Sequence[float]) -> Checkpoint:
@@ -212,14 +208,12 @@ def merge_weighted(bank: ModelBank, weights: Sequence[float]) -> Checkpoint:
     positive = [w for w in ws if w > 0.0]
     if all(w == positive[0] for w in positive):
         return merge_uniform(bank, "".join("1" if w > 0.0 else "0" for w in ws))
-    out: dict[str, np.ndarray] = {}
-    for name, shape in bank.schema.items():
-        acc = np.zeros(shape, dtype=np.float64)
+    acc = np.zeros(bank.models[0].n_parameters, dtype=np.float64)
+    for name, part in _split(bank.schema, acc).items():
         for i, w in enumerate(ws):
             if w != 0.0:
-                acc += (w / total) * bank.models[i].tensors[name].astype(np.float64)
-        out[name] = acc.astype(np.float32)
-    return Checkpoint(tensors=out)
+                part += (w / total) * bank.models[i].tensors[name].astype(np.float64)
+    return Checkpoint(tensors=_split(bank.schema, acc.astype(np.float32)))
 
 
 def gray_codes(n: int) -> np.ndarray:
@@ -256,23 +250,27 @@ def gray_code_order(n: int) -> Iterator[str]:
 def subset_merges(bank: ModelBank, order: Iterable[str]) -> Iterator[tuple[str, Checkpoint]]:
     """Stream (bits, merged checkpoint) pairs over an arbitrary order of mixture bit strings.
 
-    A running float64 sum per tensor starts at zero, the empty mixture. At
-    each mixture it first subtracts the models that leave, then adds the
-    models that join, each in dataset order: one model on a one-bit flip,
-    none on a repeat, several on a jump. Every intermediate is a sum over a
-    subset of the bank, which is exact for a certified parameter, so the
-    running sum is the mixture's exact sum however it was reached; _merged
-    overwrites the uncertified parameters with their fsum. Each emission is
-    the merge_uniform of its mixture, bit for bit.
+    One flat float64 [P] sum starts at zero, the empty mixture. At each
+    mixture its per-tensor views first subtract the models that leave, then
+    add the models that join, each in dataset order: one model on a one-bit
+    flip, none on a repeat, several on a jump. Every intermediate is a sum
+    over a subset of the bank, exact for a certified parameter, so the
+    running sum is the mixture's exact sum however it was reached; the fix-up
+    writes the uncertified ones. Each emission's tensors are views of one
+    float32 [P] buffer, the merge_uniform of its mixture bit for bit.
     """
     n = len(bank)
-    sums = {name: np.zeros(shape, dtype=np.float64) for name, shape in bank.schema.items()}
+    total = np.zeros(bank.models[0].n_parameters, dtype=np.float64)
+    views = _split(bank.schema, total)
     prev_code = 0
     for bits in order:
         code = bits_code(n, bits)
         for moved, update in ((prev_code & ~code, np.subtract), (code & ~prev_code, np.add)):
             for j in code_datasets(n, moved):
-                for name, total in sums.items():
-                    update(total, bank.models[j].tensors[name], out=total)
+                for name, view in views.items():
+                    update(view, bank.models[j].tensors[name], out=view)
         prev_code = code
-        yield bits, _merged(bank, sums, code_datasets(n, code))
+        selected = code_datasets(n, code)
+        mean = _mean32(total, len(selected))
+        _fix_inexact(bank, mean, selected)
+        yield bits, Checkpoint(tensors=_split(bank.schema, mean))

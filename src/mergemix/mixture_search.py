@@ -86,10 +86,11 @@ class SearchConfig:
         if self.candidates is not None:
             if not len(self.candidates):
                 raise ValidationError("candidate list must not be empty")
-            # one length for all here; run_search checks it against the bank
-            n = len(self.candidates[0]) if isinstance(self.candidates[0], str) else 0
+            # each candidate's characters, and one length for all; run_search checks it against the bank
             for bits in self.candidates:
-                bits_code(n, bits)
+                bits_code(len(bits) if isinstance(bits, str) else 0, bits)
+                if len(bits) != len(self.candidates[0]):
+                    raise ValidationError(f"candidates differ in length: {len(self.candidates[0])} and {len(bits)}")
 
 
 @dataclass

@@ -1050,19 +1050,29 @@ def test_reports_match_golden_digests(tmp_path, capsys, command, case):
 
 def golden_merge_argv(tmp_path, case):
     """Merges of the seeded 4-model bank of golden_search_argv. Equal positive
-    weights, with one zero, take merge_uniform's path over their support."""
-    bank = make_bank_dir(tmp_path, n=4)
+    weights, with one zero, take merge_uniform's path over their support. The
+    "inexact" case is a uniform merge of three models in which one parameter
+    of b1 and one of w2 read 1e30, 1.0 and -1e30: a float64 sum in dataset
+    order gives 0, the exact-sum fix-up 1."""
+    bank = make_bank_dir(tmp_path, n=3 if case == "inexact" else 4)
     models = [str(p) for p in sorted(bank.glob("*.mtm"))]
-    weights = {"uniform": [], "unequal": ["--weights", "0.1,0.2,0.3,0.4"], "equal": ["--weights", "2,0,2,2"]}
-    return ["merge", "--models", *models, *weights[case], "--out", str(tmp_path / "merged.mtm")]
+    if case == "inexact":
+        for path, v in zip(models, (1e30, 1.0, -1e30)):
+            ckpt = read_checkpoint(path)
+            ckpt.tensors["b1"][2] = ckpt.tensors["w2"][1, 3] = v
+            write_checkpoint(ckpt, path)
+    weights = {"unequal": ["--weights", "0.1,0.2,0.3,0.4"], "equal": ["--weights", "2,0,2,2"]}
+    return ["merge", "--models", *models, *weights.get(case, []), "--out", str(tmp_path / "merged.mtm")]
 
 
 # sha256 of the checkpoint container that merge writes on the inputs above,
-# taken before the bench kept its fine-tunes as stacked arrays (numpy 2.4, x86-64)
+# taken before the bench kept its fine-tunes as stacked arrays, and "inexact"
+# before every merge shared one flat parameter layout (numpy 2.4, x86-64)
 MERGE_GOLDEN = {
     "uniform": "fae1e7d8bc197bd9d310b22e961809c4da41ae31fd6e3283e5bb904e8f3a4a3f",
     "unequal": "e31924642bfe5928c064237b4bc9d78fdf8b1bcef1eac78d7c523cad5dbaeecd",
     "equal": "d79bbc8a7090972b0589762329c9fddb280bcf413fba791a4b4d8e71df9516ee",
+    "inexact": "274659d54d264393bb9b2ef53945e15b3370c9abfbbc669bf24604046db30874",
 }
 
 

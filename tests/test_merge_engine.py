@@ -412,15 +412,13 @@ def test_every_merge_path_is_the_fsum_merge(bank, rnd):
     for alpha, merged in zip(shuffled, blocks):
         assert checkpoint_equal(merged, fsum_merge(bank, alpha)), alpha
     # a certified parameter's float64 sums are exact in any order
-    for name in bank.schema:
-        idx, _ = bank.inexact[name]
-        cols = np.stack([m.tensors[name].reshape(-1) for m in bank.models]).astype(np.float64)
-        certified = np.setdiff1d(np.arange(cols.shape[1]), idx)
-        for alpha in gray:
-            rows = cols[selected(alpha)][:, certified]
-            exact = [math.fsum(col) for col in rows.T.tolist()]
-            assert rows.sum(axis=0).tolist() == exact
-            assert rows[::-1].cumsum(axis=0)[-1].tolist() == exact
+    idx, _ = bank.inexact
+    certified = np.setdiff1d(np.arange(bank.flat64.shape[1]), idx)
+    for alpha in gray:
+        rows = bank.flat64[selected(alpha)][:, certified]
+        exact = [math.fsum(col) for col in rows.T.tolist()]
+        assert rows.sum(axis=0).tolist() == exact
+        assert rows[::-1].cumsum(axis=0)[-1].tolist() == exact
 
 
 @pytest.mark.parametrize(
@@ -438,21 +436,22 @@ def test_every_merge_path_is_the_fsum_merge(bank, rnd):
 )
 def test_exact_sum_bound(values, certified):
     models = [Checkpoint(tensors={"w": np.array([v, 1.0], dtype=np.float32)}) for v in values]
-    idx, values64 = ModelBank(models=models).inexact["w"]
+    idx, values64 = ModelBank(models=models).inexact
     assert idx.tolist() == ([] if certified else [0])
     assert values64.shape == (4, len(idx))
 
 
 def test_column_outside_the_bound_takes_the_exact_fallback():
-    """One parameter mixes 1e30, 1.0 and 1e-10: its float64 sum would round,
-    so only it is flagged, and every path still gives the fsum merge."""
-    rng = np.random.default_rng(4)
-    models = [Checkpoint(tensors={"w": rng.standard_normal(4).astype(np.float32)}) for _ in range(3)]
+    """One parameter of w and one of b mix 1e30, 1.0 and 1e-10: their float64
+    sums would round, so only they are flagged, at their flat indices in
+    schema order, and every path still gives the fsum merge."""
+    models = make_bank(3, {"w": (4,), "b": (2, 3)}, seed=4).models
     for model, v in zip(models, (1e30, 1.0, 1e-10)):
-        model.tensors["w"][2] = v
+        model.tensors["w"][2] = model.tensors["b"][1, 0] = v
     bank = ModelBank(models=models)
-    idx, values = bank.inexact["w"]
-    assert idx.tolist() == [2] and values.shape == (3, 1)
+    idx, values = bank.inexact
+    assert idx.tolist() == [2, 4 + 3]
+    assert values.tolist() == [[float(np.float32(v))] * 2 for v in (1e30, 1.0, 1e-10)]
     order = list(gray_code_order(3))
     blocks = block_checkpoints(bank, order)
     for (alpha, walked), block in zip(subset_merges(bank, order), blocks):
@@ -464,11 +463,28 @@ def test_column_outside_the_bound_takes_the_exact_fallback():
 def test_non_finite_parameters_are_never_certified():
     models = [Checkpoint(tensors={"w": np.array([1.0, v], dtype=np.float32)}) for v in (np.inf, -np.inf)]
     bank = ModelBank(models=models)
-    assert bank.inexact["w"][0].tolist() == [1]
+    assert bank.inexact[0].tolist() == [1]
     with np.errstate(invalid="ignore"):
         merged = merge_uniform(bank, "11").tensors["w"]
     assert merged[0] == 1.0 and np.isnan(merged[1])
     assert merge_uniform(bank, "10").tensors["w"][1] == np.inf
+
+
+def test_bank_caches_cannot_go_stale():
+    """The bank keeps its own tuple of models: after its caches are built, a
+    change to the caller's list, or an assignment into bank.models, changes
+    no merge."""
+    models = [Checkpoint(tensors={"w": np.array(v, dtype=np.float32)}) for v in ([1.0, 2.0], [3.0, 6.0])]
+    bank = ModelBank(models=models)
+    merge_block(bank, [3])
+    other = Checkpoint(tensors={"w": np.array([5.0, 10.0], dtype=np.float32)})
+    models[1] = other
+    with pytest.raises(TypeError):
+        bank.models[1] = other
+    mean = [2.0, 4.0]
+    assert merge_uniform(bank, "11").tensors["w"].tolist() == mean
+    assert next(subset_merges(bank, ["11"]))[1].tensors["w"].tolist() == mean
+    assert merge_block(bank, [3])["w"].tolist() == [mean]
 
 
 def test_bank_names_default_and_custom():

@@ -389,6 +389,16 @@ def test_builtin_blocks_equal_the_per_mixture_loop(monkeypatch):
     assert block_sizes == [3] * 21 + [3] * 16 + [2]
 
 
+def test_candidates_of_mixed_length_name_both_lengths():
+    """SearchConfig checks each candidate's characters on their own and their
+    common length apart; only run_search knows the bank's size."""
+    for candidates, message in ((["01", "1"], "differ in length: 2 and 1"), (["1", "011"], "1 and 3")):
+        with pytest.raises(ValidationError, match=message):
+            SearchConfig(candidates=candidates)
+    with pytest.raises(ValidationError, match="invalid mixture string '1x'"):
+        SearchConfig(candidates=["01", "1x"])
+
+
 def test_builtin_block_errors_name_the_first_mixture():
     bank = toy_bank(3, seed=1)
     with pytest.raises(EvaluatorError, match="mixture 001: feature dim 6 does not match"):

@@ -16,7 +16,8 @@ PYTHONPATH:
   (all six metrics) and `correlate` (singletons excluded and included),
   comparing report.csv and report.json;
 - the MERGE_GOLDEN cases of tests/test_cli.py: `merge` uniform, with unequal
-  weights and with equal weights, comparing the checkpoint it writes.
+  weights, with equal weights, and uniform over a bank with one uncertified
+  parameter in each of two tensors, comparing the checkpoint it writes.
 
 The inputs are built once, by this tree, and both trees read them. The
 script prints one line per file that differs, or that a tree failed to
