@@ -3,7 +3,8 @@
 Correlations are computed per task and averaged unweighted across tasks.
 Single-dataset mixtures are excluded by default: their surrogate and
 fine-tuned models coincide, so the (x, y) pair sits on the diagonal by
-construction and would inflate the correlation.
+construction and would inflate the correlation. When no task is left with
+enough usable pairs, the report is empty and its average is NaN (null in JSON).
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ def correlate_tasks(
 
     With exclusion on, pairs whose mixture selects exactly one dataset are
     dropped first. Tasks left with fewer than MIN_PAIRS_PER_TASK pairs or a
-    constant series are skipped with a warning; if every task is skipped,
-    that is an error.
+    constant series are skipped with a warning. If every task is skipped,
+    the report has no per-task r and a NaN average.
     """
     if not inputs:
         raise ValidationError("no correlation inputs")
@@ -152,9 +153,7 @@ def correlate_tasks(
             continue
         per_task[item.task_name] = r
         n_pairs[item.task_name] = len(x)
-    if not per_task:
-        raise ValidationError("no task has enough usable pairs for a correlation")
-    average = math.fsum(per_task.values()) / len(per_task)
+    average = math.fsum(per_task.values()) / len(per_task) if per_task else math.nan
     return CorrelationReport(
         per_task=per_task,
         average_r=average,

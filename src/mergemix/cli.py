@@ -134,7 +134,7 @@ def _load_bank_dir(path: Path) -> ModelBank:
 def cmd_merge(args: argparse.Namespace) -> int:
     models = [read_checkpoint(Path(p)) for p in args.models]
     bank = ModelBank(models=models)
-    if args.weights:
+    if args.weights is not None:
         try:
             weights = [float(w) for w in args.weights.split(",")]
         except ValueError:
@@ -266,6 +266,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     pairs_path = Path(args.pairs)
     inputs = _read_pairs_csv(pairs_path)
     report = correlate_tasks(inputs, exclude_singletons=not args.include_singletons)
+    if not report.per_task:
+        raise ValidationError("no task has enough usable pairs for a correlation")
     out_csv = Path(args.out)
     out_json = out_csv.with_suffix(".json")
     emit_report(report, "csv", out_csv)

@@ -203,6 +203,9 @@ def merge_weighted(bank: ModelBank, weights: Sequence[float]) -> Checkpoint:
     if any(not np.isfinite(w) or w < 0.0 for w in ws):
         raise ValidationError("weights must be finite and non-negative")
     total = sum(ws)
+    if total == math.inf:  # finite weights whose sum overflows: rescale, keeping their ratios
+        ws = (np.array(ws) / max(ws)).tolist()
+        total = sum(ws)
     if total <= 0.0:
         raise ValidationError("weights must not be all zero")
     positive = [w for w in ws if w > 0.0]

@@ -16,6 +16,7 @@ and the value from that row.
 from __future__ import annotations
 
 import itertools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -281,25 +282,31 @@ def _per_mixture_scores(
 
     Each thread walks its own slice of codes, formats each mixture's bits as
     it goes and writes the scores into the shared columns, so no object per
-    mixture outlives its evaluation.
+    mixture outlives its evaluation. Once one slice fails, the others stop
+    before their next mixture.
     """
     n = len(bank)
     accuracy, mean_loss = np.empty(len(codes)), np.empty(len(codes))
     num_samples = np.empty(len(codes), dtype=np.int64)
+    failed = threading.Event()
 
     def score_slice(lo: int, hi: int) -> None:
-        order = (code_bits(n, code) for code in codes[lo:hi].tolist())
-        for i, (alpha, merged) in enumerate(subset_merges(bank, order), lo):
-            try:
-                score = eval_fn(merged, target, alpha)
-            except ExternalEvaluatorError as exc:
-                raise ExternalEvaluatorError(f"mixture {alpha}: {exc}") from exc
-            except Exception as exc:
-                raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
-            if not isinstance(score, Score):
-                returned = type(score).__name__
-                raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {returned}")
-            accuracy[i], mean_loss[i], num_samples[i] = score.accuracy, score.mean_loss, score.num_samples
+        order = (code_bits(n, code) for code in codes[lo:hi].tolist() if not failed.is_set())
+        try:
+            for i, (alpha, merged) in enumerate(subset_merges(bank, order), lo):
+                try:
+                    score = eval_fn(merged, target, alpha)
+                except ExternalEvaluatorError as exc:
+                    raise ExternalEvaluatorError(f"mixture {alpha}: {exc}") from exc
+                except Exception as exc:
+                    raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
+                if not isinstance(score, Score):
+                    returned = type(score).__name__
+                    raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {returned}")
+                accuracy[i], mean_loss[i], num_samples[i] = score.accuracy, score.mean_loss, score.num_samples
+        except BaseException:
+            failed.set()
+            raise
 
     if jobs > 1 and len(codes) > 1:
         jobs = min(jobs, len(codes))

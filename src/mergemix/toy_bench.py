@@ -19,7 +19,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -115,6 +114,8 @@ class BenchConfig:
             raise ValidationError("clusters_per_target must not exceed num_clusters")
         if self.num_datasets > MAX_ENUMERATION_N:
             raise ValidationError(f"num_datasets must be <= {MAX_ENUMERATION_N}")
+        if self.num_targets > _STREAM_TARGET_DATA_BASE - _STREAM_TARGET_PICK_BASE:  # else target streams collide
+            raise ValidationError(f"num_targets must be <= {_STREAM_TARGET_DATA_BASE - _STREAM_TARGET_PICK_BASE}")
         if self.cluster_noise < 0.0:
             raise ValidationError("cluster_noise must be >= 0")
         if self.seed < 0:
@@ -445,6 +446,7 @@ class TargetTable:
     merged_test: ScoreColumns
     finetuned_val: ScoreColumns
     finetuned_test: ScoreColumns
+    sizes: np.ndarray  # each mixture's dataset count, one int64 array shared by every table of a bench
     selections: dict[str, SelectionOutcome] = field(default_factory=dict)
 
     def outcome(self, method: str, row: int, merged: bool = False, detail: str = "") -> SelectionOutcome:
@@ -456,16 +458,15 @@ class TargetTable:
         bits = code_bits(val.n, int(val.codes[row]))
         return SelectionOutcome(method, bits, val.accuracy[row].item(), test.accuracy[row].item(), detail)
 
-    def surrogate_pairs(self, link: Callable[[float, float], float]) -> CorrelationInput:
-        """One row per mixture: link(acc, base acc) of its merged and fine-tuned test accuracy, and its size.
+    def logit_pairs(self) -> CorrelationInput:
+        """One row per mixture: the logit improvement over the base of its merged and fine-tuned test accuracy.
 
-        link is called per element, since np.log may round otherwise than math.log.
+        logit_improvement is called per element, since np.log may round otherwise than math.log.
         """
         base = self.base_test_accuracy
-        merged = [link(m, base) for m in self.merged_test.accuracy.tolist()]
-        tuned = [link(f, base) for f in self.finetuned_test.accuracy.tolist()]
-        sizes = [code.bit_count() for code in self.merged_test.codes.tolist()]
-        return CorrelationInput(self.target_name, merged, tuned, sizes)
+        merged = [logit_improvement(m, base) for m in self.merged_test.accuracy.tolist()]
+        tuned = [logit_improvement(f, base) for f in self.finetuned_test.accuracy.tolist()]
+        return CorrelationInput(self.target_name, merged, tuned, self.sizes)
 
 
 @dataclass
@@ -579,7 +580,7 @@ class BenchReport:
             ([task, name, *cells] for name, rep in series for task, *cells in rep.csv_rows()),
         )
         bits = [code_bits(n, code) for code in gray_codes(n).tolist()]
-        write_plot_csv(plot_csv, bits, [t.surrogate_pairs(logit_improvement) for t in self.per_target])
+        write_plot_csv(plot_csv, bits, [t.logit_pairs() for t in self.per_target])
         return paths
 
 
@@ -589,6 +590,8 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     Ground truth: every non-empty mixture's model is actually fine-tuned
     from the shared base on the concatenated train splits. Selection happens
     on validation accuracy; reporting and correlations use test accuracy.
+    A correlation with no usable task, as at N=2, where one non-singleton
+    pair per task is left, is an empty report with a NaN average.
     """
     n = bench_cfg.num_datasets
     if n > MAX_BENCH_N:
@@ -596,26 +599,24 @@ def run_benchmark(bench_cfg: BenchConfig, train_cfg: TrainConfig) -> BenchReport
     universe = generate_universe(bench_cfg)
     base = pretrain_base(universe, train_cfg)
     codes = gray_codes(n)
+    sizes = np.array([code.bit_count() for code in codes.tolist()], dtype=np.int64)
     finetuned = _finetune_mixtures(base, [t.train for t in universe.datasets], codes, train_cfg)
     # a single-dataset mixture's merged surrogate is its own fine-tune; dataset i is bit n - 1 - i
     rows = [gray_rank(1 << (n - 1 - i)) - 1 for i in range(n)]
     singles = [Checkpoint(tensors={name: arr[r] for name, arr in finetuned.items()}) for r in rows]
     bank = ModelBank(models=singles, names=[t.name for t in universe.datasets])
-    per_target = [_score_target(t, base, bank, finetuned, codes) for t in universe.targets]
+    per_target = [_score_target(t, base, bank, finetuned, codes, sizes) for t in universe.targets]
 
     ds_embs, tg_embs = _embeddings(universe, base, bench_cfg.embedding_source)
     sim_inputs, table_metric = _similarity_baseline(per_target, codes, tg_embs, ds_embs)
 
-    correlation = _correlate_or_empty([t.surrogate_pairs(lambda acc, base_acc: acc) for t in per_target])
-    correlation_logit = _correlate_or_empty([t.surrogate_pairs(logit_improvement) for t in per_target])
-    similarity_correlations = {
-        name: _correlate_or_empty(items) for name, items in sim_inputs.items()
-    }
-    finite = {
-        name: rep.average_r
-        for name, rep in similarity_correlations.items()
-        if math.isfinite(rep.average_r)
-    }
+    correlation = correlate_tasks(
+        [CorrelationInput(t.target_name, t.merged_test.accuracy, t.finetuned_test.accuracy, sizes)
+         for t in per_target]
+    )
+    correlation_logit = correlate_tasks([t.logit_pairs() for t in per_target])
+    similarity_correlations = {name: correlate_tasks(items) for name, items in sim_inputs.items()}
+    finite = {name: rep.average_r for name, rep in similarity_correlations.items() if math.isfinite(rep.average_r)}
     best_sim_metric = _best_by_metric_value(finite) if finite else ""
     best_sim_r = finite.get(best_sim_metric, float("nan"))
 
@@ -641,6 +642,7 @@ def _score_target(
     bank: ModelBank,
     finetuned: dict[str, np.ndarray],
     codes: np.ndarray,
+    sizes: np.ndarray,
 ) -> TargetTable:
     """Score every mixture's merged and fine-tuned model on one target, in stacked blocks.
 
@@ -656,6 +658,7 @@ def _score_target(
         merged_test=builtin_scores(bank, codes, target.test),
         finetuned_val=checkpoint_scores(finetuned, n, codes, target.val),
         finetuned_test=checkpoint_scores(finetuned, n, codes, target.test),
+        sizes=sizes,
     )
     mtm = best_row(codes, table.merged_val.accuracy, "maximize")
     oracle = best_row(codes, table.finetuned_val.accuracy, "maximize")
@@ -697,14 +700,13 @@ def _similarity_baseline(
     best mean fine-tuned test accuracy sets every target's "similarity" selection.
     The similarity tables' scores, like the target tables' columns, follow codes.
     """
-    sizes = [code.bit_count() for code in codes.tolist()]
     corr_inputs: dict[str, list[CorrelationInput]] = {m.value: [] for m in SimilarityMetric}
     picks: dict[str, list[int]] = {m.value: [] for m in SimilarityMetric}  # one row per target
     metrics = list(SimilarityMetric)
     for table, tg_emb in zip(per_target, tg_embs):
         ft_test = table.finetuned_test.accuracy
         for metric, sim in zip(metrics, similarity_tables(tg_emb, ds_embs, metrics)):
-            corr_inputs[metric.value].append(CorrelationInput(table.target_name, sim.scores, ft_test, sizes))
+            corr_inputs[metric.value].append(CorrelationInput(table.target_name, sim.scores, ft_test, table.sizes))
             picks[metric.value].append(best_row(codes, sim.scores, metric.direction))
     mean_acc = {
         name: math.fsum(t.finetuned_test.accuracy[row].item() for t, row in zip(per_target, rows)) / len(rows)
@@ -750,25 +752,6 @@ def _finetune_mixtures(
             for name, runs in train_many(base, parts, selections, cfg, keys).items():
                 finetuned[name][chunk] = runs
     return finetuned
-
-
-def _correlate_or_empty(inputs: list[CorrelationInput]) -> CorrelationReport:
-    """correlate_tasks, degrading to an empty report when N is too small.
-
-    An N=2 run leaves one non-singleton pair per task, below the minimum,
-    which correlate_tasks treats as an error. The bench still has a useful
-    selection table in that regime, so correlations degrade to NaN instead.
-    """
-    try:
-        return correlate_tasks(inputs, exclude_singletons=True)
-    except ValidationError:
-        return CorrelationReport(
-            per_task={},
-            average_r=float("nan"),
-            excluded_count=int(sum(np.count_nonzero(item.n_selected == 1) for item in inputs)),
-            skipped_tasks=[item.task_name for item in inputs],
-            n_pairs={},
-        )
 
 
 def _best_by_metric_value(values: dict[str, float]) -> str:

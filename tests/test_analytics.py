@@ -2,6 +2,7 @@
 surrogate plot points, and deterministic report emission."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -142,10 +143,17 @@ def test_short_task_skipped_with_warning():
     assert report.n_pairs == {"ok": 3}
 
 
-def test_all_tasks_skipped_is_error():
-    inputs = [task("only", [(0.1, 0.2, 1), (0.2, 0.3, 1)])]
-    with pytest.raises(ValidationError, match="no task has enough usable pairs"):
-        correlate_tasks(inputs)
+def test_all_tasks_skipped_is_an_empty_report():
+    inputs = [
+        task("only", [(0.1, 0.2, 1), (0.2, 0.3, 1)]),
+        task("flat", [(0.1, 0.2, 2), (0.1, 0.3, 2), (0.1, 0.4, 3), (0.5, 0.5, 1)]),
+    ]
+    report = correlate_tasks(inputs)
+    assert (report.per_task, report.n_pairs) == ({}, {})
+    assert math.isnan(report.average_r)
+    assert report.skipped_tasks == ["only", "flat"]
+    assert report.excluded_count == 3
+    assert report.to_json_obj()["average_r"] is None
 
 
 def test_duplicate_task_rejected():
@@ -165,7 +173,7 @@ def test_average_is_unweighted_mean():
 
 
 # ============================================================================
-# TargetTable.surrogate_pairs: the bench's plot points
+# TargetTable.logit_pairs: the bench's plot points
 # ============================================================================
 
 
@@ -174,7 +182,8 @@ def pair_table(bits, merged_acc, ft_acc, base_acc=0.5):
     codes = [int(b, 2) for b in bits]
     merged = ScoreColumns(len(bits[0]), codes, merged_acc, 0.0, 0)
     tuned = ScoreColumns(len(bits[0]), codes, ft_acc, 0.0, 0)
-    return TargetTable("T", base_acc, base_acc, merged, merged, tuned, tuned)
+    sizes = np.array([b.count("1") for b in bits], dtype=np.int64)
+    return TargetTable("T", base_acc, base_acc, merged, merged, tuned, tuned, sizes)
 
 
 def rows(item):
@@ -183,12 +192,12 @@ def rows(item):
 
 
 def test_plot_origin_when_nothing_improves():
-    pairs = pair_table(["11"], [0.5], [0.5]).surrogate_pairs(logit_improvement)
+    pairs = pair_table(["11"], [0.5], [0.5]).logit_pairs()
     assert (pairs.task_name, rows(pairs)) == ("T", [(0.0, 0.0, 2)])
 
 
 def test_plot_ln3_point():
-    ((x, y, n),) = rows(pair_table(["11"], [0.75], [0.75]).surrogate_pairs(logit_improvement))
+    ((x, y, n),) = rows(pair_table(["11"], [0.75], [0.75]).logit_pairs())
     assert x == pytest.approx(LN3, abs=1e-12)
     assert y == pytest.approx(LN3, abs=1e-12)
     assert n == 2
@@ -196,16 +205,19 @@ def test_plot_ln3_point():
 
 def test_plot_singletons_on_diagonal():
     table = pair_table(["10", "01", "11"], [0.62, 0.43, 0.9], [0.62, 0.43, 0.7])
-    pts = rows(table.surrogate_pairs(logit_improvement))
+    pts = rows(table.logit_pairs())
     assert [(x == y, n) for x, y, n in pts] == [(True, 1), (True, 1), (False, 2)]
 
 
-def test_surrogate_pairs_n_selected_is_the_bit_count():
+def test_logit_pairs_n_selected_is_the_bit_count():
     codes = gray_codes(4).tolist()
     acc = [0.1 + 0.05 * i for i in range(len(codes))]
-    table = pair_table([format(code, "04b") for code in codes], acc, acc[::-1])
-    pts = rows(table.surrogate_pairs(lambda acc, base_acc: acc))
-    assert pts == [(m, f, code.bit_count()) for m, f, code in zip(acc, acc[::-1], codes)]
+    table = pair_table([format(code, "04b") for code in codes], acc, acc[::-1], base_acc=0.3)
+    pts = rows(table.logit_pairs())
+    assert pts == [
+        (logit_improvement(m, 0.3), logit_improvement(f, 0.3), code.bit_count())
+        for m, f, code in zip(acc, acc[::-1], codes)
+    ]
 
 
 # ============================================================================

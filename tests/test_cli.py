@@ -156,6 +156,18 @@ def test_merge_non_numeric_weight_exits_1(tmp_path):
     assert not (tmp_path / "o.mtm").exists()
 
 
+def test_merge_empty_weights_exits_1(tmp_path):
+    """An empty --weights is a malformed list, not a request for the uniform merge."""
+    a = tmp_path / "a.mtm"
+    b = tmp_path / "b.mtm"
+    write_checkpoint(Checkpoint(tensors={"w": np.array([1.0], dtype=np.float32)}), a)
+    write_checkpoint(Checkpoint(tensors={"w": np.array([3.0], dtype=np.float32)}), b)
+    proc = run_cli_process(["merge", "--models", str(a), str(b), "--out", str(tmp_path / "o.mtm"), "--weights", ""])
+    assert_clean_validation_failure(proc)
+    assert proc.stderr == "error: --weights must be comma-separated numbers, got ''\n"
+    assert not (tmp_path / "o.mtm").exists()
+
+
 def test_merge_weight_count_mismatch_exits_1(tmp_path, capsys):
     a = tmp_path / "a.mtm"
     b = tmp_path / "b.mtm"
@@ -733,6 +745,17 @@ def test_correlate_oversized_field_exits_1(tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_correlate_with_no_usable_task_exits_1(tmp_path):
+    """Every task has fewer than 3 pairs once singletons go: one error line, and no report or manifest."""
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [("A", 1, 2, 2), ("A", 2, 1, 3), ("A", 3, 3, 1), ("B", 1, 2, 1), ("B", 2, 3, 2)])
+    proc = run_cli_process(["correlate", "--pairs", str(pairs), "--out", str(tmp_path / "c.csv")])
+    assert_clean_validation_failure(proc)
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == "error: no task has enough usable pairs for a correlation"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.csv"]
+
+
 def test_correlate_missing_file_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(
         ["correlate", "--pairs", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "c.csv")],
@@ -905,6 +928,14 @@ def test_bench_invalid_config_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "clusters_per_dataset" in err
+
+
+def test_bench_rejects_more_targets_than_streams(tmp_path):
+    """Target t picks from Philox stream 200 + t and draws from 300 + t, so a 101st target would share streams."""
+    proc = run_cli_process(["bench", "--out", str(tmp_path / "run"), "--num-targets", "101"])
+    assert_clean_validation_failure(proc)
+    assert proc.stderr.splitlines() == ["error: num_targets must be <= 100"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_bench_bad_embedding_source_exits_1(tmp_path):

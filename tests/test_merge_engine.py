@@ -195,6 +195,13 @@ def test_weighted_normalizes():
     assert merged.tensors["w"][0] == pytest.approx(4.0, rel=1e-6)
 
 
+def test_weights_whose_sum_overflows_keep_their_ratios():
+    """Finite weights whose float64 sum is inf: rescaled by their maximum, not divided by inf to zero."""
+    bank = ModelBank(models=[Checkpoint(tensors={"w": tensor(v)}) for v in ([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])])
+    assert merge_weighted(bank, [1.7e308, 1.7e308, 1.0]).tensors["w"].tolist() == [2.0, 3.0]
+    assert checkpoint_equal(merge_weighted(bank, [1e308] * 3), merge_uniform(bank, "111"))
+
+
 def test_weighted_error_cases():
     bank = make_bank(2)
     with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ every selection, and parity between serial and threaded scoring."""
 import hashlib
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -483,6 +484,23 @@ def test_threaded_scores_land_in_their_own_rows():
     assert records.accuracy.tolist() == (records.codes / 256).tolist()
     assert records.mean_loss.tolist() == records.codes.astype(np.float64).tolist()
     assert records.num_samples.tolist() == records.codes.tolist()
+
+
+def test_a_failed_thread_stops_the_other_threads():
+    """Slice one's first mixture fails after 50 ms while slice two's 31 mixtures take 10 ms each:
+    slice two stops at its next mixture instead of walking on to its end."""
+    calls = []
+
+    def eval_fn(ckpt, target, alpha):
+        calls.append(alpha)
+        time.sleep(0.05 if alpha == "000001" else 0.01)
+        if alpha == "000001":
+            raise RuntimeError("boom")
+        return Score(accuracy=0.5, mean_loss=0.0, num_samples=0)
+
+    with pytest.raises(EvaluatorError, match="^evaluation failed for mixture 000001: boom$"):
+        run_search(tiny_bank(6), eval_fn, target=None, config=SearchConfig(jobs=2))
+    assert len(calls) < 20, len(calls)
 
 
 def digest_eval_fn(ckpt, target, alpha):

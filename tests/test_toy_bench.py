@@ -66,6 +66,14 @@ def test_bench_config_guards():
         BenchConfig(embedding_source="latent")
 
 
+def test_bench_config_allows_one_target_per_philox_stream():
+    """Target t picks from stream 200 + t and draws from 300 + t, so a 101st target would pick from target 0's data stream."""
+    universe = generate_universe(BenchConfig(num_datasets=3, num_targets=100, samples_per_dataset=10))
+    assert len(universe.targets) == 100
+    with pytest.raises(ValidationError, match="^num_targets must be <= 100$"):
+        BenchConfig(num_datasets=3, num_targets=101)
+
+
 def test_train_config_guards():
     with pytest.raises(ValidationError):
         TrainConfig(epochs=-1)
@@ -496,10 +504,31 @@ def test_best_similarity_metric_ties_resolve_to_canonical_order(monkeypatch):
     from mergemix import toy_bench
 
     tied = CorrelationReport(per_task={"T1": 0.5, "T2": 0.5}, average_r=0.5, excluded_count=0)
-    monkeypatch.setattr(toy_bench, "_correlate_or_empty", lambda inputs: tied)
+    monkeypatch.setattr(toy_bench, "correlate_tasks", lambda inputs: tied)
     report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
     assert report.best_similarity_correlation_metric == "avg_max_cos"
     assert report.best_similarity_correlation_r == 0.5
+
+
+def test_bench_correlates_the_test_accuracy_columns(monkeypatch):
+    """The raw series pairs each target's merged and fine-tuned test accuracy columns, sized by bit count;
+    every input of the bench shares one sizes array."""
+    from mergemix import toy_bench
+
+    calls = []
+    real = toy_bench.correlate_tasks
+    monkeypatch.setattr(toy_bench, "correlate_tasks", lambda inputs: calls.append(inputs) or real(inputs))
+    report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
+    assert len(calls) == 2 + len(baselines.SimilarityMetric)
+    raw = calls[0]
+    assert [item.task_name for item in raw] == report.target_names
+    sizes = [code.bit_count() for code in gray_codes(MICRO_BENCH.num_datasets).tolist()]
+    for item, table in zip(raw, report.per_target):
+        assert item.x.tolist() == table.merged_test.accuracy.tolist()
+        assert item.y.tolist() == table.finetuned_test.accuracy.tolist()
+        assert item.n_selected.tolist() == sizes
+    assert len({id(item.n_selected) for inputs in calls for item in inputs}) == 1
+    assert real(raw) == report.correlation
 
 
 def test_trainer_and_scorer_compute_one_network():
