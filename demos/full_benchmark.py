@@ -4,7 +4,9 @@ The synthetic end-to-end benchmark
 
 Generates a universe of Gaussian-cluster datasets, fine-tunes one model
 per dataset, brute-forces every mixture, and compares selection methods.
-Equivalent to `mergemix bench --seed 42 --out <dir>` minus the files.
+Equivalent to `mergemix bench --seed 42 --train-seed 0 --out <dir>` minus
+the files: TrainConfig() trains with seed 0, while `bench` trains with
+--seed unless --train-seed is given.
 """
 
 from mergemix import BenchConfig, TrainConfig, run_benchmark

@@ -23,12 +23,12 @@ datasets = []
 for i, c in enumerate(centers):
     x = (rng.standard_normal((80, 2)) * 0.4 + c).astype(np.float32)
     y = [i] * 80
-    datasets.append(EvalDataset(features=x, labels=y, num_classes=3, name=f"D{i + 1}", split="train"))
+    datasets.append(EvalDataset(features=x, labels=y, num_classes=3, name=f"D{i + 1}"))
 
 # the target mixes classes 0 and 1 only; dataset 3 is a distractor
 tx = np.concatenate([datasets[0].features[:30], datasets[1].features[:30]])
 ty = [0] * 30 + [1] * 30
-target = EvalDataset(features=tx, labels=ty, num_classes=3, name="target", split="val")
+target = EvalDataset(features=tx, labels=ty, num_classes=3, name="target")
 
 # one fine-tuned model per dataset, all from the same initialization
 init = init_checkpoint(rng, 2, 8, 3)

@@ -103,7 +103,7 @@ class CorrelationReport:
 
     def csv_rows(self) -> list[list]:
         return [
-            [task, self.n_pairs.get(task, ""), repr(r)]
+            [task, self.n_pairs[task], repr(r)]
             for task, r in sorted(self.per_task.items())
         ]
 

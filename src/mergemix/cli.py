@@ -2,7 +2,7 @@
 
 Subcommands: merge, search, similarity, correlate, bench. stdout carries one
 machine-readable JSON line per command; diagnostics go to stderr. Exit codes:
-0 success, 1 validation error, 2 I/O error, 3 external-evaluator failure.
+0 success, 1 validation or usage error, 2 I/O error, 3 external-evaluator failure.
 Set MERGEMIX_LOG to error/warn/info/debug to control stderr logging.
 """
 
@@ -86,13 +86,13 @@ def _now() -> str:
 
 
 def _manifest(
-    path: Path, command: str, args_dict: dict, inputs: list[Path], started: str, outputs: list[Path]
+    path: Path, args: argparse.Namespace, inputs: list[Path], started: str, outputs: list[Path]
 ) -> None:
     """Write the command's record of config, input digests, version, times and outputs to path, atomically."""
-    # args_dict is vars(namespace); "func" is the dispatch callable, not config
-    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in args_dict.items() if k != "func"}
+    # "func" is the dispatch callable, not config
+    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "input_digests": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "tool_version": __version__,
@@ -107,8 +107,8 @@ def _print_json(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _load_bank_dir(path: Path) -> ModelBank:
-    """Load bank/<index>_<name>.mtm checkpoints; the index defines bit order."""
+def _load_bank_dir(path: Path) -> tuple[ModelBank, list[Path]]:
+    """Load bank/<index>_<name>.mtm checkpoints, the index defining bit order; also the files read."""
     if not path.is_dir():
         raise FileNotFoundError(f"bank directory not found: {path}")
     entries = []
@@ -124,7 +124,7 @@ def _load_bank_dir(path: Path) -> ModelBank:
         raise ValidationError(f"duplicate bank indices in {path}")
     models = [read_checkpoint(p) for _, _, p in entries]
     names = [name for _, name, _ in entries]
-    return ModelBank(models=models, names=names)
+    return ModelBank(models=models, names=names), [p for _, _, p in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +152,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     started = _now()
-    bank_dir = Path(args.bank)
-    bank = _load_bank_dir(bank_dir)
+    bank, manifest_inputs = _load_bank_dir(Path(args.bank))
     config = SearchConfig(
         objective="max_accuracy" if args.objective == "accuracy" else "min_loss",
         jobs=args.jobs,
@@ -184,11 +183,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     out_json = out_csv.with_suffix(".json")
     emit_report(report, "csv", out_csv)
     emit_report(report, "json", out_json)
-    manifest_inputs = [p for p in bank_dir.iterdir() if p.is_file()]
     if args.evaluator == "builtin":
         manifest_inputs.append(Path(args.target))
     manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
-    _manifest(manifest_path, "search", vars(args), manifest_inputs, started, [out_csv, out_json])
+    _manifest(manifest_path, args, manifest_inputs, started, [out_csv, out_json])
     best = report.best_alpha
     _print_json(
         {
@@ -228,7 +226,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     write_json(out_json, payload)
     inputs = [Path(args.target)] + [Path(p) for p in args.datasets]
     manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
-    _manifest(manifest_path, "similarity", vars(args), inputs, started, [out_csv, out_json])
+    _manifest(manifest_path, args, inputs, started, [out_csv, out_json])
     _print_json({"best_alpha": best_alpha, "metric": metric.value, "score": best_score})
     return EXIT_OK
 
@@ -273,7 +271,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     emit_report(report, "csv", out_csv)
     emit_report(report, "json", out_json)
     manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
-    _manifest(manifest_path, "correlate", vars(args), [pairs_path], started, [out_csv, out_json])
+    _manifest(manifest_path, args, [pairs_path], started, [out_csv, out_json])
     _print_json(
         {
             "average_r": report.average_r,
@@ -295,7 +293,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report = run_benchmark(bench_cfg, train_cfg)
     outdir = Path(args.out)
     outputs = report.write_files(outdir)
-    _manifest(outdir / "manifest.json", "bench", vars(args), [], started, outputs)
+    _manifest(outdir / "manifest.json", args, [], started, outputs)
     _print_json(
         {
             "out": str(outdir),
@@ -312,8 +310,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValidationError, so main maps them to exit 1."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mergemix",
         description="Dataset mixture selection via uniformly merged model surrogates.",
         epilog=(
@@ -387,15 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ExternalEvaluatorError as exc:
         return _fail(exc, EXIT_EVALUATOR)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        return _fail(exc, EXIT_IO)
-    except (ValidationError, MergeMixError) as exc:
+    except MergeMixError as exc:
         return _fail(exc, EXIT_VALIDATION)
     except OSError as exc:
         return _fail(exc, EXIT_IO)

@@ -22,8 +22,6 @@ from .tensor_store import Checkpoint, read_checkpoint, write_checkpoint
 
 LOGIT_EPS = 1e-6
 
-SPLITS = ("train", "val", "test")
-
 TOY_TENSORS = ("w1", "b1", "w2", "b2")
 
 # how much of a failed external evaluator's stderr its error message quotes
@@ -39,7 +37,6 @@ class EvalDataset:
     labels: np.ndarray
     num_classes: int
     name: str
-    split: str
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features)
@@ -58,8 +55,6 @@ class EvalDataset:
             raise ValidationError("num_classes must be positive")
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValidationError("labels must lie in [0, num_classes)")
-        if self.split not in SPLITS:
-            raise ValidationError(f"split must be one of {SPLITS}, got {self.split!r}")
         self.features = np.ascontiguousarray(feats)
         self.labels = np.ascontiguousarray(labels.astype(np.int64))
 
@@ -261,7 +256,7 @@ def write_eval_dataset(data: EvalDataset, path: str | Path) -> None:
     """Store a dataset as a container: tensors "features" [n,d] and "labels" [n].
 
     Labels are stored as float32 holding exact integer values (the container
-    is float32-only); name, split, and num_classes ride in the metadata.
+    is float32-only); name and num_classes ride in the metadata.
     """
     ckpt = Checkpoint(
         tensors={
@@ -270,7 +265,6 @@ def write_eval_dataset(data: EvalDataset, path: str | Path) -> None:
         },
         metadata={
             "name": data.name,
-            "split": data.split,
             "num_classes": str(data.num_classes),
         },
     )
@@ -298,7 +292,6 @@ def read_eval_dataset(path: str | Path) -> EvalDataset:
         labels=labels,
         num_classes=num_classes,
         name=meta.get("name", Path(path).stem),
-        split=meta.get("split", "val"),
     )
 
 

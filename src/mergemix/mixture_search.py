@@ -282,8 +282,8 @@ def _per_mixture_scores(
 
     Each thread walks its own slice of codes, formats each mixture's bits as
     it goes and writes the scores into the shared columns, so no object per
-    mixture outlives its evaluation. Once one slice fails, the others stop
-    before their next mixture.
+    mixture outlives its evaluation. Once a slice or the calling thread
+    fails, the others stop before their next mixture.
     """
     n = len(bank)
     accuracy, mean_loss = np.empty(len(codes)), np.empty(len(codes))
@@ -312,7 +312,10 @@ def _per_mixture_scores(
         jobs = min(jobs, len(codes))
         step = (len(codes) + jobs - 1) // jobs
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda lo: score_slice(lo, lo + step), range(0, len(codes), step)))
+            try:
+                list(pool.map(lambda lo: score_slice(lo, lo + step), range(0, len(codes), step)))
+            finally:  # before the pool waits on its slices, so an error here (KeyboardInterrupt) stops them
+                failed.set()
     else:
         score_slice(0, len(codes))
     return ScoreColumns(n, codes, accuracy, mean_loss, num_samples)

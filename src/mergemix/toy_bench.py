@@ -116,8 +116,8 @@ class BenchConfig:
             raise ValidationError(f"num_datasets must be <= {MAX_ENUMERATION_N}")
         if self.num_targets > _STREAM_TARGET_DATA_BASE - _STREAM_TARGET_PICK_BASE:  # else target streams collide
             raise ValidationError(f"num_targets must be <= {_STREAM_TARGET_DATA_BASE - _STREAM_TARGET_PICK_BASE}")
-        if self.cluster_noise < 0.0:
-            raise ValidationError("cluster_noise must be >= 0")
+        if not 0.0 <= self.cluster_noise < math.inf:
+            raise ValidationError(f"cluster_noise must be finite and >= 0, got {self.cluster_noise}")
         if self.seed < 0:
             raise ValidationError("seed must be an unsigned integer")
         if self.embedding_source not in EMBEDDING_SOURCES:
@@ -135,8 +135,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if self.learning_rate <= 0.0 or self.batch_size < 1 or self.hidden_dim < 1:
-            raise ValidationError("learning_rate, batch_size, hidden_dim must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.batch_size < 1 or self.hidden_dim < 1:
+            raise ValidationError("batch_size, hidden_dim must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be an unsigned integer")
 
@@ -211,10 +213,6 @@ def _sample_clusters(
     return x[perm].astype(np.float32), y[perm]
 
 
-def _make_dataset(x, y, num_classes, name, split) -> EvalDataset:
-    return EvalDataset(features=x, labels=y, num_classes=num_classes, name=name, split=split)
-
-
 def generate_universe(cfg: BenchConfig) -> Universe:
     """Synthesize datasets, targets and the base model's pretraining pool.
 
@@ -234,9 +232,9 @@ def generate_universe(cfg: BenchConfig) -> Universe:
         name = f"D{i + 1}"
         triple = DatasetTriple(
             name=name,
-            train=_make_dataset(x[:n_train], y[:n_train], c, name, "train"),
-            val=_make_dataset(x[n_train : n_train + n_val], y[n_train : n_train + n_val], c, name, "val"),
-            test=_make_dataset(x[n_train + n_val :], y[n_train + n_val :], c, name, "test"),
+            train=EvalDataset(x[:n_train], y[:n_train], c, name),
+            val=EvalDataset(x[n_train : n_train + n_val], y[n_train : n_train + n_val], c, name),
+            test=EvalDataset(x[n_train + n_val :], y[n_train + n_val :], c, name),
             cluster_ids=clusters,
         )
         datasets.append(triple)
@@ -257,8 +255,8 @@ def generate_universe(cfg: BenchConfig) -> Universe:
         name = f"T{t + 1}"
         pair = TargetPair(
             name=name,
-            val=_make_dataset(x[:per_split], y[:per_split], c, name, "val"),
-            test=_make_dataset(x[per_split:], y[per_split:], c, name, "test"),
+            val=EvalDataset(x[:per_split], y[:per_split], c, name),
+            test=EvalDataset(x[per_split:], y[per_split:], c, name),
             cluster_ids=clusters,
             source_datasets=sources,
         )
@@ -268,7 +266,7 @@ def generate_universe(cfg: BenchConfig) -> Universe:
     pool_x, pool_y = _sample_clusters(
         pool_rng, centers, tuple(range(c)), _BASE_POOL_PER_CLUSTER * c, cfg.cluster_noise
     )
-    base_pool = _make_dataset(pool_x, pool_y, c, "base_pool", "train")
+    base_pool = EvalDataset(pool_x, pool_y, c, "base_pool")
 
     return Universe(datasets=datasets, targets=targets, base_pool=base_pool, centers=centers, config=cfg)
 
@@ -431,9 +429,6 @@ class SelectionOutcome:
     test_accuracy: float
     detail: str = ""
 
-    def n_selected(self) -> int | str:
-        return self.mixture_bits.count("1") if self.mixture_bits else ""
-
 
 @dataclass
 class TargetTable:
@@ -505,7 +500,7 @@ class BenchReport:
                         table.target_name,
                         method,
                         sel.mixture_bits,
-                        sel.n_selected(),
+                        sel.mixture_bits.count("1") if sel.mixture_bits else "",
                         repr(sel.val_accuracy),
                         repr(sel.test_accuracy),
                     ]

@@ -72,7 +72,6 @@ def write_target_dataset(path, seed=0, n=30, input_dim=4, classes=3):
         labels=list(rng.integers(0, classes, size=n)),
         num_classes=classes,
         name="target",
-        split="val",
     )
     write_eval_dataset(data, path)
     return data
@@ -232,6 +231,21 @@ def test_search_manifest_digests(tmp_path, capsys):
     expected = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digests[str(target)] == expected
     assert manifest["outputs"] == [str(out), str(tmp_path / "report.json")]
+
+
+def test_search_manifest_digests_only_the_files_it_read(tmp_path, capsys):
+    """A stray file in the bank directory and the reports written into it are not inputs."""
+    bank = make_bank_dir(tmp_path)
+    target = tmp_path / "target.mtm"
+    write_target_dataset(target)
+    out = bank / "report.csv"
+    argv = ["search", "--bank", str(bank), "--target", str(target), "--out", str(out)]
+    for _ in range(2):
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        manifest = json.loads((bank / "report.manifest.json").read_text())
+        read = [bank / "0_modela.mtm", bank / "1_modelb.mtm", target]
+        assert manifest["input_digests"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
 
 
 def test_search_min_loss_objective(tmp_path, capsys):
@@ -938,6 +952,21 @@ def test_bench_rejects_more_targets_than_streams(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--learning-rate", "nan", "learning_rate must be finite and positive, got nan"),
+        ("--cluster-noise", "nan", "cluster_noise must be finite and >= 0, got nan"),
+    ],
+    ids=["learning_rate", "cluster_noise"],
+)
+def test_bench_rejects_non_finite_rates_before_training(tmp_path, capsys, flag, value, message):
+    code, _, err = run_cli(["bench", "--out", str(tmp_path / "run"), flag, value], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: " + message]
+    assert not (tmp_path / "run").exists()
+
+
 def test_bench_bad_embedding_source_exits_1(tmp_path):
     proc = run_cli_process(["bench", "--out", str(tmp_path / "run"), "--embedding-source", "latent"])
     assert_clean_validation_failure(proc)
@@ -953,6 +982,44 @@ def test_bench_flags_mirror_config_fields():
         assert f.name in args, f.name
         assert args[f.name] == f.default and type(args[f.name]) is type(f.default), f.name
     assert args["train_seed"] is None
+
+
+# ============================================================================
+# usage errors
+# ============================================================================
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["search", "--bank", "b", "--target", "t", "--out", "r.csv", "--jobs", "x"],
+            "error: mergemix search: argument --jobs: invalid int value: 'x'",
+        ),
+        (
+            ["search", "--bank", "b", "--target", "t"],
+            "error: mergemix search: the following arguments are required: --out",
+        ),
+        ([], "error: mergemix: the following arguments are required: command"),
+        (
+            ["bench", "--out", "run", "--epochs", "ten"],
+            "error: mergemix bench: argument --epochs: invalid int value: 'ten'",
+        ),
+    ],
+    ids=["bad_value", "missing_flag", "no_command", "bad_bench_value"],
+)
+def test_usage_error_is_one_line_and_exit_1(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mergemix")
 
 
 # ============================================================================

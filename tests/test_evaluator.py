@@ -47,13 +47,12 @@ def identity_mlp(dim):
     )
 
 
-def dataset(features, labels, num_classes, split="test"):
+def dataset(features, labels, num_classes):
     return EvalDataset(
         features=np.asarray(features, dtype=np.float32),
         labels=list(labels),
         num_classes=num_classes,
         name="toy",
-        split=split,
     )
 
 
@@ -348,14 +347,28 @@ def test_external_template_must_have_placeholders(tmp_path):
 
 
 def test_eval_dataset_roundtrip(tmp_path):
-    data = dataset([[1.0, 2.0], [3.0, 4.0]], [0, 2], 3, split="val")
+    data = dataset([[1.0, 2.0], [3.0, 4.0]], [0, 2], 3)
     path = tmp_path / "d.mtm"
     write_eval_dataset(data, path)
     back = read_eval_dataset(path)
     assert np.array_equal(back.features, data.features)
     assert list(back.labels) == [0, 2]
     assert back.num_classes == 3
-    assert back.split == "val"
+
+
+def test_eval_dataset_container_with_a_split_key_still_loads(tmp_path):
+    """Containers written by versions that stored a split label read back; the key is ignored."""
+    path = tmp_path / "old.mtm"
+    ckpt = Checkpoint(
+        tensors={"features": tensor([[1.0, 2.0], [3.0, 4.0]]), "labels": tensor([0.0, 2.0])},
+        metadata={"name": "old", "split": "val", "num_classes": "3"},
+    )
+    write_checkpoint(ckpt, path)
+    back = read_eval_dataset(path)
+    assert back.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert back.labels.tolist() == [0, 2]
+    assert (back.name, back.num_classes) == ("old", 3)
+    assert not hasattr(back, "split")
 
 
 def test_eval_dataset_container_shape_errors(tmp_path):

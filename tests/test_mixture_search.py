@@ -3,7 +3,9 @@ every selection, and parity between serial and threaded scoring."""
 
 import hashlib
 import math
+import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -209,7 +211,6 @@ def test_builtin_eval_fn_scores_real_models():
         labels=[0, 1],
         num_classes=2,
         name="t",
-        split="val",
     )
     report = run_search(bank, builtin_eval_fn, target=target)
     assert report.best_alpha == "10"
@@ -339,7 +340,6 @@ def toy_target(seed, rows=40, input_dim=5, classes=4):
         labels=list(rng.integers(0, classes, size=rows)),
         num_classes=classes,
         name="target",
-        split="val",
     )
 
 
@@ -501,6 +501,31 @@ def test_a_failed_thread_stops_the_other_threads():
     with pytest.raises(EvaluatorError, match="^evaluation failed for mixture 000001: boom$"):
         run_search(tiny_bank(6), eval_fn, target=None, config=SearchConfig(jobs=2))
     assert len(calls) < 20, len(calls)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_an_interrupt_in_the_calling_thread_stops_the_other_threads(jobs):
+    """Ctrl-C 50 ms into a threaded search whose 63 mixtures take 10 ms each:
+    the slices stop at their next mixture, so the interrupt surfaces without
+    waiting for every remaining evaluation."""
+    calls = []
+
+    def eval_fn(ckpt, target, alpha):
+        calls.append(alpha)
+        time.sleep(0.01)
+        return Score(accuracy=0.5, mean_loss=0.0, num_samples=0)
+
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    timer = threading.Timer(0.05, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            timer.start()
+            run_search(tiny_bank(6), eval_fn, target=None, config=SearchConfig(jobs=jobs))
+    finally:
+        timer.cancel()
+        timer.join()
+        signal.signal(signal.SIGINT, previous)
+    assert len(calls) < 30, len(calls)
 
 
 def digest_eval_fn(ckpt, target, alpha):

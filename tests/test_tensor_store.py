@@ -365,7 +365,7 @@ _SHARED = np.arange(6, dtype=np.float32).reshape(3, 2)
     [
         lambda: Checkpoint(tensors={"w": _SHARED}),
         lambda: EmbeddingSet(embeddings=_SHARED, source_name="e"),
-        lambda: EvalDataset(features=_SHARED, labels=np.arange(3), num_classes=3, name="d", split="val"),
+        lambda: EvalDataset(features=_SHARED, labels=np.arange(3), num_classes=3, name="d"),
         lambda: ModelBank(models=[Checkpoint(tensors={"w": _SHARED})]),
         lambda: generate_universe(
             BenchConfig(

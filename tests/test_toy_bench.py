@@ -4,6 +4,7 @@ the end-to-end run_benchmark structure at micro scale."""
 
 import dataclasses
 import itertools
+import math
 import sys
 from unittest import mock
 
@@ -64,6 +65,9 @@ def test_bench_config_guards():
         BenchConfig(samples_per_dataset=5)
     with pytest.raises(ValidationError):
         BenchConfig(embedding_source="latent")
+    for noise in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValidationError, match=f"^cluster_noise must be finite and >= 0, got {noise}$"):
+            BenchConfig(cluster_noise=noise)
 
 
 def test_bench_config_allows_one_target_per_philox_stream():
@@ -79,6 +83,9 @@ def test_train_config_guards():
         TrainConfig(epochs=-1)
     with pytest.raises(ValidationError):
         TrainConfig(learning_rate=0.0)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=f"^learning_rate must be finite and positive, got {rate}$"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValidationError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValidationError):
@@ -181,7 +188,7 @@ def separable_dataset(n=60, seed=0):
     x1 = rng.standard_normal((n // 2, 2)) * 0.2 + np.array([-2.0, 0.0])
     x = np.concatenate([x0, x1]).astype(np.float32)
     y = np.array([0] * (n // 2) + [1] * (n // 2))
-    return EvalDataset(features=x, labels=list(y), num_classes=2, name="sep", split="train")
+    return EvalDataset(features=x, labels=list(y), num_classes=2, name="sep")
 
 
 def test_zero_epochs_is_identity():
@@ -320,12 +327,11 @@ def test_train_many_rejects_mismatched_runs():
         labels=[0] * 60,
         num_classes=2,
         name="wide",
-        split="train",
     )
     with pytest.raises(ValidationError, match="feature dim"):
         train_many(init, [a, wide], [(0,)], cfg, [1])
     three_class = EvalDataset(
-        features=a.features, labels=a.labels, num_classes=3, name="c3", split="train"
+        features=a.features, labels=a.labels, num_classes=3, name="c3"
     )
     with pytest.raises(ValidationError, match="classes"):
         train_many(init, [three_class], [(0,)], cfg, [1])
@@ -333,7 +339,7 @@ def test_train_many_rejects_mismatched_runs():
         train_many(init, [a], [(0,)], cfg, [1, 2])
 
 
-def concat_datasets(parts, name, split="train"):
+def concat_datasets(parts, name):
     """Concatenate datasets in the given (ascending dataset index) order."""
     if not parts:
         raise ValidationError("nothing to concatenate")
@@ -345,7 +351,6 @@ def concat_datasets(parts, name, split="train"):
         labels=np.concatenate([p.labels for p in parts], axis=0),
         num_classes=classes.pop(),
         name=name,
-        split=split,
     )
 
 
@@ -542,7 +547,7 @@ def test_trainer_and_scorer_compute_one_network():
         params = {name: arr.astype(np.float64) for name, arr in model.tensors.items()}
         for data in splits:
             loss, _ = loss_and_grads(params, data.features.astype(np.float64), data.labels)
-            assert evaluate_builtin(model, data).mean_loss == loss, (data.name, data.split)
+            assert evaluate_builtin(model, data).mean_loss == loss, data.name
 
 
 def test_benchmark_rejects_large_n():

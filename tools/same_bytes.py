@@ -7,7 +7,7 @@ Usage, from any directory:
 PARENT_DIR is another checkout of this repository, for example a
 `git archive` copy of the parent commit. Both trees run the same commands
 on the same inputs, each in a fresh interpreter with its own src/ on
-PYTHONPATH:
+PYTHONPATH and in a fresh working directory:
 
 - `mergemix bench --jobs 1` at the four BENCH_SETTINGS, comparing the five
   bench files;
@@ -17,7 +17,9 @@ PYTHONPATH:
   comparing report.csv and report.json;
 - the MERGE_GOLDEN cases of tests/test_cli.py: `merge` uniform, with unequal
   weights, with equal weights, and uniform over a bank with one uncertified
-  parameter in each of two tensors, comparing the checkpoint it writes.
+  parameter in each of two tensors, comparing the checkpoint it writes;
+- each script in demos/, the tree's own copy, comparing what it prints on
+  stdout.
 
 The inputs are built once, by this tree, and both trees read them. The
 script prints one line per file that differs, or that a tree failed to
@@ -49,10 +51,14 @@ BENCH_SETTINGS = (
 )
 REPORT_FILES = ("report.csv", "report.json")
 MERGE_FILES = ("merged.mtm",)
+DEMOS = tuple(sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 
 
-def cases(inputs: Path, bench_settings) -> list[tuple[str, list[str], tuple[str, ...]]]:
-    """(name, argv without --out, files the command writes), with the inputs built under inputs."""
+def cases(inputs: Path, bench_settings, demos) -> list[tuple[str, list[str], tuple[str, ...]]]:
+    """(name, argv without --out, files the command writes), with the inputs built under inputs.
+
+    A demo's argv is its path in the tree, and its one file is its stdout.
+    """
     out = [(" ".join(("bench", *s)), ["bench", "--jobs", "1", *s], BENCH_FILES) for s in bench_settings]
     builds = {**REPORT_ARGV, "merge": golden_merge_argv}
     for command, case in [*REPORT_GOLDEN, *(("merge", case) for case in MERGE_GOLDEN)]:
@@ -62,29 +68,40 @@ def cases(inputs: Path, bench_settings) -> list[tuple[str, list[str], tuple[str,
         i = argv.index("--out")
         files = MERGE_FILES if command == "merge" else REPORT_FILES
         out.append((f"{command} {case}", argv[:i] + argv[i + 2 :], files))
+    out += [(f"demo {name}", [f"demos/{name}"], ("stdout",)) for name in demos]
     return out
 
 
 def run(tree: Path, argv: list[str], out: Path, files: tuple[str, ...]) -> str:
-    """Run a mergemix command from tree's src/, writing files into out; stderr's last line if it fails."""
+    """Run a mergemix command or a demo from tree's src/ in out; stderr's last line if it fails."""
     out.mkdir(parents=True)
-    target = out if argv[0] == "bench" else out / files[0]
+    demo = argv[0].startswith("demos/")
+    if demo:
+        args = ["-B", str(tree / argv[0])]
+    else:
+        target = out if argv[0] == "bench" else out / files[0]
+        args = ["-m", "mergemix.cli", *argv, "--out", str(target)]
     proc = subprocess.run(
-        [sys.executable, "-m", "mergemix.cli", *argv, "--out", str(target)],
+        [sys.executable, *args],
+        cwd=out,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
     if proc.returncode == 0:
+        if demo:
+            (out / files[0]).write_text(proc.stdout)
         return ""
     last = proc.stderr.strip().splitlines()[-1:] or ["no stderr"]
     return f"exit {proc.returncode}: {last[0]}"
 
 
-def compare(this: Path, parent: Path, work: Path, bench_settings=BENCH_SETTINGS) -> tuple[list[str], int]:
+def compare(
+    this: Path, parent: Path, work: Path, bench_settings=BENCH_SETTINGS, demos=DEMOS
+) -> tuple[list[str], int]:
     """(one line per differing or missing file, the number of files compared), over every case."""
     lines, compared = [], 0
-    for k, (name, argv, files) in enumerate(cases(work / "inputs", bench_settings)):
+    for k, (name, argv, files) in enumerate(cases(work / "inputs", bench_settings, demos)):
         outs = []
         for side, tree in (("this", this), ("parent", parent)):
             out = work / side / str(k)
