@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -95,8 +95,8 @@ class CorrelationReport:
     per_task: dict[str, float]
     average_r: float
     excluded_count: int
-    skipped_tasks: list[str] = field(default_factory=list)
-    n_pairs: dict[str, int] = field(default_factory=dict)
+    skipped_tasks: list[str]
+    n_pairs: dict[str, int]
 
     def csv_header(self) -> list[str]:
         return ["task", "n_pairs", "r"]

@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--objective", choices=("accuracy", "loss"), default="accuracy")
     p_search.add_argument("--out", required=True, help="report CSV path (JSON written alongside)")
     p_search.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for an external evaluator (default 1)"
+        "--jobs", type=int, default=1, help="threads that score the mixtures, for any evaluator (default 1)"
     )
     p_search.add_argument(
         "--eval-timeout",

@@ -1,25 +1,26 @@
 """Exhaustive mixture search driven by merged-checkpoint surrogates.
 
 Every non-empty mixture is merged and scored; the best mixture under the
-objective is reported. The builtin scorer runs in blocks: _SCORE_BLOCK
-mixtures per merge_block call and per stacked forward pass. Any other
-evaluator gets one merged Checkpoint per mixture from the subset_merges walk.
-Results are ScoreColumns: int mixture codes and float64 score arrays, which
-build ScoreRecords only as they are iterated. Mixtures enter and leave as
-bit strings, e.g. "101" (see merge_engine.bits_code).
-best_row holds the tie-break that every selection in the package uses: the
-best value, then the fewest datasets, then the smaller code, so results are
-deterministic. It returns the winner's row, and each caller reads the code
-and the value from that row.
+objective is reported. One driver, _score_rows, fills the score columns from
+SearchConfig.jobs contiguous slices of the mixtures. The builtin scorer's
+slices run in blocks: _SCORE_BLOCK mixtures per merge_block call and per
+stacked forward pass. Any other evaluator's slices walk subset_merges, one
+merged Checkpoint per mixture. Results are ScoreColumns: int mixture codes
+and float64 score arrays, which build ScoreRecords only as they are
+iterated. Mixtures enter and leave as bit strings, e.g. "101" (see
+merge_engine.bits_code). best_row holds the tie-break that every selection
+in the package uses: the best value, then the fewest datasets, then the
+smaller code, so results are deterministic. It returns the winner's row.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -76,7 +77,7 @@ class SearchConfig:
     objective: str = "max_accuracy"
     # mixture bit strings of one length, e.g. ["110", "001"]; None enumerates all
     candidates: Sequence[str] | None = None
-    # worker threads for a per-mixture eval_fn; the builtin blocks run in one
+    # threads that score slices of the mixtures, for the builtin blocks and any other eval_fn alike
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -216,45 +217,79 @@ def _checked(first: str, ckpt: Checkpoint, target: TargetRef) -> EvalDataset:
     return data
 
 
-def _block_scores(
-    n: int, codes: np.ndarray, data: EvalDataset, stacked: Callable[[int, int], Iterable[np.ndarray]]
+def _score_rows(
+    n: int, codes: np.ndarray, jobs: int, score_slice: Callable[..., None], num_samples
 ) -> ScoreColumns:
-    """Builtin scores of one toy model per code, _SCORE_BLOCK models per stacked forward pass.
+    """The scores of mixture codes over n datasets, from min(jobs, len(codes)) contiguous slices of rows.
 
-    stacked(lo, hi) gives the TOY_TENSORS of the models of codes[lo:hi],
-    stacked on a leading axis. A row that is no valid Score fails the
-    search with Score's message, naming the first such mixture.
+    score_slice(lo, hi, columns, stop) writes rows [lo, hi) of the shared
+    (accuracy, mean_loss, num_samples) columns; num_samples is one shared
+    count or an array to fill. One slice runs inline, more run on threads.
+    Once a slice or the calling thread fails, stop is set and the other
+    slices end before their next block or mixture. Then the first row that
+    is no valid Score fails the search with Score's message, at every jobs.
     """
-    accuracy, mean_loss = np.empty(len(codes)), np.empty(len(codes))
-    for lo in range(0, len(codes), _SCORE_BLOCK):
-        hi = lo + _SCORE_BLOCK
-        correct, loss = toy_mlp_scores(*stacked(lo, hi), data)
-        accuracy[lo:hi] = correct / len(data)
-        mean_loss[lo:hi] = loss
+    columns = (np.empty(len(codes)), np.empty(len(codes)), num_samples)
+    stop = threading.Event()
+    jobs = min(jobs, len(codes))
+    if jobs == 1:
+        score_slice(0, len(codes), columns, stop)
+    else:
+        bounds = [len(codes) * k // jobs for k in range(jobs + 1)]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            try:
+                slices = [pool.submit(score_slice, bounds[k], bounds[k + 1], columns, stop) for k in range(jobs)]
+                wait(slices, return_when=FIRST_EXCEPTION)
+            finally:  # before the pool waits on its slices, so an error here (KeyboardInterrupt) stops them too
+                stop.set()
+        for done in slices:  # the error of the first failed slice, in row order
+            done.result()
+    records = ScoreColumns(n, codes, *columns)
+    accuracy, mean_loss, _ = columns
     valid = (accuracy >= 0.0) & (accuracy <= 1.0) & np.isfinite(mean_loss) & (mean_loss >= 0.0)
     if not valid.all():
         i = int(np.argmin(valid))
         try:
-            Score(accuracy[i].item(), mean_loss[i].item(), len(data))
+            Score(accuracy[i].item(), mean_loss[i].item(), records.num_samples[i].item())
         except ValidationError as exc:
             raise EvaluatorError(f"evaluation failed for mixture {code_bits(n, int(codes[i]))}: {exc}") from exc
-    return ScoreColumns(n, codes, accuracy, mean_loss, len(data))
+    return records
 
 
-def builtin_scores(bank: ModelBank, codes: np.ndarray, target: TargetRef) -> ScoreColumns:
+def _block_slice(
+    data: EvalDataset, stacked: Callable[[int, int], Mapping[str, np.ndarray]], lo: int, hi: int, columns, stop
+) -> None:
+    """Builtin scores of rows [lo, hi), from stacked(start, end): the toy models of rows [start, end)
+    as {tensor: [end - start, ...]}, _SCORE_BLOCK models per forward pass."""
+    accuracy, mean_loss, _ = columns
+    for start in range(lo, hi, _SCORE_BLOCK):
+        if stop.is_set():
+            return
+        end = min(start + _SCORE_BLOCK, hi)
+        block = stacked(start, end)
+        correct, loss = toy_mlp_scores(*(block[name] for name in TOY_TENSORS), data)
+        accuracy[start:end] = correct / len(data)
+        mean_loss[start:end] = loss
+
+
+def _merged_rows(bank: ModelBank, codes: np.ndarray, lo: int, hi: int) -> Mapping[str, np.ndarray]:
+    return merge_block(bank, codes[lo:hi])
+
+
+def _model_rows(models: Mapping[str, np.ndarray], lo: int, hi: int) -> Mapping[str, np.ndarray]:
+    return {name: arr[lo:hi] for name, arr in models.items()}
+
+
+def builtin_scores(bank: ModelBank, codes: np.ndarray, target: TargetRef, jobs: int = 1) -> ScoreColumns:
     """Builtin scores of the merged surrogates of mixture codes, _SCORE_BLOCK mixtures at a time.
 
-    Bit for bit the scores of evaluate_builtin on merge_uniform; the bank's
-    schema and the target are checked once.
+    Bit for bit the scores of evaluate_builtin on merge_uniform, at every
+    jobs; the bank's schema and the target are checked once.
     """
     n = len(bank)
     data = _checked(code_bits(n, int(codes[0])), bank.models[0], target)
-
-    def stacked(lo: int, hi: int) -> Iterable[np.ndarray]:
-        merged = merge_block(bank, codes[lo:hi])
-        return (merged[name] for name in TOY_TENSORS)
-
-    return _block_scores(n, codes, data, stacked)
+    scorer = functools.partial(_block_slice, data, functools.partial(_merged_rows, bank, codes))
+    return _score_rows(n, codes, jobs, scorer, len(data))
 
 
 def checkpoint_scores(
@@ -268,57 +303,27 @@ def checkpoint_scores(
     """
     first = Checkpoint(tensors={name: arr[0] for name, arr in models.items()})
     data = _checked(code_bits(n, int(codes[0])), first, target)
-
-    def stacked(lo: int, hi: int) -> Iterable[np.ndarray]:
-        return (models[name][lo:hi] for name in TOY_TENSORS)
-
-    return _block_scores(n, codes, data, stacked)
+    scorer = functools.partial(_block_slice, data, functools.partial(_model_rows, models))
+    return _score_rows(n, codes, 1, scorer, len(data))
 
 
-def _per_mixture_scores(
-    bank: ModelBank, codes: np.ndarray, eval_fn: EvalFn, target: TargetRef, jobs: int
-) -> ScoreColumns:
-    """eval_fn's score of each mixture's merged Checkpoint, from up to jobs threads.
-
-    Each thread walks its own slice of codes, formats each mixture's bits as
-    it goes and writes the scores into the shared columns, so no object per
-    mixture outlives its evaluation. Once a slice or the calling thread
-    fails, the others stop before their next mixture.
-    """
-    n = len(bank)
-    accuracy, mean_loss = np.empty(len(codes)), np.empty(len(codes))
-    num_samples = np.empty(len(codes), dtype=np.int64)
-    failed = threading.Event()
-
-    def score_slice(lo: int, hi: int) -> None:
-        order = (code_bits(n, code) for code in codes[lo:hi].tolist() if not failed.is_set())
+def _mixture_slice(
+    bank: ModelBank, codes: np.ndarray, eval_fn: EvalFn, target: TargetRef, lo: int, hi: int, columns, stop
+) -> None:
+    """eval_fn's scores of rows [lo, hi), one merged Checkpoint per mixture from the subset_merges walk;
+    no object per mixture outlives its evaluation."""
+    accuracy, mean_loss, num_samples = columns
+    order = (code_bits(len(bank), code) for code in codes[lo:hi].tolist() if not stop.is_set())
+    for i, (alpha, merged) in enumerate(subset_merges(bank, order), lo):
         try:
-            for i, (alpha, merged) in enumerate(subset_merges(bank, order), lo):
-                try:
-                    score = eval_fn(merged, target, alpha)
-                except ExternalEvaluatorError as exc:
-                    raise ExternalEvaluatorError(f"mixture {alpha}: {exc}") from exc
-                except Exception as exc:
-                    raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
-                if not isinstance(score, Score):
-                    returned = type(score).__name__
-                    raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {returned}")
-                accuracy[i], mean_loss[i], num_samples[i] = score.accuracy, score.mean_loss, score.num_samples
-        except BaseException:
-            failed.set()
-            raise
-
-    if jobs > 1 and len(codes) > 1:
-        jobs = min(jobs, len(codes))
-        step = (len(codes) + jobs - 1) // jobs
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            try:
-                list(pool.map(lambda lo: score_slice(lo, lo + step), range(0, len(codes), step)))
-            finally:  # before the pool waits on its slices, so an error here (KeyboardInterrupt) stops them
-                failed.set()
-    else:
-        score_slice(0, len(codes))
-    return ScoreColumns(n, codes, accuracy, mean_loss, num_samples)
+            score = eval_fn(merged, target, alpha)
+        except ExternalEvaluatorError as exc:
+            raise ExternalEvaluatorError(f"mixture {alpha}: {exc}") from exc
+        except Exception as exc:
+            raise EvaluatorError(f"evaluation failed for mixture {alpha}: {exc}") from exc
+        if not isinstance(score, Score):
+            raise EvaluatorError(f"evaluation failed for mixture {alpha}: evaluator returned {type(score).__name__}")
+        accuracy[i], mean_loss[i], num_samples[i] = score.accuracy, score.mean_loss, score.num_samples
 
 
 def run_search(
@@ -346,19 +351,13 @@ def run_search(
         codes = gray_codes(n)
 
     if eval_fn is builtin_eval_fn:
-        records = builtin_scores(bank, codes, target)
+        records = builtin_scores(bank, codes, target, config.jobs)
     else:
-        records = _per_mixture_scores(bank, codes, eval_fn, target, config.jobs)
+        scorer = functools.partial(_mixture_slice, bank, codes, eval_fn, target)
+        records = _score_rows(n, codes, config.jobs, scorer, np.empty(len(codes), dtype=np.int64))
 
     field, direction = ("accuracy", "maximize") if config.objective == "max_accuracy" else ("mean_loss", "minimize")
     best = best_row(codes, getattr(records, field), direction)
-    if isinstance(target, EvalDataset):
-        target_name = target.name
-    else:
-        target_name = str(target)
-    return SearchReport(
-        records=records,
-        best_alpha=code_bits(n, int(codes[best])),
-        objective=config.objective,
-        target_name=target_name,
-    )
+    target_name = target.name if isinstance(target, EvalDataset) else str(target)
+    best_alpha = code_bits(n, int(codes[best]))
+    return SearchReport(records=records, best_alpha=best_alpha, objective=config.objective, target_name=target_name)

@@ -335,7 +335,9 @@ def train_many(
     Every run must see the same number of rows, so all runs share batch
     boundaries and step counts. Each run's result is bit-identical to
     training it alone. Returns {tensor: float32 [runs, ...]}, row r
-    holding run r's parameters.
+    holding run r's parameters. A step that overflows, divides by zero or
+    makes a NaN, or a weight past float32, raises ValidationError naming
+    the epoch and learning_rate.
     """
     if len(selections) != len(run_keys):
         raise ValidationError(f"{len(selections)} selections but {len(run_keys)} run keys")
@@ -366,17 +368,24 @@ def train_many(
     stacked = {name: np.repeat(arr[None], runs, axis=0) for name, arr in params.items()}
     weights = [stacked[name] for name in TOY_TENSORS]
     rngs = [_rng(cfg.seed, _STREAM_TRAIN_BASE + key) for key in run_keys]
-    for _ in range(cfg.epochs):
-        order = np.stack([r[rng.permutation(n)] for r, rng in zip(rows, rngs)])
-        for start in range(0, n, cfg.batch_size):
-            sel = order[:, start : start + cfg.batch_size]
-            xb = x[sel]
-            hidden, logits = toy_mlp_logits(xb, *weights)
-            exp = np.exp(shift_by_row_max(logits), out=logits)
-            grads = _backward(stacked, xb, y[sel], hidden, exp)
-            for name in stacked:
-                stacked[name] -= cfg.learning_rate * grads[name]
-    return {name: arr.astype(np.float32) for name, arr in stacked.items()}
+    epoch = 0
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(1, cfg.epochs + 1):
+                order = np.stack([r[rng.permutation(n)] for r, rng in zip(rows, rngs)])
+                for start in range(0, n, cfg.batch_size):
+                    sel = order[:, start : start + cfg.batch_size]
+                    xb = x[sel]
+                    hidden, logits = toy_mlp_logits(xb, *weights)
+                    exp = np.exp(shift_by_row_max(logits), out=logits)
+                    grads = _backward(stacked, xb, y[sel], hidden, exp)
+                    for name in stacked:
+                        stacked[name] -= cfg.learning_rate * grads[name]
+            return {name: arr.astype(np.float32) for name, arr in stacked.items()}
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"training diverged in epoch {epoch} of {cfg.epochs} at learning_rate {cfg.learning_rate}: {exc}"
+        ) from exc
 
 
 def train(init: Checkpoint, data: EvalDataset, cfg: TrainConfig, run_key: int = 0) -> Checkpoint:

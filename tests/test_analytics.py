@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mergemix import (
     CorrelationInput,
+    CorrelationReport,
     ValidationError,
     correlate_tasks,
     emit_report,
@@ -154,6 +155,12 @@ def test_all_tasks_skipped_is_an_empty_report():
     assert report.skipped_tasks == ["only", "flat"]
     assert report.excluded_count == 3
     assert report.to_json_obj()["average_r"] is None
+
+
+def test_correlation_report_needs_its_skipped_tasks_and_pair_counts():
+    """A report without n_pairs could not write its CSV rows, so both fields are required."""
+    with pytest.raises(TypeError, match="skipped_tasks.*n_pairs"):
+        CorrelationReport(per_task={"T1": 0.5}, average_r=0.5, excluded_count=0)
 
 
 def test_duplicate_task_rejected():

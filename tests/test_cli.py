@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -964,6 +965,18 @@ def test_bench_rejects_non_finite_rates_before_training(tmp_path, capsys, flag, 
     code, _, err = run_cli(["bench", "--out", str(tmp_path / "run"), flag, value], capsys)
     assert code == 1
     assert err.splitlines() == ["error: " + message]
+    assert not (tmp_path / "run").exists()
+
+
+def test_bench_stops_a_diverging_learning_rate_at_its_first_bad_step(tmp_path):
+    """At learning rate 1e300 the pretrain's first step overflows: the bench stops there with one
+    line that names the epoch and the rate, and numpy prints no RuntimeWarning."""
+    argv = ["bench", "--learning-rate", "1e300", "--num-datasets", "3", "--samples-per-dataset", "100"]
+    proc = run_cli_process([*argv, "--jobs", "1", "--out", str(tmp_path / "run")])
+    assert_clean_validation_failure(proc)
+    assert "RuntimeWarning" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(r"error: training diverged in epoch 1 of \d+ at learning_rate 1e\+300: overflow .*", line)
     assert not (tmp_path / "run").exists()
 
 

@@ -26,7 +26,7 @@ from mergemix import (
 )
 from mergemix import emit_report, mixture_search
 from mergemix.baselines import SimilarityTable, select_from_table
-from mergemix.evaluator import evaluate_builtin
+from mergemix.evaluator import evaluate_builtin, toy_mlp_scores
 from mergemix.merge_engine import (
     MAX_ENUMERATION_N,
     code_bits,
@@ -526,6 +526,81 @@ def test_an_interrupt_in_the_calling_thread_stops_the_other_threads(jobs):
         timer.join()
         signal.signal(signal.SIGINT, previous)
     assert len(calls) < 30, len(calls)
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 8])
+def test_threaded_blocks_land_in_their_own_rows(monkeypatch, jobs):
+    """The builtin blocks run on the jobs threads too: with blocks of 3, more
+    threads than cores and a short switch interval, every row holds the
+    per-mixture loop's score of its own mixture."""
+    monkeypatch.setattr(mixture_search, "_SCORE_BLOCK", 3)
+    threads = set()
+
+    def scores(*args):
+        threads.add(threading.get_ident())
+        return toy_mlp_scores(*args)
+
+    monkeypatch.setattr(mixture_search, "toy_mlp_scores", scores)
+    bank, data = toy_bank(6, seed=4), toy_target(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = run_search(bank, builtin_eval_fn, data, SearchConfig(jobs=jobs)).records
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(records) == reference_records(bank, list(gray_code_order(6)), data)
+    assert threads and threading.main_thread().ident not in threads
+
+
+def test_a_failed_block_stops_the_other_slices(monkeypatch):
+    """Blocks of 2 on two threads: slice one's first block fails after 50 ms
+    while slice two's 32 blocks take 10 ms each, so slice two stops at its
+    next block instead of scoring on to its end."""
+    monkeypatch.setattr(mixture_search, "_SCORE_BLOCK", 2)
+    bank, data = toy_bank(7, seed=4), toy_target(8)
+    first = merge_block(bank, gray_codes(7)[:2])["w1"]
+    calls = []
+
+    def scores(w1, b1, w2, b2, data):
+        calls.append(threading.get_ident())
+        failing = np.array_equal(w1, first)
+        time.sleep(0.05 if failing else 0.01)
+        if failing:
+            raise RuntimeError("boom")
+        return toy_mlp_scores(w1, b1, w2, b2, data)
+
+    monkeypatch.setattr(mixture_search, "toy_mlp_scores", scores)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_search(bank, builtin_eval_fn, data, SearchConfig(jobs=2))
+    assert len(set(calls)) == 2 and len(calls) < 20, len(calls)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_an_interrupt_in_the_calling_thread_stops_the_block_slices(monkeypatch, jobs):
+    """Ctrl-C 50 ms into a threaded builtin search whose 64 blocks take 10 ms
+    each: the slices stop at their next block, so the interrupt surfaces
+    without waiting for every remaining block."""
+    monkeypatch.setattr(mixture_search, "_SCORE_BLOCK", 2)
+    calls = []
+
+    def scores(*args):
+        calls.append(threading.get_ident())
+        time.sleep(0.01)
+        return toy_mlp_scores(*args)
+
+    monkeypatch.setattr(mixture_search, "toy_mlp_scores", scores)
+    bank, data = toy_bank(7, seed=4), toy_target(8)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    timer = threading.Timer(0.05, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            timer.start()
+            run_search(bank, builtin_eval_fn, data, SearchConfig(jobs=jobs))
+    finally:
+        timer.cancel()
+        timer.join()
+        signal.signal(signal.SIGINT, previous)
+    assert len(set(calls)) > 1 and len(calls) < 40, len(calls)
 
 
 def digest_eval_fn(ckpt, target, alpha):

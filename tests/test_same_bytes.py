@@ -17,7 +17,8 @@ def test_this_tree_writes_its_own_bytes_at_the_smallest_setting(tmp_path):
         ROOT, ROOT, tmp_path, same_bytes.BENCH_SETTINGS[-1:], ("merge_basics.py",)
     )
     assert lines == []
-    reports = len(same_bytes.REPORT_GOLDEN) * 2 + len(same_bytes.MERGE_GOLDEN)
+    searches = sum(command == "search" for command, _ in same_bytes.REPORT_GOLDEN) * len(same_bytes.SEARCH_JOBS)
+    reports = (len(same_bytes.REPORT_GOLDEN) + searches) * 2 + len(same_bytes.MERGE_GOLDEN)
     assert compared == len(same_bytes.BENCH_SETTINGS[-1:]) * 5 + reports + 1
 
 
@@ -33,10 +34,12 @@ def test_a_tree_with_other_json_is_named_file_by_file(tmp_path):
         lines, compared = same_bytes.compare(
             ROOT, other, tmp_path / "work", same_bytes.BENCH_SETTINGS[-1:], demos=()
         )
-    assert compared == 5 + 2 * 2 + len(same_bytes.MERGE_GOLDEN)
+    assert compared == 5 + (2 + 2) * 2 + len(same_bytes.MERGE_GOLDEN)
     assert lines == [
         "bench --seed 3 --num-datasets 2: report.json differs",
         "search accuracy: report.json differs",
+        "search accuracy --jobs 2: report.json differs",
+        "search accuracy --jobs 3: report.json differs",
         "similarity min_min_l2: report.json differs",
     ]
 

@@ -508,7 +508,9 @@ def test_benchmark_raises_when_a_method_beats_the_oracle(monkeypatch):
 def test_best_similarity_metric_ties_resolve_to_canonical_order(monkeypatch):
     from mergemix import toy_bench
 
-    tied = CorrelationReport(per_task={"T1": 0.5, "T2": 0.5}, average_r=0.5, excluded_count=0)
+    tied = CorrelationReport(
+        per_task={"T1": 0.5, "T2": 0.5}, average_r=0.5, excluded_count=0, skipped_tasks=[], n_pairs={"T1": 3, "T2": 3}
+    )
     monkeypatch.setattr(toy_bench, "correlate_tasks", lambda inputs: tied)
     report = run_benchmark(MICRO_BENCH, MICRO_TRAIN)
     assert report.best_similarity_correlation_metric == "avg_max_cos"

@@ -12,9 +12,10 @@ PYTHONPATH and in a fresh working directory:
 - `mergemix bench --jobs 1` at the four BENCH_SETTINGS, comparing the five
   bench files;
 - the REPORT_GOLDEN cases of tests/test_cli.py: `search` (builtin under both
-  objectives, and external through perfbench/param_eval.py), `similarity`
-  (all six metrics) and `correlate` (singletons excluded and included),
-  comparing report.csv and report.json;
+  objectives, and external through perfbench/param_eval.py), each also at
+  every `--jobs` of SEARCH_JOBS, `similarity` (all six metrics) and
+  `correlate` (singletons excluded and included), comparing report.csv and
+  report.json;
 - the MERGE_GOLDEN cases of tests/test_cli.py: `merge` uniform, with unequal
   weights, with equal weights, and uniform over a bank with one uncertified
   parameter in each of two tensors, comparing the checkpoint it writes;
@@ -49,6 +50,8 @@ BENCH_SETTINGS = (
     ("--seed", "7", "--num-datasets", "4", "--embedding-source", "raw"),
     ("--seed", "3", "--num-datasets", "2"),
 )
+# search scores its mixtures from this many threads as well as from one
+SEARCH_JOBS = (2, 3)
 REPORT_FILES = ("report.csv", "report.json")
 MERGE_FILES = ("merged.mtm",)
 DEMOS = tuple(sorted(p.name for p in (ROOT / "demos").glob("*.py")))
@@ -66,8 +69,11 @@ def cases(inputs: Path, bench_settings, demos) -> list[tuple[str, list[str], tup
         where.mkdir(parents=True)
         argv = builds[command](where, case)
         i = argv.index("--out")
+        argv = argv[:i] + argv[i + 2 :]
         files = MERGE_FILES if command == "merge" else REPORT_FILES
-        out.append((f"{command} {case}", argv[:i] + argv[i + 2 :], files))
+        out.append((f"{command} {case}", argv, files))
+        if command == "search":
+            out += [(f"search {case} --jobs {j}", [*argv, "--jobs", str(j)], files) for j in SEARCH_JOBS]
     out += [(f"demo {name}", [f"demos/{name}"], ("stdout",)) for name in demos]
     return out
 
