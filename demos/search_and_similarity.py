@@ -46,10 +46,11 @@ for rec in report.records:
 chosen = [name for name, bit in zip(bank.names, report.best_alpha) if bit == "1"]
 print("best mixture:", report.best_alpha, "->", chosen)
 
-# the similarity baseline never trains anything, it only compares embeddings
+# the similarity baseline never trains anything, it only compares embeddings;
+# each table selects in its own metric's direction
 target_emb = EmbeddingSet(embeddings=target.features, source_name="target")
 dataset_embs = [EmbeddingSet(embeddings=d.features, source_name=d.name) for d in datasets]
 for metric in (SimilarityMetric.AVG_MAX_COS, SimilarityMetric.MIN_MIN_L2):
     table = similarity_table(target_emb, dataset_embs, metric)
-    alpha, score = select_from_table(table, metric.direction)
+    alpha, score = select_from_table(table)
     print(f"{metric.value}: best {alpha} (score {score:.4f}) out of {len(table)} mixtures")

@@ -203,7 +203,7 @@ def emit_report(report, format: str, path: str | Path) -> None:
     """Serialize a report deterministically as CSV or JSON.
 
     Any report object exposing csv_header()/csv_rows() and to_json_obj()
-    (SearchReport, CorrelationReport, BenchReport) is accepted.
+    (SearchReport, CorrelationReport, BenchReport, SimilarityTable) is accepted.
     """
     if format not in REPORT_FORMATS:
         raise ValidationError(f"format must be one of {REPORT_FORMATS}, got {format!r}")

@@ -4,7 +4,9 @@ Similarity metrics compare a target embedding set against the pooled
 embeddings of a candidate mixture (the multiset union of the selected
 datasets' rows). Cosine kinds are maximized, L2 kinds minimized. Raw
 embeddings are not L2-normalized before distance computation; cosine kinds
-normalize internally by definition.
+normalize internally by definition. A SimilarityTable holds every mixture's
+score under one metric, selects in that metric's direction and serializes
+itself as a report, like SearchReport and CorrelationReport.
 """
 
 from __future__ import annotations
@@ -150,20 +152,22 @@ def _mask_values(rows: np.ndarray, op: np.ufunc, finish) -> np.ndarray:
 
 
 class SimilarityTable(Mapping[str, float]):
-    """A read-only Mapping from the bit strings of all 2^n - 1 non-empty mixtures to scores.
+    """A read-only Mapping from the bit strings of all 2^n - 1 non-empty mixtures to their metric scores.
 
     scores[i] belongs to the mixture gray_codes(n)[i], and keys iterate in
     that order, formatted when read. A lookup parses its key with bits_code,
     so a bad key raises KeyError, and finds the entry by its Gray rank.
     Values are Python floats, and dict(table), like copy.deepcopy, gives the
-    items as a plain dict, the form to edit.
+    items as a plain dict, the form to edit. As a report, its CSV rows are
+    in ascending bit order and its JSON names the metric and the best mixture.
     """
 
-    __slots__ = ("n", "scores")
+    __slots__ = ("n", "scores", "metric")
 
-    def __init__(self, n: int, scores: np.ndarray) -> None:
+    def __init__(self, n: int, scores: np.ndarray, metric: SimilarityMetric) -> None:
         self.n = n
         self.scores = scores
+        self.metric = metric
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -183,6 +187,25 @@ class SimilarityTable(Mapping[str, float]):
 
     def __deepcopy__(self, memo: dict) -> dict[str, float]:
         return dict(self)
+
+    def csv_header(self) -> list[str]:
+        return ["mixture_bits", "metric", "score"]
+
+    def csv_rows(self) -> Iterator[list]:
+        """One row per mixture in ascending bit order, made as it is written; bit strings of one length
+        sort as their codes, and the sorted codes are 1 .. 2^n - 1."""
+        ascending = self.scores[np.argsort(gray_codes(self.n))].tolist()
+        return ([code_bits(self.n, code), self.metric.value, repr(s)] for code, s in enumerate(ascending, 1))
+
+    def to_json_obj(self) -> dict:
+        best_alpha, best_score = select_from_table(self)
+        return {
+            "metric": self.metric.value,
+            "direction": self.metric.direction,
+            "best_alpha": best_alpha,
+            "best_score": best_score,
+            "scores": dict(zip(self, self.scores.tolist())),
+        }
 
 
 def similarity_table(
@@ -219,7 +242,7 @@ def similarity_tables(
         for metric in kind:
             scores = _mask_scores(pairs, metric)[masks]
             scores.setflags(write=False)
-            tables[metric] = SimilarityTable(n, scores)
+            tables[metric] = SimilarityTable(n, scores, metric)
         del pairs  # freed before the other kind's matrices are built
     return [tables[metric] for metric in metrics]
 
@@ -252,14 +275,14 @@ def _mask_scores(pairs: list[np.ndarray], metric: SimilarityMetric) -> np.ndarra
     return _mask_values(rows, op, finish)
 
 
-def select_from_table(table: SimilarityTable, direction: str) -> tuple[str, float]:
+def select_from_table(table: SimilarityTable) -> tuple[str, float]:
     """The bits and the score of the best mixture in a similarity table, by best_row's tie-break.
 
-    direction is "maximize" or "minimize". The score is the winner's own
+    The table's metric sets the direction. The score is the winner's own
     entry, so a -0.0 keeps its sign.
     """
     if not table:
         raise ValidationError("empty score table")
     codes = gray_codes(table.n)
-    row = best_row(codes, table.scores, direction)
+    row = best_row(codes, table.scores, table.metric.direction)
     return code_bits(table.n, int(codes[row])), table.scores[row].item()

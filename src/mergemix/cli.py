@@ -1,7 +1,9 @@
 """Command-line entry point exposing every pipeline stage.
 
 Subcommands: merge, search, similarity, correlate, bench. stdout carries one
-machine-readable JSON line per command; diagnostics go to stderr. Exit codes:
+machine-readable JSON line per command; diagnostics go to stderr. search,
+similarity and correlate write their report through one path: the report's
+own CSV at --out, its JSON beside it and a manifest of both. Exit codes:
 0 success, 1 validation or usage error, 2 I/O error, 3 external-evaluator failure.
 Set MERGEMIX_LOG to error/warn/info/debug to control stderr logging.
 """
@@ -22,17 +24,10 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analytics import (
-    CorrelationInput,
-    correlate_tasks,
-    emit_report,
-    finite_or_none,
-    write_csv,
-    write_json,
-)
+from .analytics import CorrelationInput, correlate_tasks, emit_report, finite_or_none, write_json
 from .baselines import SimilarityMetric, similarity_table, select_from_table
 from .errors import ExternalEvaluatorError, MergeMixError, ValidationError
-from .evaluator import evaluate_external, read_eval_dataset
+from .evaluator import evaluate_external, evaluator_argv, read_eval_dataset
 from .merge_engine import ModelBank, merge_uniform, merge_weighted
 from .mixture_search import SearchConfig, builtin_eval_fn, run_search
 from .tensor_store import read_checkpoint, read_embeddings, write_checkpoint
@@ -103,6 +98,16 @@ def _manifest(
     write_json(path, manifest)
 
 
+def _write_report(args: argparse.Namespace, report, inputs: list[Path], started: str) -> Path:
+    """Write report as CSV at --out and as JSON beside it, then the manifest of both; the CSV's path."""
+    out_csv = Path(args.out)
+    out_json = out_csv.with_suffix(".json")
+    emit_report(report, "csv", out_csv)
+    emit_report(report, "json", out_json)
+    _manifest(out_csv.parent / (out_csv.stem + ".manifest.json"), args, inputs, started, [out_csv, out_json])
+    return out_csv
+
+
 def _print_json(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -152,48 +157,40 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     started = _now()
-    bank, manifest_inputs = _load_bank_dir(Path(args.bank))
-    config = SearchConfig(
-        objective="max_accuracy" if args.objective == "accuracy" else "min_loss",
-        jobs=args.jobs,
-    )
+    builtin = args.evaluator == "builtin"
+    if not builtin:
+        try:
+            evaluator_argv(args.evaluator)
+        except ValidationError as exc:
+            raise ValidationError(f"--evaluator: {exc}") from None
+    config = SearchConfig(objective="max_accuracy" if args.objective == "accuracy" else "min_loss", jobs=args.jobs)
     if args.eval_timeout is not None and not (0.0 < args.eval_timeout < float("inf")):
-        raise ValidationError(
-            f"--eval-timeout must be a positive number of seconds, got {args.eval_timeout}"
-        )
-
-    if args.evaluator == "builtin":
+        raise ValidationError(f"--eval-timeout must be a positive number of seconds, got {args.eval_timeout}")
+    bank, inputs = _load_bank_dir(Path(args.bank))
+    if builtin:
+        inputs.append(Path(args.target))
         target = read_eval_dataset(Path(args.target))
         report = run_search(bank, builtin_eval_fn, target, config)
     else:
-        template = args.evaluator
         with tempfile.TemporaryDirectory(prefix="mergemix-search-") as tmp:
-            workdir = Path(tmp)
 
             def eval_fn(ckpt, target, alpha):
-                ckpt_path = workdir / f"merged_{alpha}.mtm"
+                ckpt_path = Path(tmp) / f"merged_{alpha}.mtm"
                 write_checkpoint(ckpt, ckpt_path)
                 try:
-                    return evaluate_external(ckpt_path, target, template, args.eval_timeout)
+                    return evaluate_external(ckpt_path, target, args.evaluator, args.eval_timeout)
                 finally:
                     ckpt_path.unlink(missing_ok=True)
 
             report = run_search(bank, eval_fn, args.target, config)
-    out_csv = Path(args.out)
-    out_json = out_csv.with_suffix(".json")
-    emit_report(report, "csv", out_csv)
-    emit_report(report, "json", out_json)
-    if args.evaluator == "builtin":
-        manifest_inputs.append(Path(args.target))
-    manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
-    _manifest(manifest_path, args, manifest_inputs, started, [out_csv, out_json])
+    out = _write_report(args, report, inputs, started)
     best = report.best_alpha
     _print_json(
         {
             "best_alpha": best,
             "datasets": [name for name, bit in zip(bank.names, best) if bit == "1"],
             "objective": report.objective,
-            "out": str(out_csv),
+            "out": str(out),
         }
     )
     return EXIT_OK
@@ -203,31 +200,10 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     started = _now()
     target = read_embeddings(Path(args.target))
     per_dataset = [read_embeddings(Path(p)) for p in args.datasets]
-    metric = SimilarityMetric.from_name(args.metric)
-    table = similarity_table(target, per_dataset, metric)
-    best_alpha, best_score = select_from_table(table, metric.direction)
-    # table.scores follows the table's key order, so no key is parsed back
-    scores = dict(sorted(zip(table, table.scores.tolist())))
-
-    out_csv = Path(args.out)
-    write_csv(
-        out_csv,
-        ["mixture_bits", "metric", "score"],
-        ([bits, metric.value, repr(score)] for bits, score in scores.items()),
-    )
-    out_json = out_csv.with_suffix(".json")
-    payload = {
-        "metric": metric.value,
-        "direction": metric.direction,
-        "best_alpha": best_alpha,
-        "best_score": best_score,
-        "scores": scores,
-    }
-    write_json(out_json, payload)
-    inputs = [Path(args.target)] + [Path(p) for p in args.datasets]
-    manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
-    _manifest(manifest_path, args, inputs, started, [out_csv, out_json])
-    _print_json({"best_alpha": best_alpha, "metric": metric.value, "score": best_score})
+    table = similarity_table(target, per_dataset, SimilarityMetric.from_name(args.metric))
+    _write_report(args, table, [Path(args.target), *map(Path, args.datasets)], started)
+    best_alpha, best_score = select_from_table(table)
+    _print_json({"best_alpha": best_alpha, "metric": table.metric.value, "score": best_score})
     return EXIT_OK
 
 
@@ -266,18 +242,13 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     report = correlate_tasks(inputs, exclude_singletons=not args.include_singletons)
     if not report.per_task:
         raise ValidationError("no task has enough usable pairs for a correlation")
-    out_csv = Path(args.out)
-    out_json = out_csv.with_suffix(".json")
-    emit_report(report, "csv", out_csv)
-    emit_report(report, "json", out_json)
-    manifest_path = out_csv.parent / (out_csv.stem + ".manifest.json")
-    _manifest(manifest_path, args, [pairs_path], started, [out_csv, out_json])
+    out = _write_report(args, report, [pairs_path], started)
     _print_json(
         {
             "average_r": report.average_r,
             "tasks": len(report.per_task),
             "excluded": report.excluded_count,
-            "out": str(out_csv),
+            "out": str(out),
         }
     )
     return EXIT_OK

@@ -205,22 +205,30 @@ def _stderr_tail(stderr: str) -> str:
     return " | ".join(lines[-STDERR_TAIL_LINES:])[-STDERR_TAIL_CHARS:]
 
 
+def evaluator_argv(command_template: str) -> list[str]:
+    """The tokens of a command template that holds {checkpoint} and {data}, split as a POSIX shell splits."""
+    if "{checkpoint}" not in command_template or "{data}" not in command_template:
+        raise ValidationError("command template must contain {checkpoint} and {data}")
+    try:
+        return shlex.split(command_template)
+    except ValueError as exc:
+        raise ValidationError(f"command template does not split into arguments: {exc}") from None
+
+
 def evaluate_external(
     ckpt_path: str | Path, data_ref: str, command_template: str, timeout: float | None = None
 ) -> Score:
     """Run an external evaluator command and parse its final stdout line.
 
-    The template must contain {checkpoint} and {data} placeholders, which are
-    substituted per argument token (never through a shell). The final stdout
-    line must be a JSON object {"accuracy": <float in [0,1]>, "loss": <float >= 0>},
-    and stdout must be UTF-8. An evaluator still running after timeout
-    seconds is killed and reaped; None means no limit.
+    The template is split by evaluator_argv, and its {checkpoint} and {data}
+    placeholders are substituted per argument token (never through a shell).
+    The final stdout line must be a JSON object {"accuracy": <float in [0,1]>,
+    "loss": <float >= 0>}, and stdout must be UTF-8. An evaluator still running
+    after timeout seconds is killed and reaped; None means no limit.
     """
-    if "{checkpoint}" not in command_template or "{data}" not in command_template:
-        raise ValidationError("command template must contain {checkpoint} and {data}")
     argv = [
         token.replace("{checkpoint}", str(ckpt_path)).replace("{data}", str(data_ref))
-        for token in shlex.split(command_template)
+        for token in evaluator_argv(command_template)
     ]
     try:
         proc = subprocess.run(argv, capture_output=True, timeout=timeout)

@@ -417,13 +417,16 @@ def pretrain_base(universe: Universe, cfg: TrainConfig) -> Checkpoint:
 
     Runs max(1, epochs // 2) epochs from a seeded fan-in-scaled uniform
     initialization; fine-tuning from this capable base keeps the per-dataset
-    models mergeable.
+    models mergeable. A training error names the pretrain stage.
     """
     bench_cfg = universe.config
     rng = _rng(cfg.seed, _STREAM_INIT)
     init = init_checkpoint(rng, bench_cfg.input_dim, cfg.hidden_dim, bench_cfg.num_clusters)
     pre_cfg = dataclasses.replace(cfg, epochs=max(1, cfg.epochs // 2))
-    return train(init, universe.base_pool, pre_cfg, run_key=0)
+    try:
+        return train(init, universe.base_pool, pre_cfg, run_key=0)
+    except ValidationError as exc:
+        raise ValidationError(f"pretrain stage: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +507,9 @@ class BenchReport:
         for table in self.per_target:
             for method in self.SELECTION_METHODS:
                 sel = table.selections[method]
-                rows.append(
-                    [
-                        table.target_name,
-                        method,
-                        sel.mixture_bits,
-                        sel.mixture_bits.count("1") if sel.mixture_bits else "",
-                        repr(sel.val_accuracy),
-                        repr(sel.test_accuracy),
-                    ]
-                )
+                size = sel.mixture_bits.count("1") if sel.mixture_bits else ""
+                accuracies = (repr(sel.val_accuracy), repr(sel.test_accuracy))
+                rows.append([table.target_name, method, sel.mixture_bits, size, *accuracies])
         return rows
 
     def to_json_obj(self) -> dict:
@@ -555,15 +551,8 @@ class BenchReport:
         n = len(self.dataset_names)
         write_csv(
             mixtures_csv,
-            [
-                "target",
-                "mixture_bits",
-                "n_selected",
-                "merged_val_accuracy",
-                "merged_test_accuracy",
-                "finetuned_val_accuracy",
-                "finetuned_test_accuracy",
-            ],
+            ["target", "mixture_bits", "n_selected", "merged_val_accuracy", "merged_test_accuracy",
+             "finetuned_val_accuracy", "finetuned_test_accuracy"],
             (
                 [t.target_name, code_bits(n, code), code.bit_count(), *map(repr, accuracies)]
                 for t in self.per_target
@@ -706,12 +695,12 @@ def _similarity_baseline(
     """
     corr_inputs: dict[str, list[CorrelationInput]] = {m.value: [] for m in SimilarityMetric}
     picks: dict[str, list[int]] = {m.value: [] for m in SimilarityMetric}  # one row per target
-    metrics = list(SimilarityMetric)
     for table, tg_emb in zip(per_target, tg_embs):
         ft_test = table.finetuned_test.accuracy
-        for metric, sim in zip(metrics, similarity_tables(tg_emb, ds_embs, metrics)):
-            corr_inputs[metric.value].append(CorrelationInput(table.target_name, sim.scores, ft_test, table.sizes))
-            picks[metric.value].append(best_row(codes, sim.scores, metric.direction))
+        for sim in similarity_tables(tg_emb, ds_embs, list(SimilarityMetric)):
+            name = sim.metric.value
+            corr_inputs[name].append(CorrelationInput(table.target_name, sim.scores, ft_test, table.sizes))
+            picks[name].append(best_row(codes, sim.scores, sim.metric.direction))
     mean_acc = {
         name: math.fsum(t.finetuned_test.accuracy[row].item() for t, row in zip(per_target, rows)) / len(rows)
         for name, rows in picks.items()
@@ -741,7 +730,8 @@ def _finetune_mixtures(
 
     Row i of each tensor is the model of codes[i]. Mixtures of one size have
     equal row counts, so they train in lockstep, _LOCKSTEP_CHUNK runs at a
-    time. Run keys are the mixtures' codes.
+    time. Run keys are the mixtures' codes. A training error names the
+    fine-tune stage and the bit strings of the chunk's mixtures.
     """
     n = len(parts)
     by_size: dict[int, list[int]] = {}
@@ -753,8 +743,13 @@ def _finetune_mixtures(
             chunk = group[lo : lo + _LOCKSTEP_CHUNK]
             keys = codes[chunk].tolist()
             selections = [tuple(code_datasets(n, code)) for code in keys]
-            for name, runs in train_many(base, parts, selections, cfg, keys).items():
-                finetuned[name][chunk] = runs
+            try:
+                runs = train_many(base, parts, selections, cfg, keys)
+            except ValidationError as exc:
+                mixtures = " ".join(code_bits(n, code) for code in keys)
+                raise ValidationError(f"fine-tune stage, mixtures {mixtures}: {exc}") from exc
+            for name, rows in runs.items():
+                finetuned[name][chunk] = rows
     return finetuned
 
 

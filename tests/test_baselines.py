@@ -20,7 +20,8 @@ from mergemix import (
     similarity_table,
 )
 from mergemix.baselines import select_from_table, similarity_tables
-from mergemix.merge_engine import MAX_ENUMERATION_N, gray_code_order, gray_codes
+from mergemix.merge_engine import MAX_ENUMERATION_N, code_bits, gray_code_order, gray_codes
+from mergemix.mixture_search import best_row
 
 ALL_METRICS = list(SimilarityMetric)
 
@@ -31,7 +32,7 @@ def selected(bits):
 
 def select(target, per_dataset, metric):
     """The best (bits, score) of a metric's table, as the CLI and the bench select it."""
-    return select_from_table(similarity_table(target, per_dataset, metric), metric.direction)
+    return select_from_table(similarity_table(target, per_dataset, metric))
 
 
 def emb(rows, name="E"):
@@ -209,6 +210,39 @@ def test_select_matches_brute_force():
         )
         assert best_alpha == want_bits
         assert best_val == pytest.approx(table[want_bits], abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=[m.value for m in ALL_METRICS])
+def test_every_table_selects_in_its_own_metrics_direction(metric):
+    """A table carries its metric, so select_from_table cannot be handed the other direction."""
+    rng = np.random.default_rng(31)
+    n = 4
+    target = emb(rng.standard_normal((5, 3)), "T")
+    per_dataset = [emb(rng.standard_normal((2 + i, 3)), f"D{i}") for i in range(n)]
+    table = similarity_table(target, per_dataset, metric)
+    assert table.metric is metric
+    codes = gray_codes(n)
+    row = best_row(codes, table.scores, metric.direction)
+    assert select_from_table(table) == (code_bits(n, int(codes[row])), table.scores[row].item())
+
+
+def test_similarity_report_rows_are_in_ascending_bit_order():
+    """The table iterates in Gray order, and its report's CSV rows in ascending bit order."""
+    rng = np.random.default_rng(5)
+    target = emb(rng.standard_normal((3, 2)), "T")
+    per_dataset = [emb(rng.standard_normal((2, 2)), f"D{i}") for i in range(3)]
+    table = similarity_table(target, per_dataset, SimilarityMetric.AVG_MIN_L2)
+    assert list(table) != sorted(table)
+    assert table.csv_header() == ["mixture_bits", "metric", "score"]
+    assert list(table.csv_rows()) == [[bits, "avg_min_l2", repr(table[bits])] for bits in sorted(table)]
+    best_alpha, best_score = select_from_table(table)
+    assert table.to_json_obj() == {
+        "metric": "avg_min_l2",
+        "direction": "minimize",
+        "best_alpha": best_alpha,
+        "best_score": best_score,
+        "scores": dict(table),
+    }
 
 
 def test_select_n1():

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 import mergemix
+from mergemix import toy_bench
 from mergemix.baselines import SimilarityMetric, similarity_table
 from mergemix.cli import build_parser, main
+from mergemix.errors import ValidationError
 from mergemix.evaluator import EvalDataset, write_eval_dataset
 from mergemix.tensor_store import (
     Checkpoint,
@@ -437,6 +439,22 @@ def test_search_eval_timeout_exits_3(tmp_path):
     assert time.monotonic() - started < 60
     assert proc.returncode == 3
     assert proc.stderr == "error: mixture 01: evaluator timed out after 0.5 s\n"
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("python 'x.py {checkpoint} {data}", "command template does not split into arguments: No closing quotation"),
+        ("python x.py {checkpoint}", "command template must contain {checkpoint} and {data}"),
+    ],
+    ids=["unclosed_quote", "no_data"],
+)
+def test_search_rejects_a_malformed_evaluator_before_any_mixture(tmp_path, capsys, template, message):
+    """A template that cannot run is a usage error of --evaluator, not a failure of the first mixture."""
+    code, out, err = run_cli(search_external_argv(tmp_path, template), capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: --evaluator: {message}"]
+    assert list(tmp_path.glob("r.*")) == []
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -970,13 +988,34 @@ def test_bench_rejects_non_finite_rates_before_training(tmp_path, capsys, flag, 
 
 def test_bench_stops_a_diverging_learning_rate_at_its_first_bad_step(tmp_path):
     """At learning rate 1e300 the pretrain's first step overflows: the bench stops there with one
-    line that names the epoch and the rate, and numpy prints no RuntimeWarning."""
+    line that names the pretrain stage, the epoch and the rate, and numpy prints no RuntimeWarning."""
     argv = ["bench", "--learning-rate", "1e300", "--num-datasets", "3", "--samples-per-dataset", "100"]
     proc = run_cli_process([*argv, "--jobs", "1", "--out", str(tmp_path / "run")])
     assert_clean_validation_failure(proc)
     assert "RuntimeWarning" not in proc.stderr
     [line] = proc.stderr.splitlines()
-    assert re.fullmatch(r"error: training diverged in epoch 1 of \d+ at learning_rate 1e\+300: overflow .*", line)
+    pattern = r"error: pretrain stage: training diverged in epoch 1 of \d+ at learning_rate 1e\+300: overflow .*"
+    assert re.fullmatch(pattern, line)
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_diverging_fine_tune_names_its_stage_and_mixtures(tmp_path, capsys, monkeypatch):
+    """A fine-tune chunk that diverges names the stage and its mixtures, in the chunk's Gray order."""
+    real = toy_bench.train_many
+
+    def diverge_on_pairs(init, parts, selections, cfg, run_keys):
+        if len(selections[0]) == 2:
+            raise ValidationError("training diverged in epoch 2 of 5 at learning_rate 0.05: overflow")
+        return real(init, parts, selections, cfg, run_keys)
+
+    monkeypatch.setattr(toy_bench, "train_many", diverge_on_pairs)
+    argv = ["bench", "--num-datasets", "3", "--samples-per-dataset", "60", "--jobs", "1"]
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "run")], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: fine-tune stage, mixtures 011 110 101: "
+        "training diverged in epoch 2 of 5 at learning_rate 0.05: overflow"
+    ]
     assert not (tmp_path / "run").exists()
 
 
@@ -1018,8 +1057,12 @@ def test_bench_flags_mirror_config_fields():
             ["bench", "--out", "run", "--epochs", "ten"],
             "error: mergemix bench: argument --epochs: invalid int value: 'ten'",
         ),
+        (
+            ["search", "--bank", "b", "--target", "t", "--out", "r.csv", "--jobs", "0"],
+            "error: jobs must be positive",
+        ),
     ],
-    ids=["bad_value", "missing_flag", "no_command", "bad_bench_value"],
+    ids=["bad_value", "missing_flag", "no_command", "bad_bench_value", "no_jobs"],
 )
 def test_usage_error_is_one_line_and_exit_1(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -4,6 +4,7 @@ evaluator protocol, and the dataset container."""
 import json
 import math
 import os
+import re
 import shlex
 import sys
 import time
@@ -28,7 +29,7 @@ from mergemix import (
     write_checkpoint,
     write_eval_dataset,
 )
-from mergemix.evaluator import STDERR_TAIL_CHARS, toy_mlp_scores
+from mergemix.evaluator import STDERR_TAIL_CHARS, evaluator_argv, toy_mlp_scores
 from mergemix.tensor_store import tensor
 
 LN3 = 1.0986122886681098
@@ -334,6 +335,53 @@ def test_external_negative_loss(tmp_path):
         evaluate_external(path, "d", cmd)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("pass", "unparsable evaluator output: empty stdout"),
+        ("print('[0.5, 0.7]')", "unparsable evaluator output: final line is not a JSON object"),
+        ("print('{\"accuracy\": 0.5}')", "evaluator output missing 'accuracy' or 'loss'"),
+        ("print('{\"loss\": 0.5}')", "evaluator output missing 'accuracy' or 'loss'"),
+        ("print('{\"accuracy\": \"high\", \"loss\": 0.5}')", "evaluator output fields must be numbers"),
+        ("print('{\"accuracy\": 0.5, \"loss\": null}')", "evaluator output fields must be numbers"),
+    ],
+    ids=["empty", "not_an_object", "no_loss", "no_accuracy", "text_accuracy", "null_loss"],
+)
+def test_external_rejects_malformed_output(tmp_path, body, message):
+    path = tmp_path / "m.mtm"
+    write_checkpoint(identity_mlp(2), path)
+    with pytest.raises(ExternalEvaluatorError) as info:
+        evaluate_external(path, "d", stub_command(tmp_path, body))
+    assert str(info.value) == message
+
+
+def test_external_that_cannot_start(tmp_path):
+    path = tmp_path / "m.mtm"
+    write_checkpoint(identity_mlp(2), path)
+    missing = tmp_path / "no_such_evaluator"
+    with pytest.raises(ExternalEvaluatorError, match="^evaluator could not start: "):
+        evaluate_external(path, "d", f"{missing} {{checkpoint}} {{data}}")
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("run {checkpoint}", "must contain {checkpoint} and {data}"),
+        ("run {data}", "must contain {checkpoint} and {data}"),
+        ("run '{checkpoint} {data}", "does not split into arguments: No closing quotation"),
+        ("run {checkpoint} {data} \\", "does not split into arguments: No escaped character"),
+    ],
+    ids=["no_data", "no_checkpoint", "unclosed_quote", "trailing_escape"],
+)
+def test_evaluator_argv_rejects_a_template_that_cannot_run(template, message):
+    with pytest.raises(ValidationError, match=f"^command template {re.escape(message)}$"):
+        evaluator_argv(template)
+
+
+def test_evaluator_argv_splits_like_a_shell_before_substitution():
+    assert evaluator_argv("run 'a b' {checkpoint} --data={data}") == ["run", "a b", "{checkpoint}", "--data={data}"]
+
+
 def test_external_template_must_have_placeholders(tmp_path):
     path = tmp_path / "m.mtm"
     write_checkpoint(identity_mlp(2), path)
@@ -387,6 +435,23 @@ def test_eval_dataset_non_integral_labels(tmp_path):
     write_checkpoint(ckpt, path)
     with pytest.raises(FormatError, match="integer values"):
         read_eval_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "features, labels, num_classes, message",
+    [
+        (np.zeros((2, 2)), [0, 1], 2, "features must be a 2-D float32 array"),
+        (np.zeros((0, 2), dtype=np.float32), [], 2, "features must have at least one row and one column"),
+        (np.array([[np.inf, 0.0]], dtype=np.float32), [0], 2, "non-finite value in features"),
+        (np.zeros((2, 2), dtype=np.float32), [0], 2, "labels must be 1-D and aligned with features"),
+        (np.zeros((2, 2), dtype=np.float32), [0.0, 1.0], 2, "labels must be integers"),
+        (np.zeros((1, 2), dtype=np.float32), [0], 0, "num_classes must be positive"),
+    ],
+    ids=["float64", "no_rows", "non_finite", "misaligned", "float_labels", "no_classes"],
+)
+def test_eval_dataset_rejects(features, labels, num_classes, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        EvalDataset(features=features, labels=labels, num_classes=num_classes, name="bad")
 
 
 def test_eval_dataset_label_range():

@@ -18,7 +18,7 @@ from mergemix import (
     merge_weighted,
     subset_merges,
 )
-from mergemix.baselines import SimilarityTable
+from mergemix.baselines import SimilarityMetric, SimilarityTable
 from mergemix.merge_engine import (
     MAX_ENUMERATION_N,
     bits_code,
@@ -92,7 +92,7 @@ def test_bad_mixture_text_is_rejected_at_every_edge(bits, message):
         list(subset_merges(bank, ["101", bits]))
     with pytest.raises(ValidationError, match=message):
         SearchConfig(candidates=["101", bits])
-    table = SimilarityTable(3, np.arange(7.0))
+    table = SimilarityTable(3, np.arange(7.0), SimilarityMetric.AVG_MAX_COS)
     with pytest.raises(KeyError):
         table[bits]
     assert bits not in table

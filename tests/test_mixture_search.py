@@ -3,6 +3,7 @@ every selection, and parity between serial and threaded scoring."""
 
 import hashlib
 import math
+import re
 import signal
 import sys
 import threading
@@ -25,7 +26,7 @@ from mergemix import (
     run_search,
 )
 from mergemix import emit_report, mixture_search
-from mergemix.baselines import SimilarityTable, select_from_table
+from mergemix.baselines import SimilarityMetric, SimilarityTable, select_from_table
 from mergemix.evaluator import evaluate_builtin, toy_mlp_scores
 from mergemix.merge_engine import (
     MAX_ENUMERATION_N,
@@ -269,10 +270,10 @@ def test_every_selector_shares_the_tie_break(n_table_order):
             # the winner's own value, so a -0.0 keeps its sign
             assert (bits, value, math.copysign(1.0, value)) == (want, table[want], math.copysign(1.0, table[want]))
 
-    gray_table = SimilarityTable(n, values)
-    assert gray_table == table
-    for direction, want in (("maximize", want_max), ("minimize", want_min)):
-        bits, value = select_from_table(gray_table, direction)
+    for metric, want in ((SimilarityMetric.AVG_MAX_COS, want_max), (SimilarityMetric.MIN_MIN_L2, want_min)):
+        gray_table = SimilarityTable(n, values, metric)
+        assert gray_table == table
+        bits, value = select_from_table(gray_table)
         assert (bits, value, math.copysign(1.0, value)) == (want, table[want], math.copysign(1.0, table[want]))
     report = run_search(tiny_bank(n), accuracy_fn(lambda a: table[a]), target=None)
     assert report.best_alpha == want_max
@@ -398,6 +399,21 @@ def test_candidates_of_mixed_length_name_both_lengths():
             SearchConfig(candidates=candidates)
     with pytest.raises(ValidationError, match="invalid mixture string '1x'"):
         SearchConfig(candidates=["01", "1x"])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"objective": "max_f1"}, "objective must be one of ('max_accuracy', 'min_loss'), got 'max_f1'"),
+        ({"jobs": 0}, "jobs must be positive"),
+        ({"jobs": -2}, "jobs must be positive"),
+        ({"candidates": []}, "candidate list must not be empty"),
+    ],
+    ids=["objective", "no_jobs", "negative_jobs", "no_candidates"],
+)
+def test_search_config_rejects(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SearchConfig(**kwargs)
 
 
 def test_builtin_block_errors_name_the_first_mixture():

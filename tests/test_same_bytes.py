@@ -1,5 +1,6 @@
 """tools/same_bytes.py: two trees that write the same reports and print the
-same demo output compare clean, and a tree that differs is named file by file."""
+same command and demo output compare clean, and a tree that differs is named
+file by file."""
 
 import shutil
 import sys
@@ -19,7 +20,10 @@ def test_this_tree_writes_its_own_bytes_at_the_smallest_setting(tmp_path):
     assert lines == []
     searches = sum(command == "search" for command, _ in same_bytes.REPORT_GOLDEN) * len(same_bytes.SEARCH_JOBS)
     reports = (len(same_bytes.REPORT_GOLDEN) + searches) * 2 + len(same_bytes.MERGE_GOLDEN)
-    assert compared == len(same_bytes.BENCH_SETTINGS[-1:]) * 5 + reports + 1
+    benches = len(same_bytes.BENCH_SETTINGS[-1:])
+    # each command's stdout line: the benches, the reports and the merges
+    stdouts = benches + len(same_bytes.REPORT_GOLDEN) + searches + len(same_bytes.MERGE_GOLDEN)
+    assert compared == benches * 5 + reports + stdouts + 1
 
 
 def test_a_tree_with_other_json_is_named_file_by_file(tmp_path):
@@ -34,7 +38,8 @@ def test_a_tree_with_other_json_is_named_file_by_file(tmp_path):
         lines, compared = same_bytes.compare(
             ROOT, other, tmp_path / "work", same_bytes.BENCH_SETTINGS[-1:], demos=()
         )
-    assert compared == 5 + (2 + 2) * 2 + len(same_bytes.MERGE_GOLDEN)
+    stdouts = 1 + (2 + 2) + len(same_bytes.MERGE_GOLDEN)  # the bench, the four report runs and the merges
+    assert compared == 5 + (2 + 2) * 2 + len(same_bytes.MERGE_GOLDEN) + stdouts
     assert lines == [
         "bench --seed 3 --num-datasets 2: report.json differs",
         "search accuracy: report.json differs",
@@ -53,8 +58,25 @@ def test_a_tree_with_other_weighted_merges_is_named_file_by_file(tmp_path):
     merge_engine.write_text(text.replace("acc.astype(np.float32)", "(acc * (1 + 1e-6)).astype(np.float32)"))
     with mock.patch.object(same_bytes, "REPORT_GOLDEN", {}):
         lines, compared = same_bytes.compare(ROOT, other, tmp_path / "work", (), demos=())
-    assert compared == len(same_bytes.MERGE_GOLDEN)
+    assert compared == len(same_bytes.MERGE_GOLDEN) * 2
     assert lines == ["merge unequal: merged.mtm differs"]
+
+
+def test_a_tree_whose_commands_print_otherwise_is_named(tmp_path):
+    """Each command's stdout line is compared, apart from the files it writes."""
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = other / "src" / "mergemix" / "cli.py"
+    text = cli.read_text()
+    assert text.count("json.dumps(obj, sort_keys=True)") == 1
+    cli.write_text(text.replace("json.dumps(obj, sort_keys=True)", "json.dumps(obj, sort_keys=True, indent=1)"))
+    golden = {("similarity", "min_min_l2"): None}
+    with mock.patch.object(same_bytes, "REPORT_GOLDEN", golden), mock.patch.object(
+        same_bytes, "MERGE_GOLDEN", {"uniform": None}
+    ):
+        lines, compared = same_bytes.compare(ROOT, other, tmp_path / "work", (), demos=())
+    assert compared == 2 + 1 + 1 + 1
+    assert lines == ["similarity min_min_l2: stdout differs", "merge uniform: stdout differs"]
 
 
 def test_a_tree_whose_demo_prints_otherwise_is_named(tmp_path):

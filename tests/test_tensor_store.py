@@ -5,6 +5,7 @@ serializer (struct + json only, no package code) and compare raw bytes.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -271,6 +272,31 @@ def test_header_not_object_rejected(tmp_path):
         read_checkpoint(p)
 
 
+_ENTRY = {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b'{"a": ', "invalid header JSON: "),
+        (b'{"a": "\xff"}', "invalid header JSON: "),
+        (json.dumps({"a": [0, 4]}).encode(), "tensor 'a': entry must be an object"),
+        (json.dumps({"a": {**_ENTRY, "data_offsets": [4, 0]}}).encode(), "tensor 'a': data_offsets must be"),
+        (json.dumps({"a": {**_ENTRY, "data_offsets": [0]}}).encode(), "tensor 'a': data_offsets must be"),
+        (json.dumps({"a": {**_ENTRY, "data_offsets": [0, True]}}).encode(), "tensor 'a': data_offsets must be"),
+        (json.dumps({"a": _ENTRY, "__metadata__": {"k": 1}}).encode(), "__metadata__ must map strings to strings"),
+        (json.dumps({"a": _ENTRY, "__metadata__": ["k"]}).encode(), "__metadata__ must map strings to strings"),
+    ],
+    ids=["cut_json", "not_utf8", "entry_list", "offsets_reversed", "one_offset", "bool_offset",
+         "metadata_number", "metadata_list"],
+)
+def test_read_rejects_a_malformed_header(tmp_path, blob, message):
+    p = tmp_path / "t.mtm"
+    p.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * 4)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        read_checkpoint(p)
+
+
 def test_empty_container_rejected(tmp_path):
     p = tmp_path / "t.mtm"
     p.write_bytes(raw_container({}, b""))
@@ -404,6 +430,13 @@ def test_embedding_container_needs_embeddings_tensor(tmp_path):
     path = tmp_path / "notemb.mtm"
     write_checkpoint(ckpt, path)
     with pytest.raises(FormatError, match="exactly one tensor named 'embeddings'"):
+        read_embeddings(path)
+
+
+def test_embedding_container_needs_a_2d_tensor(tmp_path):
+    path = tmp_path / "flat.mtm"
+    write_checkpoint(Checkpoint(tensors={"embeddings": tensor([1.0, 2.0])}), path)
+    with pytest.raises(FormatError, match="'embeddings' tensor must be 2-D"):
         read_embeddings(path)
 
 

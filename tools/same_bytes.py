@@ -22,6 +22,10 @@ PYTHONPATH and in a fresh working directory:
 - each script in demos/, the tree's own copy, comparing what it prints on
   stdout.
 
+Every mergemix command also has its stdout line compared. It runs with a
+relative --out in its working directory, so the "out" it prints is the same
+in both trees.
+
 The inputs are built once, by this tree, and both trees read them. The
 script prints one line per file that differs, or that a tree failed to
 write, and exits 1 if there is any; otherwise it prints the number of files
@@ -53,6 +57,7 @@ BENCH_SETTINGS = (
 # search scores its mixtures from this many threads as well as from one
 SEARCH_JOBS = (2, 3)
 REPORT_FILES = ("report.csv", "report.json")
+STDOUT = "stdout"
 MERGE_FILES = ("merged.mtm",)
 DEMOS = tuple(sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 
@@ -61,8 +66,10 @@ def cases(inputs: Path, bench_settings, demos) -> list[tuple[str, list[str], tup
     """(name, argv without --out, files the command writes), with the inputs built under inputs.
 
     A demo's argv is its path in the tree, and its one file is its stdout.
+    A command's last file is its stdout.
     """
-    out = [(" ".join(("bench", *s)), ["bench", "--jobs", "1", *s], BENCH_FILES) for s in bench_settings]
+    bench_files = (*BENCH_FILES, STDOUT)
+    out = [(" ".join(("bench", *s)), ["bench", "--jobs", "1", *s], bench_files) for s in bench_settings]
     builds = {**REPORT_ARGV, "merge": golden_merge_argv}
     for command, case in [*REPORT_GOLDEN, *(("merge", case) for case in MERGE_GOLDEN)]:
         where = inputs / f"{command}-{case}"
@@ -70,23 +77,21 @@ def cases(inputs: Path, bench_settings, demos) -> list[tuple[str, list[str], tup
         argv = builds[command](where, case)
         i = argv.index("--out")
         argv = argv[:i] + argv[i + 2 :]
-        files = MERGE_FILES if command == "merge" else REPORT_FILES
+        files = (*(MERGE_FILES if command == "merge" else REPORT_FILES), STDOUT)
         out.append((f"{command} {case}", argv, files))
         if command == "search":
             out += [(f"search {case} --jobs {j}", [*argv, "--jobs", str(j)], files) for j in SEARCH_JOBS]
-    out += [(f"demo {name}", [f"demos/{name}"], ("stdout",)) for name in demos]
+    out += [(f"demo {name}", [f"demos/{name}"], (STDOUT,)) for name in demos]
     return out
 
 
 def run(tree: Path, argv: list[str], out: Path, files: tuple[str, ...]) -> str:
-    """Run a mergemix command or a demo from tree's src/ in out; stderr's last line if it fails."""
+    """Run a command or a demo from tree's src/ in out, keeping its stdout; stderr's last line if it fails."""
     out.mkdir(parents=True)
-    demo = argv[0].startswith("demos/")
-    if demo:
+    if argv[0].startswith("demos/"):
         args = ["-B", str(tree / argv[0])]
     else:
-        target = out if argv[0] == "bench" else out / files[0]
-        args = ["-m", "mergemix.cli", *argv, "--out", str(target)]
+        args = ["-m", "mergemix.cli", *argv, "--out", "." if argv[0] == "bench" else files[0]]
     proc = subprocess.run(
         [sys.executable, *args],
         cwd=out,
@@ -95,8 +100,7 @@ def run(tree: Path, argv: list[str], out: Path, files: tuple[str, ...]) -> str:
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
     if proc.returncode == 0:
-        if demo:
-            (out / files[0]).write_text(proc.stdout)
+        (out / STDOUT).write_text(proc.stdout)
         return ""
     last = proc.stderr.strip().splitlines()[-1:] or ["no stderr"]
     return f"exit {proc.returncode}: {last[0]}"
