@@ -27,7 +27,7 @@ from . import __version__
 from .analytics import CorrelationInput, correlate_tasks, emit_report, finite_or_none, write_json
 from .baselines import SimilarityMetric, similarity_table, select_from_table
 from .errors import ExternalEvaluatorError, MergeMixError, ValidationError
-from .evaluator import evaluate_external, evaluator_argv, read_eval_dataset
+from .evaluator import check_timeout, evaluate_external, evaluator_argv, read_eval_dataset
 from .merge_engine import ModelBank, merge_uniform, merge_weighted
 from .mixture_search import SearchConfig, builtin_eval_fn, run_search
 from .tensor_store import read_checkpoint, read_embeddings, write_checkpoint
@@ -164,8 +164,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             raise ValidationError(f"--evaluator: {exc}") from None
     config = SearchConfig(objective="max_accuracy" if args.objective == "accuracy" else "min_loss", jobs=args.jobs)
-    if args.eval_timeout is not None and not (0.0 < args.eval_timeout < float("inf")):
-        raise ValidationError(f"--eval-timeout must be a positive number of seconds, got {args.eval_timeout}")
+    check_timeout(args.eval_timeout, "--eval-timeout")
     bank, inputs = _load_bank_dir(Path(args.bank))
     if builtin:
         inputs.append(Path(args.target))

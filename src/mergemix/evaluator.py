@@ -8,6 +8,7 @@ prints a one-line JSON score.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import shlex
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ExternalEvaluatorError, FormatError, ValidationError
-from .tensor_store import Checkpoint, read_checkpoint, write_checkpoint
+from .tensor_store import Checkpoint, float32_matrix, read_checkpoint, write_checkpoint
 
 LOGIT_EPS = 1e-6
 
@@ -39,15 +40,9 @@ class EvalDataset:
     name: str
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features)
-        if feats.ndim != 2 or feats.dtype != np.float32:
-            raise ValidationError("features must be a 2-D float32 array")
-        if feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ValidationError("features must have at least one row and one column")
-        if not np.isfinite(feats).all():
-            raise ValidationError("non-finite value in features")
+        self.features = float32_matrix(self.features, "features")
         labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
+        if labels.ndim != 1 or labels.shape[0] != self.features.shape[0]:
             raise ValidationError("labels must be 1-D and aligned with features")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValidationError("labels must be integers")
@@ -55,7 +50,6 @@ class EvalDataset:
             raise ValidationError("num_classes must be positive")
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValidationError("labels must lie in [0, num_classes)")
-        self.features = np.ascontiguousarray(feats)
         self.labels = np.ascontiguousarray(labels.astype(np.int64))
 
     def __len__(self) -> int:
@@ -215,6 +209,20 @@ def evaluator_argv(command_template: str) -> list[str]:
         raise ValidationError(f"command template does not split into arguments: {exc}") from None
 
 
+def check_timeout(timeout: float | None, name: str = "timeout") -> None:
+    """Reject a timeout that is neither None, for no limit, nor a positive finite number of seconds."""
+    if timeout is not None and not 0.0 < timeout < math.inf:
+        raise ValidationError(f"{name} must be a positive number of seconds, got {timeout}")
+
+
+def _json_number(value) -> float:
+    """A JSON int or float as a float; a bool, a string, null or an int beyond float range is none."""
+    if type(value) in (int, float):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ExternalEvaluatorError("evaluator output fields must be numbers")
+
+
 def evaluate_external(
     ckpt_path: str | Path, data_ref: str, command_template: str, timeout: float | None = None
 ) -> Score:
@@ -222,10 +230,12 @@ def evaluate_external(
 
     The template is split by evaluator_argv, and its {checkpoint} and {data}
     placeholders are substituted per argument token (never through a shell).
-    The final stdout line must be a JSON object {"accuracy": <float in [0,1]>,
-    "loss": <float >= 0>}, and stdout must be UTF-8. An evaluator still running
-    after timeout seconds is killed and reaped; None means no limit.
+    The final stdout line must be a JSON object {"accuracy": <number in [0,1]>,
+    "loss": <number >= 0>} of JSON numbers that Score accepts, and stdout must be
+    UTF-8. check_timeout rejects a bad timeout before the command starts; an
+    evaluator still running after timeout seconds is killed and reaped.
     """
+    check_timeout(timeout)
     argv = [
         token.replace("{checkpoint}", str(ckpt_path)).replace("{data}", str(data_ref))
         for token in evaluator_argv(command_template)
@@ -249,15 +259,9 @@ def evaluate_external(
     if "accuracy" not in obj or "loss" not in obj:
         raise ExternalEvaluatorError("evaluator output missing 'accuracy' or 'loss'")
     try:
-        accuracy = float(obj["accuracy"])
-        loss = float(obj["loss"])
-    except (TypeError, ValueError) as exc:
-        raise ExternalEvaluatorError("evaluator output fields must be numbers") from exc
-    if not 0.0 <= accuracy <= 1.0:
-        raise ExternalEvaluatorError(f"accuracy out of range: {accuracy}")
-    if not math.isfinite(loss) or loss < 0.0:
-        raise ExternalEvaluatorError(f"loss must be finite and >= 0, got {loss}")
-    return Score(accuracy=accuracy, mean_loss=loss, num_samples=0)
+        return Score(accuracy=_json_number(obj["accuracy"]), mean_loss=_json_number(obj["loss"]))
+    except ValidationError as exc:
+        raise ExternalEvaluatorError(str(exc)) from None
 
 
 def write_eval_dataset(data: EvalDataset, path: str | Path) -> None:

@@ -2,7 +2,8 @@
 
 Every non-empty mixture is merged and scored; the best mixture under the
 objective is reported. One driver, _score_rows, fills the score columns from
-SearchConfig.jobs contiguous slices of the mixtures. The builtin scorer's
+SearchConfig.jobs contiguous slices of the mixtures; check_jobs bounds that
+count to [1, MAX_JOBS], wherever it comes from. The builtin scorer's
 slices run in blocks: _SCORE_BLOCK mixtures per merge_block call and per
 stacked forward pass. Any other evaluator's slices walk subset_merges, one
 merged Checkpoint per mixture. Results are ScoreColumns: int mixture codes
@@ -52,6 +53,9 @@ OBJECTIVES = ("max_accuracy", "min_loss")
 # were no faster.
 _SCORE_BLOCK = 32
 
+# the most threads one search starts; each can run an evaluator process, and N=14 has 16,383 mixtures
+MAX_JOBS = 256
+
 # eval_fn(merged checkpoint, target, mixture bits) -> Score; the bits, e.g.
 # "101", exist for bookkeeping and mock evaluators, the builtin adapter ignores them.
 TargetRef = Union[EvalDataset, str]
@@ -62,6 +66,14 @@ def _dataset(target: TargetRef) -> EvalDataset:
     if not isinstance(target, EvalDataset):
         raise ValidationError("builtin evaluation needs an EvalDataset target")
     return target
+
+
+def check_jobs(jobs: int) -> None:
+    """Reject a thread count below 1 or above MAX_JOBS."""
+    if jobs < 1:
+        raise ValidationError("jobs must be positive")
+    if jobs > MAX_JOBS:
+        raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
 
 
 def builtin_eval_fn(ckpt: Checkpoint, target: TargetRef, alpha: str) -> Score:
@@ -83,8 +95,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.jobs < 1:
-            raise ValidationError("jobs must be positive")
+        check_jobs(self.jobs)
         if self.candidates is not None:
             if not len(self.candidates):
                 raise ValidationError("candidate list must not be empty")
@@ -229,6 +240,7 @@ def _score_rows(
     slices end before their next block or mixture. Then the first row that
     is no valid Score fails the search with Score's message, at every jobs.
     """
+    check_jobs(jobs)
     columns = (np.empty(len(codes)), np.empty(len(codes)), num_samples)
     stop = threading.Event()
     jobs = min(jobs, len(codes))

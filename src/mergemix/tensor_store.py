@@ -63,6 +63,18 @@ def _check_metadata(metadata) -> None:
         raise ValidationError("metadata must map strings to strings")
 
 
+def float32_matrix(values, field: str) -> np.ndarray:
+    """values as a C-contiguous, finite 2-D float32 array of at least 1 x 1; errors name the field."""
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.dtype != np.float32:
+        raise ValidationError(f"{field} must be a 2-D float32 array")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValidationError(f"{field} must have at least one row and one column")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite value in {field}")
+    return np.ascontiguousarray(arr)
+
+
 @dataclass(eq=False)
 class Checkpoint:
     """An ordered map of named float32 tensors plus optional string metadata.
@@ -114,14 +126,7 @@ class EmbeddingSet:
     source_name: str
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.embeddings)
-        if arr.ndim != 2 or arr.dtype != np.float32:
-            raise ValidationError("embeddings must be a 2-D float32 array")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError("embeddings must have at least one row and one column")
-        if not np.isfinite(arr).all():
-            raise ValidationError("non-finite value in embeddings")
-        self.embeddings = np.ascontiguousarray(arr)
+        self.embeddings = float32_matrix(self.embeddings, "embeddings")
         if not isinstance(self.source_name, str) or not self.source_name:
             raise ValidationError("source_name must be a non-empty string")
 
@@ -238,11 +243,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     header = _parse_header(blob[8 : 8 + header_len])
 
     metadata = header.pop(METADATA_KEY, None)
-    if metadata is not None and (
-        not isinstance(metadata, dict)
-        or not all(isinstance(k, str) and isinstance(v, str) for k, v in metadata.items())
-    ):
-        raise FormatError("__metadata__ must map strings to strings")
+    try:
+        _check_metadata(metadata)
+    except ValidationError:
+        raise FormatError("__metadata__ must map strings to strings") from None
     if not header:
         raise FormatError("container holds no tensors")
 

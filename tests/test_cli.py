@@ -421,6 +421,23 @@ def test_search_external_non_utf8_stderr_keeps_exit_code_and_tail(tmp_path, caps
     assert err == "error: mixture 01: evaluator failed (exit 4); stderr: � oops\n"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"accuracy": "0.5", "loss": true}', "evaluator output fields must be numbers"),
+        ('{"accuracy": 0.5, "loss": ' + "9" * 401 + "}", "evaluator output fields must be numbers"),
+        ('{"accuracy": 0.5, "loss": NaN}', "mean_loss must be finite and >= 0, got nan"),
+    ],
+    ids=["text_and_bool", "int_beyond_float", "nan_loss"],
+)
+def test_search_malformed_evaluator_output_exits_3(tmp_path, capsys, line, message):
+    """Any output that is no valid score is an evaluator failure: exit 3, one line naming the mixture."""
+    template = external_stub(tmp_path, f"print({line!r})\n")
+    code, out, err = run_cli(search_external_argv(tmp_path, template), capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: mixture 01: {message}\n"
+
+
 def test_bench_jobs_help_says_the_flag_is_unused(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--help"])
@@ -1061,8 +1078,12 @@ def test_bench_flags_mirror_config_fields():
             ["search", "--bank", "b", "--target", "t", "--out", "r.csv", "--jobs", "0"],
             "error: jobs must be positive",
         ),
+        (
+            ["search", "--bank", "no_such_bank", "--target", "t", "--out", "r.csv", "--jobs", "100000"],
+            "error: jobs must be at most 256, got 100000",
+        ),
     ],
-    ids=["bad_value", "missing_flag", "no_command", "bad_bench_value", "no_jobs"],
+    ids=["bad_value", "missing_flag", "no_command", "bad_bench_value", "no_jobs", "too_many_jobs"],
 )
 def test_usage_error_is_one_line_and_exit_1(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

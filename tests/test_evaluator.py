@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mergemix import (
     Checkpoint,
+    EmbeddingSet,
     EvalDataset,
     ExternalEvaluatorError,
     FormatError,
@@ -344,8 +345,14 @@ def test_external_negative_loss(tmp_path):
         ("print('{\"loss\": 0.5}')", "evaluator output missing 'accuracy' or 'loss'"),
         ("print('{\"accuracy\": \"high\", \"loss\": 0.5}')", "evaluator output fields must be numbers"),
         ("print('{\"accuracy\": 0.5, \"loss\": null}')", "evaluator output fields must be numbers"),
+        ("print('{\"accuracy\": \"0.5\", \"loss\": 0.1}')", "evaluator output fields must be numbers"),
+        ("print('{\"accuracy\": 0.5, \"loss\": true}')", "evaluator output fields must be numbers"),
+        ("print('{\"accuracy\": 0.5, \"loss\": ' + '9' * 401 + '}')", "evaluator output fields must be numbers"),
     ],
-    ids=["empty", "not_an_object", "no_loss", "no_accuracy", "text_accuracy", "null_loss"],
+    ids=[
+        "empty", "not_an_object", "no_loss", "no_accuracy", "text_accuracy", "null_loss",
+        "numeric_text_accuracy", "bool_loss", "int_beyond_float_loss",
+    ],
 )
 def test_external_rejects_malformed_output(tmp_path, body, message):
     path = tmp_path / "m.mtm"
@@ -353,6 +360,15 @@ def test_external_rejects_malformed_output(tmp_path, body, message):
     with pytest.raises(ExternalEvaluatorError) as info:
         evaluate_external(path, "d", stub_command(tmp_path, body))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])
+def test_external_rejects_a_bad_timeout_before_it_starts(tmp_path, timeout):
+    marker = tmp_path / "ran"
+    cmd = stub_command(tmp_path, f"open({str(marker)!r}, 'w').close()")
+    with pytest.raises(ValidationError, match="^timeout must be a positive number of seconds, got "):
+        evaluate_external(tmp_path / "m.mtm", "d", cmd, timeout=timeout)
+    assert not marker.exists()
 
 
 def test_external_that_cannot_start(tmp_path):
@@ -437,21 +453,38 @@ def test_eval_dataset_non_integral_labels(tmp_path):
         read_eval_dataset(path)
 
 
+# the float32-matrix rule, which EvalDataset.features and EmbeddingSet.embeddings share
+MATRIX_REJECTIONS = [
+    pytest.param(np.zeros((2, 2)), [0, 1], 2, "features must be a 2-D float32 array", id="float64"),
+    pytest.param(np.zeros((0, 2), dtype=np.float32), [], 2, "features must have at least one row and one column",
+                 id="no_rows"),
+    pytest.param(np.array([[np.inf, 0.0]], dtype=np.float32), [0], 2, "non-finite value in features",
+                 id="non_finite"),
+]
+
+
 @pytest.mark.parametrize(
     "features, labels, num_classes, message",
     [
-        (np.zeros((2, 2)), [0, 1], 2, "features must be a 2-D float32 array"),
-        (np.zeros((0, 2), dtype=np.float32), [], 2, "features must have at least one row and one column"),
-        (np.array([[np.inf, 0.0]], dtype=np.float32), [0], 2, "non-finite value in features"),
-        (np.zeros((2, 2), dtype=np.float32), [0], 2, "labels must be 1-D and aligned with features"),
-        (np.zeros((2, 2), dtype=np.float32), [0.0, 1.0], 2, "labels must be integers"),
-        (np.zeros((1, 2), dtype=np.float32), [0], 0, "num_classes must be positive"),
+        *MATRIX_REJECTIONS,
+        pytest.param(np.zeros((2, 2), dtype=np.float32), [0], 2, "labels must be 1-D and aligned with features",
+                     id="misaligned"),
+        pytest.param(np.zeros((2, 2), dtype=np.float32), [0.0, 1.0], 2, "labels must be integers",
+                     id="float_labels"),
+        pytest.param(np.zeros((1, 2), dtype=np.float32), [0], 0, "num_classes must be positive",
+                     id="no_classes"),
     ],
-    ids=["float64", "no_rows", "non_finite", "misaligned", "float_labels", "no_classes"],
 )
 def test_eval_dataset_rejects(features, labels, num_classes, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         EvalDataset(features=features, labels=labels, num_classes=num_classes, name="bad")
+
+
+@pytest.mark.parametrize("features, labels, num_classes, message", MATRIX_REJECTIONS)
+def test_embedding_set_rejects_what_eval_dataset_rejects(features, labels, num_classes, message):
+    message = message.replace("features", "embeddings")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        EmbeddingSet(embeddings=features, source_name="bad")
 
 
 def test_eval_dataset_label_range():

@@ -408,12 +408,20 @@ def test_candidates_of_mixed_length_name_both_lengths():
         ({"jobs": 0}, "jobs must be positive"),
         ({"jobs": -2}, "jobs must be positive"),
         ({"candidates": []}, "candidate list must not be empty"),
+        ({"jobs": 257}, "jobs must be at most 256, got 257"),
     ],
-    ids=["objective", "no_jobs", "negative_jobs", "no_candidates"],
+    ids=["objective", "no_jobs", "negative_jobs", "no_candidates", "too_many_jobs"],
 )
 def test_search_config_rejects(kwargs, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         SearchConfig(**kwargs)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_builtin_scores_holds_the_thread_count_rule(jobs):
+    """The library scorer, called without a SearchConfig, rejects what SearchConfig rejects."""
+    with pytest.raises(ValidationError, match="^jobs must be positive$"):
+        mixture_search.builtin_scores(toy_bank(2, seed=0), gray_codes(2), toy_target(0), jobs=jobs)
 
 
 def test_builtin_block_errors_name_the_first_mixture():
