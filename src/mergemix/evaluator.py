@@ -186,7 +186,7 @@ def _final_json_line(stdout: str) -> dict:
         raise ExternalEvaluatorError("unparsable evaluator output: empty stdout")
     try:
         obj = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past Python's digit limit, or nesting too deep
         raise ExternalEvaluatorError(f"unparsable evaluator output: {lines[-1]!r}") from exc
     if not isinstance(obj, dict):
         raise ExternalEvaluatorError("unparsable evaluator output: final line is not a JSON object")

@@ -2,10 +2,10 @@
 
 Every non-empty mixture is merged and scored; the best mixture under the
 objective is reported. One driver, _score_rows, fills the score columns from
-SearchConfig.jobs contiguous slices of the mixtures; check_jobs bounds that
-count to [1, MAX_JOBS], wherever it comes from. The builtin scorer's
-slices run in blocks: _SCORE_BLOCK mixtures per merge_block call and per
-stacked forward pass. Any other evaluator's slices walk subset_merges, one
+SearchConfig.jobs contiguous slices of the mixtures; check_jobs holds that
+count to an integer in [1, MAX_JOBS], wherever it comes from. The builtin
+scorer's slices run in blocks: _SCORE_BLOCK mixtures per merge_block call and
+per stacked forward pass. Any other evaluator's slices walk subset_merges, one
 merged Checkpoint per mixture. Results are ScoreColumns: int mixture codes
 and float64 score arrays, which build ScoreRecords only as they are
 iterated. Mixtures enter and leave as bit strings, e.g. "101" (see
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -69,7 +70,9 @@ def _dataset(target: TargetRef) -> EvalDataset:
 
 
 def check_jobs(jobs: int) -> None:
-    """Reject a thread count below 1 or above MAX_JOBS."""
+    """Reject a thread count that is no integer, below 1 or above MAX_JOBS."""
+    if not isinstance(jobs, numbers.Integral):
+        raise ValidationError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValidationError("jobs must be positive")
     if jobs > MAX_JOBS:

@@ -427,8 +427,9 @@ def test_search_external_non_utf8_stderr_keeps_exit_code_and_tail(tmp_path, caps
         ('{"accuracy": "0.5", "loss": true}', "evaluator output fields must be numbers"),
         ('{"accuracy": 0.5, "loss": ' + "9" * 401 + "}", "evaluator output fields must be numbers"),
         ('{"accuracy": 0.5, "loss": NaN}', "mean_loss must be finite and >= 0, got nan"),
+        ("[" * 100000, "unparsable evaluator output: " + repr("[" * 100000)),
     ],
-    ids=["text_and_bool", "int_beyond_float", "nan_loss"],
+    ids=["text_and_bool", "int_beyond_float", "nan_loss", "nested_too_deep"],
 )
 def test_search_malformed_evaluator_output_exits_3(tmp_path, capsys, line, message):
     """Any output that is no valid score is an evaluator failure: exit 3, one line naming the mixture."""

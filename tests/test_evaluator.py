@@ -348,10 +348,13 @@ def test_external_negative_loss(tmp_path):
         ("print('{\"accuracy\": \"0.5\", \"loss\": 0.1}')", "evaluator output fields must be numbers"),
         ("print('{\"accuracy\": 0.5, \"loss\": true}')", "evaluator output fields must be numbers"),
         ("print('{\"accuracy\": 0.5, \"loss\": ' + '9' * 401 + '}')", "evaluator output fields must be numbers"),
+        ("print('{\"loss\": ' + '9' * 5000 + '}')",
+         "unparsable evaluator output: " + repr('{"loss": ' + "9" * 5000 + "}")),
+        ("print('[' * 100000)", "unparsable evaluator output: " + repr("[" * 100000)),
     ],
     ids=[
         "empty", "not_an_object", "no_loss", "no_accuracy", "text_accuracy", "null_loss",
-        "numeric_text_accuracy", "bool_loss", "int_beyond_float_loss",
+        "numeric_text_accuracy", "bool_loss", "int_beyond_float_loss", "int_beyond_digit_limit", "nested_too_deep",
     ],
 )
 def test_external_rejects_malformed_output(tmp_path, body, message):

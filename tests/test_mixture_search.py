@@ -409,8 +409,9 @@ def test_candidates_of_mixed_length_name_both_lengths():
         ({"jobs": -2}, "jobs must be positive"),
         ({"candidates": []}, "candidate list must not be empty"),
         ({"jobs": 257}, "jobs must be at most 256, got 257"),
+        ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
     ],
-    ids=["objective", "no_jobs", "negative_jobs", "no_candidates", "too_many_jobs"],
+    ids=["objective", "no_jobs", "negative_jobs", "no_candidates", "too_many_jobs", "fractional_jobs"],
 )
 def test_search_config_rejects(kwargs, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
