@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .merge_engine import mixture_rows
 from .tensor_store import atomic_open
 
 log = logging.getLogger("mergemix.analytics")
@@ -182,19 +183,19 @@ def write_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
-def write_plot_csv(path: str | Path, bits: Sequence[str], inputs: Iterable[CorrelationInput]) -> None:
+def write_plot_csv(path: str | Path, n: int, codes, inputs: Iterable[CorrelationInput]) -> None:
     """Write plot data rows: task, mixture_bits, n_selected, x, y, is_singleton.
 
-    Every input holds one row per mixture of bits, in that order; tasks are
-    written sorted by name.
+    Every input holds one row per mixture code over n datasets, in the order
+    of codes, whose bits and size mixture_rows writes; tasks are sorted by name.
     """
     write_csv(
         path,
         ["task", "mixture_bits", "n_selected", "x", "y", "is_singleton"],
         (
-            [item.task_name, b, k, repr(x), repr(y), int(k == 1)]
+            [item.task_name, bits, k, repr(x), repr(y), int(k == 1)]
             for item in sorted(inputs, key=lambda item: item.task_name)
-            for b, x, y, k in zip(bits, item.x.tolist(), item.y.tolist(), item.n_selected.tolist(), strict=True)
+            for bits, k, x, y in mixture_rows(n, codes, item.x, item.y)
         ),
     )
 

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .merge_engine import bits_code, code_bits, gray_codes, gray_rank
+from .merge_engine import bits_code, code_bits, gray_codes, gray_rank, mixture_rows
 from .mixture_search import best_row
 from .tensor_store import EmbeddingSet
 
@@ -194,8 +194,8 @@ class SimilarityTable(Mapping[str, float]):
     def csv_rows(self) -> Iterator[list]:
         """One row per mixture in ascending bit order, made as it is written; bit strings of one length
         sort as their codes, and the sorted codes are 1 .. 2^n - 1."""
-        ascending = self.scores[np.argsort(gray_codes(self.n))].tolist()
-        return ([code_bits(self.n, code), self.metric.value, repr(s)] for code, s in enumerate(ascending, 1))
+        rows = mixture_rows(self.n, np.arange(1, 1 << self.n), self.scores[np.argsort(gray_codes(self.n))])
+        return ([bits, self.metric.value, repr(s)] for bits, _, s in rows)
 
     def to_json_obj(self) -> dict:
         best_alpha, best_score = select_from_table(self)
@@ -204,7 +204,7 @@ class SimilarityTable(Mapping[str, float]):
             "direction": self.metric.direction,
             "best_alpha": best_alpha,
             "best_score": best_score,
-            "scores": dict(zip(self, self.scores.tolist())),
+            "scores": {bits: s for bits, _, s in mixture_rows(self.n, gray_codes(self.n), self.scores)},
         }
 
 

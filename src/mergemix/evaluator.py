@@ -11,7 +11,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,9 +27,12 @@ LOGIT_EPS = 1e-6
 
 TOY_TENSORS = ("w1", "b1", "w2", "b2")
 
-# how much of a failed external evaluator's stderr its error message quotes
+# how much of a failed external evaluator's stderr, or of its unparsable line, an error message quotes
 STDERR_TAIL_LINES = 5
 STDERR_TAIL_CHARS = 500
+
+# the leader pids of the external evaluators running now, each in its own session and process group
+_running: set[int] = set()
 
 
 @dataclass(eq=False)
@@ -187,16 +192,24 @@ def _final_json_line(stdout: str) -> dict:
     try:
         obj = json.loads(lines[-1])
     except (ValueError, RecursionError) as exc:  # also an int past Python's digit limit, or nesting too deep
-        raise ExternalEvaluatorError(f"unparsable evaluator output: {lines[-1]!r}") from exc
+        quote = repr(lines[-1])
+        if len(quote) > STDERR_TAIL_CHARS:
+            quote = f"{len(lines[-1])} characters, ending {_tail(quote)}"
+        raise ExternalEvaluatorError(f"unparsable evaluator output: {quote}") from exc
     if not isinstance(obj, dict):
         raise ExternalEvaluatorError("unparsable evaluator output: final line is not a JSON object")
     return obj
 
 
+def _tail(text: str) -> str:
+    """The last STDERR_TAIL_CHARS characters of text: the most of an evaluator's output an error quotes."""
+    return text[-STDERR_TAIL_CHARS:]
+
+
 def _stderr_tail(stderr: str) -> str:
     """The last non-blank lines of stderr joined on one line, capped in length."""
     lines = [line.strip() for line in stderr.splitlines() if line.strip()]
-    return " | ".join(lines[-STDERR_TAIL_LINES:])[-STDERR_TAIL_CHARS:]
+    return _tail(" | ".join(lines[-STDERR_TAIL_LINES:]))
 
 
 def evaluator_argv(command_template: str) -> list[str]:
@@ -223,6 +236,40 @@ def _json_number(value) -> float:
     raise ExternalEvaluatorError("evaluator output fields must be numbers")
 
 
+def _kill_group(pid: int) -> None:
+    """SIGKILL the process group that pid leads; a group with no process left is no error."""
+    with contextlib.suppress(ProcessLookupError, PermissionError):
+        os.killpg(pid, signal.SIGKILL)
+
+
+def kill_running_evaluators() -> None:
+    """SIGKILL every running external evaluator's process group. Each runs in its own session, where a
+    Ctrl-C at the terminal never reaches it, so an interrupted search calls this before it waits on its threads."""
+    for pid in list(_running):
+        _kill_group(pid)
+
+
+def _run_evaluator(argv: list[str], timeout: float | None) -> tuple[int, bytes, bytes]:
+    """(exit code, stdout, stderr) of argv, run in a new session so that its whole process group can be killed.
+
+    On a timeout, an interrupt or a non-zero exit the group is killed; the
+    leader is always reaped.
+    """
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True) as proc:
+        _running.add(proc.pid)
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except BaseException:
+            _kill_group(proc.pid)
+            proc.wait()
+            raise
+        finally:
+            _running.discard(proc.pid)
+        if proc.returncode != 0:
+            _kill_group(proc.pid)
+    return proc.returncode, stdout, stderr
+
+
 def evaluate_external(
     ckpt_path: str | Path, data_ref: str, command_template: str, timeout: float | None = None
 ) -> Score:
@@ -233,7 +280,9 @@ def evaluate_external(
     The final stdout line must be a JSON object {"accuracy": <number in [0,1]>,
     "loss": <number >= 0>} of JSON numbers that Score accepts, and stdout must be
     UTF-8. check_timeout rejects a bad timeout before the command starts; an
-    evaluator still running after timeout seconds is killed and reaped.
+    evaluator still running after timeout seconds is killed with its whole
+    process group (see _run_evaluator). An error quotes at most
+    STDERR_TAIL_CHARS characters of the evaluator's output.
     """
     check_timeout(timeout)
     argv = [
@@ -241,21 +290,19 @@ def evaluate_external(
         for token in evaluator_argv(command_template)
     ]
     try:
-        proc = subprocess.run(argv, capture_output=True, timeout=timeout)
+        returncode, stdout, stderr = _run_evaluator(argv, timeout)
     except subprocess.TimeoutExpired:
         raise ExternalEvaluatorError(f"evaluator timed out after {timeout:g} s") from None
     except OSError as exc:
         raise ExternalEvaluatorError(f"evaluator could not start: {exc}") from exc
-    if proc.returncode != 0:
-        tail = _stderr_tail(proc.stderr.decode("utf-8", errors="replace"))
-        raise ExternalEvaluatorError(
-            f"evaluator failed (exit {proc.returncode})" + (f"; stderr: {tail}" if tail else "")
-        )
+    if returncode != 0:
+        tail = _stderr_tail(stderr.decode("utf-8", errors="replace"))
+        raise ExternalEvaluatorError(f"evaluator failed (exit {returncode})" + (f"; stderr: {tail}" if tail else ""))
     try:
-        stdout = proc.stdout.decode("utf-8")
+        text = stdout.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ExternalEvaluatorError(f"unparsable evaluator output: not UTF-8 ({exc})") from None
-    obj = _final_json_line(stdout)
+    obj = _final_json_line(text)
     if "accuracy" not in obj or "loss" not in obj:
         raise ExternalEvaluatorError("evaluator output missing 'accuracy' or 'loss'")
     try:

@@ -133,6 +133,13 @@ def code_bits(n: int, code: int) -> str:
     return format(code, f"0{n}b")
 
 
+def mixture_rows(n: int, codes, *columns) -> Iterator[tuple]:
+    """(bits, n_selected, *values) of each mixture code over n datasets and the same row of each 1-D column,
+    the one place a report row gets a mixture's text and size. A column of another length raises ValueError."""
+    for code, *values in zip(np.asarray(codes).tolist(), *(np.asarray(c).tolist() for c in columns), strict=True):
+        yield (code_bits(n, code), code.bit_count(), *values)
+
+
 def bits_code(n: int, bits: str) -> int:
     """The code of a mixture's text form over n datasets; the inverse of code_bits.
 

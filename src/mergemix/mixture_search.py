@@ -7,9 +7,9 @@ count to an integer in [1, MAX_JOBS], wherever it comes from. The builtin
 scorer's slices run in blocks: _SCORE_BLOCK mixtures per merge_block call and
 per stacked forward pass. Any other evaluator's slices walk subset_merges, one
 merged Checkpoint per mixture. Results are ScoreColumns: int mixture codes
-and float64 score arrays, which build ScoreRecords only as they are
-iterated. Mixtures enter and leave as bit strings, e.g. "101" (see
-merge_engine.bits_code). best_row holds the tie-break that every selection
+and float64 score arrays, whose rows merge_engine.mixture_rows turns into
+records and report rows. Mixtures enter and leave as bit strings, e.g.
+"101" (see bits_code). best_row holds the tie-break that every selection
 in the package uses: the best value, then the fewest datasets, then the
 smaller code, so results are deterministic. It returns the winner's row.
 """
@@ -17,7 +17,6 @@ smaller code, so results are deterministic. It returns the winner's row.
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -33,6 +32,7 @@ from .evaluator import (
     Score,
     check_toy_target,
     evaluate_builtin,
+    kill_running_evaluators,
     toy_mlp_scores,
 )
 from .merge_engine import (
@@ -42,6 +42,7 @@ from .merge_engine import (
     code_bits,
     gray_codes,
     merge_block,
+    mixture_rows,
     subset_merges,
 )
 from .tensor_store import Checkpoint
@@ -143,9 +144,8 @@ class ScoreColumns:
         return len(self.codes)
 
     def __iter__(self) -> Iterator[ScoreRecord]:
-        columns = (self.codes, self.accuracy, self.mean_loss, self.num_samples)
-        for code, accuracy, mean_loss, num_samples in zip(*(column.tolist() for column in columns)):
-            yield ScoreRecord(code_bits(self.n, code), Score(accuracy, mean_loss, num_samples))
+        for bits, _, *score in mixture_rows(self.n, self.codes, self.accuracy, self.mean_loss, self.num_samples):
+            yield ScoreRecord(bits, Score(*score))
 
     def __repr__(self) -> str:
         return f"ScoreColumns(n={self.n}, {len(self)} mixtures)"
@@ -170,10 +170,8 @@ class SearchReport:
     def csv_rows(self) -> Iterator[list]:
         """One row per mixture, made from the columns as it is written; a search has no fine-tuned score."""
         records = self.records
-        for code, accuracy, mean_loss in zip(
-            records.codes.tolist(), records.accuracy.tolist(), records.mean_loss.tolist()
-        ):
-            yield [code_bits(records.n, code), code.bit_count(), repr(accuracy), repr(mean_loss), ""]
+        rows = mixture_rows(records.n, records.codes, records.accuracy, records.mean_loss)
+        return ([bits, n_selected, repr(accuracy), repr(loss), ""] for bits, n_selected, accuracy, loss in rows)
 
     def to_json_obj(self) -> dict:
         return {
@@ -184,26 +182,23 @@ class SearchReport:
         }
 
 
-def _score_dicts(columns: ScoreColumns) -> Iterator[dict]:
-    rows = zip(columns.accuracy.tolist(), columns.mean_loss.tolist(), columns.num_samples.tolist())
-    return ({"accuracy": a, "mean_loss": loss, "num_samples": k} for a, loss, k in rows)
-
-
 def records_json(merged: ScoreColumns, finetuned: ScoreColumns | None = None) -> list[dict]:
     """The JSON records of a report, one per row of merged, built from the columns.
 
     finetuned, when given, holds the fine-tuned scores of the same mixtures
     in the same rows; without it every "finetuned_score" is null.
     """
-    tuned = _score_dicts(finetuned) if finetuned is not None else itertools.repeat(None)
+    tuned = () if finetuned is None else (finetuned.accuracy, finetuned.mean_loss, finetuned.num_samples)
+    rows = mixture_rows(merged.n, merged.codes, merged.accuracy, merged.mean_loss, merged.num_samples, *tuned)
+    keys = ("accuracy", "mean_loss", "num_samples")  # a score's fields, in the order of the columns
     return [
         {
-            "mixture_bits": code_bits(merged.n, code),
-            "n_selected": code.bit_count(),
-            "merged_score": score,
-            "finetuned_score": tuned_score,
+            "mixture_bits": bits,
+            "n_selected": n_selected,
+            "merged_score": dict(zip(keys, values[:3])),
+            "finetuned_score": dict(zip(keys, values[3:])) if tuned else None,
         }
-        for code, score, tuned_score in zip(merged.codes.tolist(), _score_dicts(merged), tuned)
+        for bits, n_selected, *values in rows
     ]
 
 
@@ -240,7 +235,8 @@ def _score_rows(
     (accuracy, mean_loss, num_samples) columns; num_samples is one shared
     count or an array to fill. One slice runs inline, more run on threads.
     Once a slice or the calling thread fails, stop is set and the other
-    slices end before their next block or mixture. Then the first row that
+    slices end before their next block or mixture; when the calling thread
+    fails, every running external evaluator is killed. Then the first row that
     is no valid Score fails the search with Score's message, at every jobs.
     """
     check_jobs(jobs)
@@ -255,8 +251,11 @@ def _score_rows(
             try:
                 slices = [pool.submit(score_slice, bounds[k], bounds[k + 1], columns, stop) for k in range(jobs)]
                 wait(slices, return_when=FIRST_EXCEPTION)
-            finally:  # before the pool waits on its slices, so an error here (KeyboardInterrupt) stops them too
+            except BaseException:  # Ctrl-C: the evaluators run in their own sessions, so it never reached them
                 stop.set()
+                kill_running_evaluators()
+                raise
+            stop.set()  # before the pool waits on its slices, so they end at their next block or mixture
         for done in slices:  # the error of the first failed slice, in row order
             done.result()
     records = ScoreColumns(n, codes, *columns)

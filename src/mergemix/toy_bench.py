@@ -44,7 +44,7 @@ from .evaluator import (
     toy_mlp_hidden,
     toy_mlp_logits,
 )
-from .merge_engine import MAX_ENUMERATION_N, ModelBank, code_bits, code_datasets, gray_codes, gray_rank
+from .merge_engine import MAX_ENUMERATION_N, ModelBank, code_bits, code_datasets, gray_codes, gray_rank, mixture_rows
 from .mixture_search import ScoreColumns, best_row, builtin_scores, checkpoint_scores, records_json
 from .tensor_store import Checkpoint, EmbeddingSet
 
@@ -554,14 +554,11 @@ class BenchReport:
             ["target", "mixture_bits", "n_selected", "merged_val_accuracy", "merged_test_accuracy",
              "finetuned_val_accuracy", "finetuned_test_accuracy"],
             (
-                [t.target_name, code_bits(n, code), code.bit_count(), *map(repr, accuracies)]
+                [t.target_name, bits, n_selected, *map(repr, accuracies)]
                 for t in self.per_target
-                for code, *accuracies in zip(
-                    t.merged_val.codes.tolist(),
-                    t.merged_val.accuracy.tolist(),
-                    t.merged_test.accuracy.tolist(),
-                    t.finetuned_val.accuracy.tolist(),
-                    t.finetuned_test.accuracy.tolist(),
+                for bits, n_selected, *accuracies in mixture_rows(
+                    n, t.merged_val.codes, t.merged_val.accuracy, t.merged_test.accuracy,
+                    t.finetuned_val.accuracy, t.finetuned_test.accuracy,
                 )
             ),
         )
@@ -572,8 +569,7 @@ class BenchReport:
             ["target", "series", "n_pairs", "r"],
             ([task, name, *cells] for name, rep in series for task, *cells in rep.csv_rows()),
         )
-        bits = [code_bits(n, code) for code in gray_codes(n).tolist()]
-        write_plot_csv(plot_csv, bits, [t.logit_pairs() for t in self.per_target])
+        write_plot_csv(plot_csv, n, gray_codes(n), [t.logit_pairs() for t in self.per_target])
         return paths
 
 

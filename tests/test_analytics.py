@@ -268,13 +268,13 @@ def test_emit_rejects_unknown_format(tmp_path):
 
 
 def test_write_plot_csv_shape(tmp_path):
-    bits = ["10", "11"]
+    codes = np.array([0b10, 0b11])
     inputs = [task("T1", [(0.1, 0.2, 1), (0.3, 0.4, 2)]), task("T0", [(0.5, 0.6, 1), (0.7, 0.8, 2)])]
     path = tmp_path / "plot.csv"
-    write_plot_csv(path, bits, inputs)
+    write_plot_csv(path, 2, codes, inputs)
     lines = path.read_text().splitlines()
     assert lines[0] == "task,mixture_bits,n_selected,x,y,is_singleton"
-    # tasks sorted, one row per mixture of bits, singleton flag set from n_selected
+    # tasks sorted, one row per mixture code, singleton flag set from n_selected
     assert lines[1].startswith("T0,10,1,") and lines[1].endswith(",1")
     assert lines[4] == "T1,11,2,0.3,0.4,0"
     assert len(lines) == 5
@@ -282,7 +282,7 @@ def test_write_plot_csv_shape(tmp_path):
 
 def test_write_plot_csv_needs_a_row_per_mixture(tmp_path):
     with pytest.raises(ValueError):
-        write_plot_csv(tmp_path / "plot.csv", ["10", "11"], [task("T", [(0.1, 0.2, 1)])])
+        write_plot_csv(tmp_path / "plot.csv", 2, np.array([0b10, 0b11]), [task("T", [(0.1, 0.2, 1)])])
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from mergemix import toy_bench
 from mergemix.baselines import SimilarityMetric, similarity_table
 from mergemix.cli import build_parser, main
 from mergemix.errors import ValidationError
-from mergemix.evaluator import EvalDataset, write_eval_dataset
+from mergemix.evaluator import STDERR_TAIL_CHARS, EvalDataset, write_eval_dataset
 from mergemix.tensor_store import (
     Checkpoint,
     EmbeddingSet,
@@ -427,16 +427,19 @@ def test_search_external_non_utf8_stderr_keeps_exit_code_and_tail(tmp_path, caps
         ('{"accuracy": "0.5", "loss": true}', "evaluator output fields must be numbers"),
         ('{"accuracy": 0.5, "loss": ' + "9" * 401 + "}", "evaluator output fields must be numbers"),
         ('{"accuracy": 0.5, "loss": NaN}', "mean_loss must be finite and >= 0, got nan"),
-        ("[" * 100000, "unparsable evaluator output: " + repr("[" * 100000)),
+        ("[" * 100000, "unparsable evaluator output: 100000 characters, ending " + "[" * 499 + "'"),
+        ("x" * 100000, "unparsable evaluator output: 100000 characters, ending " + "x" * 499 + "'"),
     ],
-    ids=["text_and_bool", "int_beyond_float", "nan_loss", "nested_too_deep"],
+    ids=["text_and_bool", "int_beyond_float", "nan_loss", "nested_too_deep", "long_text"],
 )
 def test_search_malformed_evaluator_output_exits_3(tmp_path, capsys, line, message):
-    """Any output that is no valid score is an evaluator failure: exit 3, one line naming the mixture."""
+    """Any output that is no valid score is an evaluator failure: exit 3, one line naming the mixture.
+    A long line is quoted up to STDERR_TAIL_CHARS characters, with its length."""
     template = external_stub(tmp_path, f"print({line!r})\n")
     code, out, err = run_cli(search_external_argv(tmp_path, template), capsys)
     assert (code, out) == (3, "")
     assert err == f"error: mixture 01: {message}\n"
+    assert len(err) < STDERR_TAIL_CHARS + 100
 
 
 def test_bench_jobs_help_says_the_flag_is_unused(capsys):

@@ -6,7 +6,9 @@ import math
 import os
 import re
 import shlex
+import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -30,6 +32,7 @@ from mergemix import (
     write_checkpoint,
     write_eval_dataset,
 )
+from mergemix import evaluator
 from mergemix.evaluator import STDERR_TAIL_CHARS, evaluator_argv, toy_mlp_scores
 from mergemix.tensor_store import tensor
 
@@ -312,11 +315,77 @@ def test_external_timeout_kills_the_evaluator(tmp_path):
         os.kill(pid, 0)
 
 
+def process_state(pid):
+    """The state letter of a process from /proc/<pid>/stat, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def assert_killed(pid):
+    """pid is gone, or a zombie that init reaps, within a few seconds of a SIGKILL."""
+    deadline = time.monotonic() + 5
+    while process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert process_state(pid) in (None, "Z"), pid
+
+
+def shell_with_a_child(pid_file, then, redirect=""):
+    """A template whose sh starts a background sleep, writes its pid, then runs `then`."""
+    script = f"sleep 60 {redirect} & echo $! > {shlex.quote(str(pid_file))}; {then}"
+    return f"sh -c {shlex.quote(script)} {{checkpoint}} {{data}}"
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    "redirect, then, timeout, message",
+    [
+        ("", "wait", 0.5, "^evaluator timed out after 0.5 s$"),
+        (">/dev/null 2>&1", "exit 3", None, r"^evaluator failed \(exit 3\)$"),
+    ],
+    ids=["timeout", "failure"],
+)
+def test_external_kills_the_evaluators_process_group(tmp_path, redirect, then, timeout, message):
+    """An evaluator that is a shell with a background child: at a timeout, or
+    when the shell fails, the child dies with it instead of running on."""
+    pid_file = tmp_path / "pid"
+    template = shell_with_a_child(pid_file, then, redirect)
+    with pytest.raises(ExternalEvaluatorError, match=message):
+        evaluate_external(tmp_path / "m.mtm", "d", template, timeout=timeout)
+    assert_killed(int(pid_file.read_text()))
+
+
+@needs_proc
+def test_an_interrupted_external_evaluator_dies_with_its_children(tmp_path):
+    """Ctrl-C never reaches an evaluator in its own session, so the
+    interrupted call kills its process group itself."""
+    pid_file = tmp_path / "pid"
+    template = shell_with_a_child(pid_file, "wait")
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    timer = threading.Timer(0.3, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
+    started = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            timer.start()
+            evaluate_external(tmp_path / "m.mtm", "d", template)
+    finally:
+        timer.cancel()
+        timer.join()
+        signal.signal(signal.SIGINT, previous)
+    assert time.monotonic() - started < 30
+    assert_killed(int(pid_file.read_text()))
+
+
 def test_external_unparsable(tmp_path):
     path = tmp_path / "m.mtm"
     write_checkpoint(identity_mlp(2), path)
     cmd = stub_command(tmp_path, "print('not json at all')")
-    with pytest.raises(ExternalEvaluatorError, match="unparsable evaluator output"):
+    with pytest.raises(ExternalEvaluatorError, match="^unparsable evaluator output: 'not json at all'$"):
         evaluate_external(path, "d", cmd)
 
 
@@ -349,8 +418,8 @@ def test_external_negative_loss(tmp_path):
         ("print('{\"accuracy\": 0.5, \"loss\": true}')", "evaluator output fields must be numbers"),
         ("print('{\"accuracy\": 0.5, \"loss\": ' + '9' * 401 + '}')", "evaluator output fields must be numbers"),
         ("print('{\"loss\": ' + '9' * 5000 + '}')",
-         "unparsable evaluator output: " + repr('{"loss": ' + "9" * 5000 + "}")),
-        ("print('[' * 100000)", "unparsable evaluator output: " + repr("[" * 100000)),
+         "unparsable evaluator output: 5010 characters, ending " + repr('{"loss": ' + "9" * 5000 + "}")[-500:]),
+        ("print('[' * 100000)", "unparsable evaluator output: 100000 characters, ending " + "[" * 499 + "'"),
     ],
     ids=[
         "empty", "not_an_object", "no_loss", "no_accuracy", "text_accuracy", "null_loss",
@@ -363,6 +432,43 @@ def test_external_rejects_malformed_output(tmp_path, body, message):
     with pytest.raises(ExternalEvaluatorError) as info:
         evaluate_external(path, "d", stub_command(tmp_path, body))
     assert str(info.value) == message
+
+
+SCORE_FIELDS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**1100), 2**1100), st.floats(), st.text(max_size=5), st.just([0.5])
+)
+STDOUT_LINES = st.one_of(
+    st.fixed_dictionaries({"accuracy": SCORE_FIELDS, "loss": SCORE_FIELDS}).map(json.dumps),
+    st.dictionaries(st.sampled_from(["accuracy", "loss", "x"]), SCORE_FIELDS).map(json.dumps),
+    st.text(max_size=40),
+    st.integers(0, 3000).map(lambda k: "[" * k),
+    st.text(min_size=450, max_size=1500),
+)
+EVALUATOR_STDOUT = st.one_of(
+    st.lists(STDOUT_LINES, max_size=3).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=300),
+)
+
+
+def test_external_output_ends_in_a_score_or_one_capped_error_line(monkeypatch):
+    """Untrusted evaluator output, exit code and stderr, with the process
+    stubbed out: the result is a Score, or one ExternalEvaluatorError whose
+    message is one line that quotes at most STDERR_TAIL_CHARS characters."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.just(0) | st.integers(-64, 255), EVALUATOR_STDOUT, st.binary(max_size=2000))
+    def check(returncode, stdout, stderr):
+        monkeypatch.setattr(evaluator, "_run_evaluator", lambda argv, timeout: (returncode, stdout, stderr))
+        try:
+            score = evaluate_external("m.mtm", "d", "eval {checkpoint} {data}")
+        except ExternalEvaluatorError as exc:
+            message = str(exc)
+            assert message.splitlines() == [message]
+            assert len(message) <= STDERR_TAIL_CHARS + 150, len(message)
+        else:
+            assert returncode == 0 and isinstance(score, Score)
+
+    check()
 
 
 @pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])

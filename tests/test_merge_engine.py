@@ -27,6 +27,7 @@ from mergemix.merge_engine import (
     gray_codes,
     gray_rank,
     merge_block,
+    mixture_rows,
 )
 from mergemix.mixture_search import SearchConfig
 from mergemix.tensor_store import tensor
@@ -61,6 +62,31 @@ def test_bits_code_inverts_code_bits():
     assert bits_code(5, "10110") == 0b10110
     assert code_bits(5, 0b10110) == "10110"
     assert code_bits(3, 1) == "001"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mixture_rows_are_code_bits_and_bit_count(n):
+    """Every report row starts with its code's text and size, then the
+    columns' values of the same row, as Python objects."""
+    codes = gray_codes(n)
+    scores = np.linspace(0.0, 1.0, len(codes))
+    rows = list(mixture_rows(n, codes, scores, -scores))
+    assert rows == [
+        (code_bits(n, code), code.bit_count(), s, -s) for code, s in zip(codes.tolist(), scores.tolist())
+    ]
+    assert all(type(n_selected) is int and type(s) is float for _, n_selected, s, _ in rows)
+
+
+def test_mixture_rows_reject_a_column_of_another_length():
+    with pytest.raises(ValueError):
+        list(mixture_rows(2, gray_codes(2), np.zeros(2)))
+    with pytest.raises(ValueError):
+        list(mixture_rows(2, gray_codes(2), np.zeros(3), np.zeros(4)))
+
+
+def test_mixture_rows_of_no_codes_yield_nothing():
+    assert list(mixture_rows(3, np.array([], dtype=np.int64), np.array([]))) == []
+    assert list(mixture_rows(3, [])) == []
 
 
 # each bad text with the message every edge raises for it, at n = 3

@@ -3,6 +3,7 @@ every selection, and parity between serial and threaded scoring."""
 
 import hashlib
 import math
+import os
 import re
 import signal
 import sys
@@ -27,7 +28,7 @@ from mergemix import (
 )
 from mergemix import emit_report, mixture_search
 from mergemix.baselines import SimilarityMetric, SimilarityTable, select_from_table
-from mergemix.evaluator import evaluate_builtin, toy_mlp_scores
+from mergemix.evaluator import evaluate_builtin, evaluate_external, toy_mlp_scores
 from mergemix.merge_engine import (
     MAX_ENUMERATION_N,
     code_bits,
@@ -38,6 +39,8 @@ from mergemix.merge_engine import (
     subset_merges,
 )
 from mergemix.mixture_search import ScoreColumns, ScoreRecord, best_row
+
+from test_evaluator import process_state
 
 
 def tiny_bank(n, seed=0):
@@ -551,6 +554,37 @@ def test_an_interrupt_in_the_calling_thread_stops_the_other_threads(jobs):
         timer.join()
         signal.signal(signal.SIGINT, previous)
     assert len(calls) < 30, len(calls)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+def test_an_interrupt_kills_the_external_evaluators_of_every_thread(tmp_path):
+    """Ctrl-C 1 s into a search at jobs=2 whose external evaluators hang on
+    a background sleep: the evaluators run in their own sessions, so the
+    search kills both process groups itself and the interrupt surfaces at
+    once, not after the 60 s sleeps."""
+    script = "sleep 60 & echo $! > \"$0.pid\"; wait"
+
+    def eval_fn(ckpt, target, alpha):
+        return evaluate_external(tmp_path / alpha, "d", f"sh -c '{script}' {{checkpoint}} {{data}}")
+
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    timer = threading.Timer(1.0, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
+    started = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            timer.start()
+            run_search(tiny_bank(3), eval_fn, target=None, config=SearchConfig(jobs=2))
+    finally:
+        timer.cancel()
+        timer.join()
+        signal.signal(signal.SIGINT, previous)
+    assert time.monotonic() - started < 30
+    pids = [int(path.read_text()) for path in tmp_path.glob("*.pid")]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and any(process_state(pid) not in (None, "Z") for pid in pids):
+        time.sleep(0.01)
+    assert [process_state(pid) in (None, "Z") for pid in pids] == [True, True]
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 8])

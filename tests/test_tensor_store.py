@@ -25,9 +25,11 @@ from mergemix import (
     generate_universe,
     read_checkpoint,
     read_embeddings,
+    read_eval_dataset,
     validate_bank,
     write_checkpoint,
     write_embeddings,
+    write_eval_dataset,
 )
 from mergemix import tensor_store
 from mergemix.tensor_store import tensor
@@ -335,6 +337,74 @@ def test_roundtrip_property(tmp_path_factory, specs, seed):
     path = tmp_path_factory.mktemp("prop") / "p.mtm"
     write_checkpoint(ckpt, path)
     assert checkpoint_equal(ckpt, read_checkpoint(path))
+
+
+def valid_containers(tmp_path):
+    """The bytes of one valid checkpoint, embedding set and dataset container."""
+    writes = {
+        "checkpoint": lambda p: write_checkpoint(
+            Checkpoint(tensors={"b": tensor([0.5, -1.0]), "w": tensor([[1.0, 2.0]] * 2)}, metadata={"k": "v"}), p
+        ),
+        "embeddings": lambda p: write_embeddings(EmbeddingSet(tensor([[1.0, 2.0], [3.0, 4.0]]), "e"), p),
+        "dataset": lambda p: write_eval_dataset(EvalDataset(tensor([[1.0], [2.0]]), [0, 1], 2, "d"), p),
+    }
+    for name, write in writes.items():
+        write(tmp_path / name)
+    return [(tmp_path / name).read_bytes() for name in writes]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_container(draw, valid):
+    """A valid container with one header value replaced, its bytes overwritten or cut, or its length prefix
+    rewritten; or arbitrary bytes."""
+    blob = draw(st.sampled_from(valid))
+    length = struct.unpack("<Q", blob[:8])[0]
+    header, payload = json.loads(blob[8 : 8 + length]), blob[8 + length :]
+    how = draw(st.sampled_from(["value", "bytes", "cut", "length", "arbitrary"]))
+    if how == "value":
+        entry = draw(st.sampled_from(sorted(header)))
+        field = draw(st.sampled_from([None, *sorted(header[entry])]))
+        if field is None:
+            header[entry] = draw(JSON_VALUES)
+        else:
+            header[entry][field] = draw(JSON_VALUES)
+        return raw_container(header, payload)
+    if how == "bytes":
+        out = bytearray(blob)
+        for at, value in draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=4)):
+            out[at] = value
+        return bytes(out)
+    if how == "cut":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "length":
+        return struct.pack("<Q", draw(st.integers(0, 2**64 - 1))) + blob[8:]
+    return draw(st.binary(max_size=200))
+
+
+def test_readers_raise_only_format_or_validation_errors(tmp_path):
+    """Untrusted container bytes end in a value or in FormatError or
+    ValidationError from each of the three readers, never in another error."""
+    valid = valid_containers(tmp_path)
+    path = tmp_path / "fuzz.mtm"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mutated_container(valid))
+    def check(blob):
+        path.write_bytes(blob)
+        for read in (read_checkpoint, read_embeddings, read_eval_dataset):
+            try:
+                read(path)
+            except (FormatError, ValidationError):
+                pass
+
+    check()
 
 
 # ============================================================================
